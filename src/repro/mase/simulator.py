@@ -99,7 +99,6 @@ class MaseSimulator:
         self,
         benchmark: Benchmark,
         trace_events: int = 12000,
-        engine: str = "vector",
     ) -> PreparedBenchmark:
         """Build the baseline-layout executable and pre-simulate caches."""
         trace: Trace = benchmark.trace(trace_events)
@@ -113,7 +112,6 @@ class MaseSimulator:
             executable.data_address_stream(),
             bound_trace.dacc_event,
             warmup_event=warmup,
-            engine=engine,
         )
         memory_cycles = (
             counts.l1i_misses * self.config.l1i_penalty
@@ -136,15 +134,10 @@ class MaseSimulator:
             l1d_miss_rate=l1d_miss_rate,
         )
 
-    def run(
-        self,
-        prepared: PreparedBenchmark,
-        predictor: BranchPredictor,
-        engine: str = "vector",
-    ) -> MaseResult:
+    def run(self, prepared: PreparedBenchmark, predictor: BranchPredictor) -> MaseResult:
         """Simulate one predictor over a prepared benchmark."""
         mispredicts = predictor.simulate(
-            prepared.addresses, prepared.outcomes, warmup=prepared.warmup, engine=engine
+            prepared.addresses, prepared.outcomes, warmup=prepared.warmup
         )
         spec = prepared.benchmark.spec
         personality = prepared.benchmark.personality

@@ -17,7 +17,7 @@ from repro.uarch import vector
 from repro.uarch.caches import lru_access
 
 
-class BranchTargetBuffer:
+class BranchTargetBuffer(vector.Structure):
     """Set-associative, LRU, tag-matched BTB counting taken-branch misses."""
 
     def __init__(self, entries: int = 2048, associativity: int = 4, name: str = "btb") -> None:
@@ -51,43 +51,20 @@ class BranchTargetBuffer:
         tag = (pc >> 2) >> (self.n_sets.bit_length() - 1)
         return lru_access(self._sets[idx], tag, self.associativity)
 
-    def simulate(
-        self,
-        addresses: np.ndarray,
-        outcomes: np.ndarray,
-        warmup: int = 0,
-        engine: str = "vector",
-    ) -> int:
-        """Reset and stream the branch trace; return taken-branch misses.
+    step = lookup_and_update
 
-        Misses are counted only for events with index >= *warmup*; the
-        warm-up region still trains the buffer.  *engine* selects the
-        implementation (the LRU kernel or the per-event
-        :meth:`lookup_and_update` oracle loop), never the count.
-        """
-        if warmup < 0:
-            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
-        vector.require_engine(engine)
-        self.reset()
-        if engine == "scalar":
-            lookup = self.lookup_and_update
-            misses = 0
-            for i, (pc, taken) in enumerate(
-                zip(addresses.tolist(), outcomes.tolist())
-            ):
-                if lookup(pc, taken) and i >= warmup:
-                    misses += 1
-            return misses
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        # Only taken branches touch the buffer: run the LRU kernel over
+        # them and scatter the misses back to full event length.
         taken_events = np.nonzero(outcomes != 0)[0]
         pcs = addresses[taken_events] >> 2
         tag_shift = self.n_sets.bit_length() - 1
         state = vector.LruState(self.n_sets, self.associativity)
-        n = int(taken_events.size)
-        miss = np.zeros(n, dtype=bool)
-        for start, stop in vector.iter_chunks(n):
+        misses = np.zeros(int(addresses.size), dtype=bool)
+        for start, stop in vector.iter_chunks(int(taken_events.size)):
             chunk = pcs[start:stop]
-            miss[start:stop] = vector.lru_scan(
+            misses[taken_events[start:stop]] = vector.lru_scan(
                 state, chunk & (self.n_sets - 1), chunk >> tag_shift
             )
         self._sets = state.to_ways_lists()
-        return int(np.count_nonzero(miss & (taken_events >= warmup)))
+        return misses

@@ -76,15 +76,13 @@ class CacheConfig:
         return self.block_bytes.bit_length() - 1
 
 
-class SetAssociativeCache:
+class SetAssociativeCache(vector.Structure):
     """A single cache level with true-LRU replacement.
 
-    The cache is stateful across :meth:`access` calls; :meth:`reset`
-    empties it.  Bulk simulation uses :meth:`simulate_mask`, which
-    resets first and returns a per-access miss mask computed either by
-    the :mod:`repro.uarch.vector` LRU kernel (``engine="vector"``) or
-    by the per-access :meth:`access` oracle loop (``engine="scalar"``);
-    both produce identical masks.
+    The cache is stateful across :meth:`access` calls (the oracle
+    ``step``); :meth:`reset` empties it.  Bulk simulation goes through
+    the inherited :meth:`~repro.uarch.vector.Structure.simulate_mask`,
+    whose vector engine is the :func:`repro.uarch.vector.lru_scan` kernel.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -103,23 +101,14 @@ class SetAssociativeCache:
         tag = block >> (self.config.n_sets.bit_length() - 1)
         return lru_access(self._sets[set_idx], tag, self.config.associativity)
 
-    def simulate_mask(
-        self, addresses: np.ndarray, engine: str = "vector"
-    ) -> np.ndarray:
-        """Reset, stream *addresses* through the cache, return miss mask."""
-        vector.require_engine(engine)
-        self.reset()
-        n = int(addresses.size)
-        misses = np.zeros(n, dtype=bool)
-        if engine == "scalar":
-            access = self.access
-            for i, address in enumerate(addresses.tolist()):
-                if access(address):
-                    misses[i] = True
-            return misses
+    step = access
+
+    def scan(self, addresses: np.ndarray) -> np.ndarray:
         config = self.config
         set_shift = config.n_sets.bit_length() - 1
         state = vector.LruState(config.n_sets, config.associativity)
+        n = int(addresses.size)
+        misses = np.zeros(n, dtype=bool)
         for start, stop in vector.iter_chunks(n):
             blocks = addresses[start:stop] >> config.block_shift
             misses[start:stop] = vector.lru_scan(
@@ -127,10 +116,6 @@ class SetAssociativeCache:
             )
         self._sets = state.to_ways_lists()
         return misses
-
-    def simulate(self, addresses: np.ndarray, engine: str = "vector") -> int:
-        """Reset and stream; return the miss count."""
-        return int(np.count_nonzero(self.simulate_mask(addresses, engine=engine)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +201,7 @@ def _skew_hash(block: int, way: int, n_sets: int) -> int:
     return (block ^ shifted ^ (way * 0x9E37)) & mask
 
 
-class SkewedAssociativeCache:
+class SkewedAssociativeCache(vector.Structure):
     """Skewed-associative cache (Seznec, ISCA 1993).
 
     Each way indexes with a *different* hash of the block address, so
@@ -255,32 +240,19 @@ class SkewedAssociativeCache:
         self._ways[victim_way][idx] = block
         return True
 
-    def simulate_mask(
-        self, addresses: np.ndarray, engine: str = "vector"
-    ) -> np.ndarray:
-        """Reset, stream *addresses*, return the per-access miss mask.
+    step = access
 
-        *engine* selects the implementation, never the counts: the
-        scalar oracle streams through :meth:`access`; the bulk path
-        fuses the per-way probes into one loop.
-        """
-        vector.require_engine(engine)
-        self.reset()
-        n = int(addresses.size)
-        misses = np.zeros(n, dtype=bool)
-        if engine == "scalar":
-            access = self.access
-            for i, address in enumerate(addresses.tolist()):
-                if access(address):
-                    misses[i] = True
-            return misses
+    def scan(self, addresses: np.ndarray) -> np.ndarray:
+        # access() fused into one loop, with the victim pointer in a
+        # local; kept because it beats the oracle (BENCH_kernels.json,
+        # row skewed-cache).
         config = self.config
-        shift = config.block_shift
         n_sets = config.n_sets
         assoc = config.associativity
         ways = self._ways
         victim = 0
-        blocks = (addresses >> shift).tolist()
+        blocks = (addresses >> config.block_shift).tolist()
+        misses = [False] * len(blocks)
         # repro: allow-PERF001 round-robin skewed replacement is a serial recurrence across all ways (the victim pointer advances only on misses, and every way hashes differently) — no vector kernel family covers it yet (ROADMAP item 1)
         for i, block in enumerate(blocks):
             hit = False
@@ -295,10 +267,4 @@ class SkewedAssociativeCache:
                 ways[victim][idx] = block
                 victim = (victim + 1) % assoc
         self._victim = victim
-        return misses
-
-    def simulate(self, addresses: np.ndarray, engine: str = "vector") -> int:
-        """Reset and stream; return the miss count."""
-        return int(
-            np.count_nonzero(self.simulate_mask(addresses, engine=engine))
-        )
+        return np.array(misses, dtype=bool)

@@ -41,9 +41,7 @@ class BimodalPredictor(BranchPredictor):
             self._table[idx] = counter - 1
         return prediction == outcome
 
-    def _vector_mispredict_mask(
-        self, addresses: np.ndarray, outcomes: np.ndarray
-    ) -> np.ndarray:
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         table = np.array(self._table, dtype=np.int8)
         index_mask = self.entries - 1
         n = int(addresses.size)

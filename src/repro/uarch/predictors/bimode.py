@@ -88,9 +88,7 @@ class BiModePredictor(BranchPredictor):
         )
         return prediction == outcome
 
-    def _vector_mispredict_mask(
-        self, addresses: np.ndarray, outcomes: np.ndarray
-    ) -> np.ndarray:
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         # Indices come from _indices, shared with predict_and_update
         # (the >>/^/& operators are elementwise on arrays): an earlier
         # version inlined the math over a 31-bit-truncated pc and

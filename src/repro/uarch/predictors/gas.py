@@ -64,9 +64,7 @@ class GAsPredictor(BranchPredictor):
         self._history = ((self._history << 1) | outcome) & ((1 << self.history_bits) - 1)
         return prediction == outcome
 
-    def _vector_mispredict_mask(
-        self, addresses: np.ndarray, outcomes: np.ndarray
-    ) -> np.ndarray:
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         table = np.array(self._table, dtype=np.int8)
         addr_mask = (1 << self.address_bits) - 1
         history = self._history

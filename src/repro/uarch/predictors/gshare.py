@@ -47,9 +47,7 @@ class GsharePredictor(BranchPredictor):
         self._history = ((self._history << 1) | outcome) & ((1 << self.history_bits) - 1)
         return prediction == outcome
 
-    def _vector_mispredict_mask(
-        self, addresses: np.ndarray, outcomes: np.ndarray
-    ) -> np.ndarray:
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         # Index math is shared with predict_and_update (pc unmasked);
         # the old fused loop truncated the pc to 31 bits and silently
         # diverged from the scalar path on high addresses.

@@ -79,9 +79,10 @@ class GskewPredictor(BranchPredictor):
         )
         return correct
 
-    def _run(self, addresses: np.ndarray, outcomes: np.ndarray) -> int:
-        # Bulk path for the vector engine (no array formulation exists
-        # for the majority vote's partial update yet).  Indices come
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        # A fused loop, kept because it beats the oracle (no array
+        # formulation exists for the majority vote's partial update
+        # yet; BENCH_kernels.json, row gskew-2048x8).  Indices come
         # from the same _skew_hashes as predict_and_update: an earlier
         # version inlined the hashes over a 31-bit-truncated pc and
         # silently diverged from the scalar path on high addresses.
@@ -91,9 +92,9 @@ class GskewPredictor(BranchPredictor):
         pcs = (addresses >> 2).tolist()
         outs = outcomes.tolist()
         history = self._history
-        mispredicts = 0
+        misses = [False] * len(pcs)
         # repro: allow-PERF001 the 3-bank majority vote trains each bank only when it agreed with the prediction or the prediction missed — three counter streams coupled through one vote per event, with no counter_scan formulation yet (ROADMAP item 1)
-        for pc, outcome in zip(pcs, outs):
+        for i, (pc, outcome) in enumerate(zip(pcs, outs)):
             h1, h2, h3 = _skew_hashes(pc, history, mask)
             c0 = bank0[h1]
             c1 = bank1[h2]
@@ -103,7 +104,7 @@ class GskewPredictor(BranchPredictor):
             prediction = votes >= 2
             correct = prediction == taken
             if not correct:
-                mispredicts += 1
+                misses[i] = True
             if not correct or (c0 >= 2) == prediction:
                 if taken:
                     if c0 < 3:
@@ -124,4 +125,4 @@ class GskewPredictor(BranchPredictor):
                     bank2[h3] = c2 - 1
             history = ((history << 1) | outcome) & hist_mask
         self._history = history
-        return mispredicts
+        return np.array(misses, dtype=bool)

@@ -93,9 +93,7 @@ class HybridPredictor(BranchPredictor):
         self._history = ((self._history << 1) | outcome) & ((1 << self.history_bits) - 1)
         return prediction == outcome
 
-    def _vector_mispredict_mask(
-        self, addresses: np.ndarray, outcomes: np.ndarray
-    ) -> np.ndarray:
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         bimodal = np.array(self._bimodal, dtype=np.int8)
         glob = np.array(self._global, dtype=np.int8)
         chooser = np.array(self._chooser, dtype=np.int8)

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.program.behavior import TARGET_HISTORY_MASK, update_target_history
 from repro.uarch import vector
 from repro.uarch.predictors.base import require_power_of_two
 
 
-class LastTargetPredictor:
+class LastTargetPredictor(vector.Structure):
     """Predict the previously observed target at the hashed pc."""
 
     def __init__(self, entries: int = 512, name: str | None = None) -> None:
@@ -47,47 +46,27 @@ class LastTargetPredictor:
         self._table[idx] = target
         return predicted == target
 
-    def simulate(
-        self,
-        addresses: np.ndarray,
-        targets: np.ndarray,
-        warmup: int = 0,
-        engine: str = "vector",
-    ) -> int:
-        """Count target mispredictions over a bound trace.
+    def step(self, pc: int, target: int) -> bool:
+        """One event: True on a mispredicted indirect branch.
 
-        Events with ``target < 0`` (conditional branches) are skipped;
-        events before *warmup* train but are not counted.  *engine*
-        selects the implementation (last-value kernel or the per-event
-        :meth:`predict_and_update` oracle loop), never the count.
+        Events with ``target < 0`` (conditional branches) are skipped.
         """
-        if warmup < 0:
-            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
-        vector.require_engine(engine)
-        self.reset()
-        if engine == "scalar":
-            predict = self.predict_and_update
-            mispredicts = 0
-            for i, (pc, target) in enumerate(
-                zip(addresses.tolist(), targets.tolist())
-            ):
-                if target >= 0 and not predict(pc, target) and i >= warmup:
-                    mispredicts += 1
-            return mispredicts
+        return target >= 0 and not self.predict_and_update(pc, target)
+
+    def scan(self, addresses: np.ndarray, targets: np.ndarray) -> np.ndarray:
         table = np.array(self._table, dtype=np.int64)
         events = np.nonzero(targets >= 0)[0]
         idx = (addresses[events] >> 2) & (self.entries - 1)
         tgt = targets[events]
-        n = int(events.size)
-        mis = np.zeros(n, dtype=bool)
-        for start, stop in vector.iter_chunks(n):
+        misses = np.zeros(int(addresses.size), dtype=bool)
+        for start, stop in vector.iter_chunks(int(events.size)):
             prev = vector.last_value_scan(idx[start:stop], tgt[start:stop], table)
-            np.not_equal(prev, tgt[start:stop], out=mis[start:stop])
+            misses[events[start:stop]] = prev != tgt[start:stop]
         self._table = table.tolist()
-        return int(np.count_nonzero(mis & (events >= warmup)))
+        return misses
 
 
-class IttageLitePredictor:
+class IttageLitePredictor(vector.Structure):
     """Target table indexed by (pc XOR hash of recent targets).
 
     A two-component simplification of ITTAGE: a history-indexed table
@@ -126,27 +105,9 @@ class IttageLitePredictor:
         self._target_history = update_target_history(self._target_history, target)
         return correct
 
-    def simulate(
-        self,
-        addresses: np.ndarray,
-        targets: np.ndarray,
-        warmup: int = 0,
-        engine: str = "vector",
-    ) -> int:
-        """Count target mispredictions over a bound trace."""
-        if warmup < 0:
-            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
-        vector.require_engine(engine)
-        self.reset()
-        if engine == "scalar":
-            predict = self.predict_and_update
-            mispredicts = 0
-            for i, (pc, target) in enumerate(
-                zip(addresses.tolist(), targets.tolist())
-            ):
-                if target >= 0 and not predict(pc, target) and i >= warmup:
-                    mispredicts += 1
-            return mispredicts
+    step = LastTargetPredictor.step
+
+    def scan(self, addresses: np.ndarray, targets: np.ndarray) -> np.ndarray:
         history_table = np.array(self._history_table, dtype=np.int64)
         base_table = np.array(self._base_table, dtype=np.int64)
         events = np.nonzero(targets >= 0)[0]
@@ -154,9 +115,8 @@ class IttageLitePredictor:
         tgt = targets[events]
         target_history = self._target_history
         history_bits = TARGET_HISTORY_MASK.bit_length()
-        n = int(events.size)
-        mis = np.zeros(n, dtype=bool)
-        for start, stop in vector.iter_chunks(n):
+        misses = np.zeros(int(addresses.size), dtype=bool)
+        for start, stop in vector.iter_chunks(int(events.size)):
             chunk_tgt = tgt[start:stop]
             hist, target_history = vector.shifted_histories(
                 history_bits,
@@ -176,8 +136,8 @@ class IttageLitePredictor:
                 base_table,
             )
             predicted = np.where(hist_prev >= 0, hist_prev, base_prev)
-            np.not_equal(predicted, chunk_tgt, out=mis[start:stop])
+            misses[events[start:stop]] = predicted != chunk_tgt
         self._history_table = history_table.tolist()
         self._base_table = base_table.tolist()
         self._target_history = target_history
-        return int(np.count_nonzero(mis & (events >= warmup)))
+        return misses

@@ -63,9 +63,7 @@ class PAsPredictor(BranchPredictor):
         self._bht[bht_idx] = ((local << 1) | outcome) & ((1 << self.history_bits) - 1)
         return prediction == outcome
 
-    def _vector_mispredict_mask(
-        self, addresses: np.ndarray, outcomes: np.ndarray
-    ) -> np.ndarray:
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         bht = np.array(self._bht, dtype=np.int64)
         pht = np.array(self._pht, dtype=np.int8)
         addr_mask = (1 << self.address_bits) - 1

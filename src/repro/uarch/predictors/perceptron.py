@@ -9,8 +9,6 @@ very different aliasing behaviour from 2-bit counter tables.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.uarch.predictors.base import BranchPredictor, require_power_of_two
 
@@ -44,7 +42,8 @@ class PerceptronPredictor(BranchPredictor):
     def storage_bits(self) -> int:
         return 8 * (self.history_bits + 1) * self.entries
 
-    def predict_and_update(self, pc: int, outcome: int) -> bool:
+    # The oracle is the production path (see TagePredictor.step).
+    def step(self, pc: int, outcome: int) -> bool:
         idx = (pc >> 2) & (self.entries - 1)
         weights = self._weights[idx]
         history = self._history
@@ -62,5 +61,5 @@ class PerceptronPredictor(BranchPredictor):
                 weights[i + 1] = max(-limit, min(limit, w))
         history.pop()
         history.insert(0, target)
-        return prediction == outcome
+        return prediction != outcome
 

@@ -18,8 +18,8 @@ class AlwaysTakenPredictor(BranchPredictor):
     def predict_and_update(self, pc: int, outcome: int) -> bool:
         return outcome == 1
 
-    def _run(self, addresses: np.ndarray, outcomes: np.ndarray) -> int:
-        return int(np.count_nonzero(outcomes == 0))
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        return outcomes == 0
 
 
 class AlwaysNotTakenPredictor(BranchPredictor):
@@ -33,5 +33,5 @@ class AlwaysNotTakenPredictor(BranchPredictor):
     def predict_and_update(self, pc: int, outcome: int) -> bool:
         return outcome == 0
 
-    def _run(self, addresses: np.ndarray, outcomes: np.ndarray) -> int:
-        return int(np.count_nonzero(outcomes == 1))
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        return outcomes == 1

@@ -16,8 +16,6 @@ is irrelevant to this study.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.uarch.predictors.base import BranchPredictor, require_power_of_two
 
@@ -142,7 +140,9 @@ class TagePredictor(BranchPredictor):
         max_len = self.history_lengths[-1]
         self._hist = ((old_hist << 1) | outcome) & ((1 << max_len) - 1)
 
-    def predict_and_update(self, pc: int, outcome: int) -> bool:
+    # No array formulation exists, so the oracle is the production path:
+    # defining step (not predict_and_update) keeps it one call per event.
+    def step(self, pc: int, outcome: int) -> bool:
         indices, tags = self._indices_and_tags(pc)
         tables = self._tables
 
@@ -231,7 +231,7 @@ class TagePredictor(BranchPredictor):
                         entry.useful -= 1
 
         self._update_histories(outcome)
-        return correct
+        return not correct
 
     def _train_bimodal(self, idx: int, outcome: int) -> None:
         counter = self._bimodal[idx]
@@ -288,7 +288,7 @@ class LTagePredictor(TagePredictor):
     def storage_bits(self) -> int:
         return super().storage_bits() + self.loop_entries * (14 + 14 + 14 + 3 + 8)
 
-    def predict_and_update(self, pc: int, outcome: int) -> bool:
+    def step(self, pc: int, outcome: int) -> bool:
         loop_idx = (pc >> 2) & (self.loop_entries - 1)
         loop_tag = (pc >> 2) >> self.loop_entries.bit_length()
         entry = self._loop[loop_idx]
@@ -300,7 +300,7 @@ class LTagePredictor(TagePredictor):
             loop_pred = 1 if entry.current_iter + 1 < entry.past_iter else 0
 
         # Run TAGE for training regardless (records its own correctness).
-        tage_correct = super().predict_and_update(pc, outcome)
+        tage_correct = not super().step(pc, outcome)
 
         if loop_pred is not None:
             correct = loop_pred == outcome
@@ -334,4 +334,4 @@ class LTagePredictor(TagePredictor):
                 entry.age = 7
             else:
                 entry.age -= 1
-        return correct
+        return not correct

@@ -40,11 +40,17 @@ magnitude.
 
 All kernels carry state across :data:`CHUNK_EVENTS`-sized chunks so
 memory stays bounded on long traces.
+
+Every structure plugs its kernel into one contract, :class:`Structure`:
+it supplies ``reset``, the per-event oracle ``step`` and optionally the
+vector ``scan``; the inherited ``simulate``/``simulate_mask`` own
+validation, reset, engine dispatch and counting.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from abc import ABC, abstractmethod
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,6 +77,79 @@ def require_engine(engine: str) -> str:
             f"engine must be one of {ENGINES}, got {engine!r}"
         )
     return engine
+
+
+class Structure(ABC):
+    """A simulated address-hashed structure: one miss question per event.
+
+    A trace is an address array plus zero or more parallel streams
+    (branch outcomes, indirect targets).  Subclasses supply three hooks:
+
+    * :meth:`reset` — restore the power-on state;
+    * :meth:`step` — the per-event oracle: consume one event (one
+      element of every stream) and return True on a miss;
+    * :attr:`scan` — optionally, the vector kernel:
+      ``scan(addresses, *streams)`` returns the whole miss mask (one
+      bool per event) and leaves the post-trace state.
+
+    :meth:`simulate_mask` and :meth:`simulate` own everything else, so
+    the two engines can differ only inside ``scan``.
+    """
+
+    #: The vector kernel, or None for a structure with only the oracle.
+    scan: Callable[..., np.ndarray] | None = None
+
+    @abstractmethod
+    def reset(self) -> None:
+        """Restore the power-on state."""
+
+    @abstractmethod
+    def step(self, *event: int) -> bool:
+        """Simulate one event; return True on a miss."""
+
+    def simulate_mask(
+        self, addresses: np.ndarray, *streams: np.ndarray, engine: str = "vector"
+    ) -> np.ndarray:
+        """Reset, stream the trace through, return the per-event miss mask.
+
+        *engine* selects the implementation, never the result:
+        ``"vector"`` runs :attr:`scan` when the structure has one;
+        ``"scalar"``, and every structure without a kernel, runs
+        :meth:`step` once per event.  Both leave identical masks and
+        post-trace state (enforced by the differential test suite).
+        """
+        require_engine(engine)
+        self.reset()
+        if engine == "vector" and self.scan is not None:
+            return self.scan(addresses, *streams)
+        step = self.step
+        misses = [False] * int(addresses.size)
+        # repro: allow-PERF001 the per-event oracle: the scalar engine's reference loop, and the production path of the structures without an array formulation — TAGE's tagged-provider allocation and the perceptron's dot-product threshold training update state along the event chain (ROADMAP item 2 weighs their conversion)
+        for i, event in enumerate(
+            zip(addresses.tolist(), *[stream.tolist() for stream in streams])
+        ):
+            if step(*event):
+                misses[i] = True
+        return np.array(misses, dtype=bool)
+
+    def simulate(
+        self,
+        addresses: np.ndarray,
+        *streams: np.ndarray,
+        warmup: int = 0,
+        engine: str = "vector",
+    ) -> int:
+        """Reset and stream the trace; return the misses at index >= *warmup*.
+
+        The warm-up events still train the structure; they are only not
+        counted.  The window plays the role SimPoint warming plays in
+        the paper's simulations: the canonical traces are short slices,
+        so counting cold-start transients would distort event rates.
+        """
+        if warmup < 0:
+            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
+        mask = self.simulate_mask(addresses, *streams, engine=engine)
+        return int(np.count_nonzero(mask[warmup:]))
 
 
 def iter_chunks(n: int, chunk: int = CHUNK_EVENTS) -> Iterator[tuple[int, int]]:

@@ -6,9 +6,9 @@ fixture tests demonstrate each rule's true positives and true
 negatives — including the scalar-guard and chunk-dispatch exemptions
 that make the engine contract expressible without suppressions — and
 the mutation check the issue demands proves that re-introducing a
-per-event ``_run`` loop into ``bimode.py`` produces PERF001 at the
-exact mutated line while the sanctioned bulk fallback in ``base.py``
-stays suppressed, not flagged.
+per-event ``scan`` loop into ``bimode.py`` produces PERF001 at the
+exact mutated line while the sanctioned oracle loop of
+``Structure.simulate_mask`` in ``vector.py`` stays suppressed, not flagged.
 """
 
 from __future__ import annotations
@@ -415,28 +415,32 @@ _MUTATION = (
     "class MutatedBiMode(BiModePredictor):\n"
     '    """The pre-conversion shape: a per-event trace interpreter."""\n'
     "\n"
-    "    def _run(self, addresses, outcomes):\n"
-    "        mispredicts = 0\n"
-    "        for pc, outcome in zip(addresses.tolist(), outcomes.tolist()):\n"
+    "    def scan(self, addresses, outcomes):\n"
+    "        misses = np.zeros(addresses.size, dtype=bool)\n"
+    "        for i, (pc, outcome) in enumerate(zip(addresses.tolist(), outcomes.tolist())):\n"
     "            if not self.predict_and_update(int(pc), int(outcome)):\n"
-    "                mispredicts += 1\n"
-    "        return mispredicts\n"
+    "                misses[i] = True\n"
+    "        return misses\n"
 )
+
+#: The shipped sources the mutation is linted with: the predictor base
+#: and ``vector.py``, whose ``Structure.simulate`` dispatches to ``scan``.
+_CONTRACT_SOURCES = (
+    "src/repro/uarch/predictors/base.py",
+    "src/repro/uarch/vector.py",
+)
+
+
+def _shipped(*rels: str) -> dict[str, str]:
+    return {rel: (REPO_ROOT / rel).read_text() for rel in rels}
 
 
 class TestBimodeMutation:
     def test_shipped_predictor_sources_are_clean(self, tmp_path):
-        files = {
-            "src/repro/uarch/predictors/base.py": (
-                REPO_ROOT / "src/repro/uarch/predictors/base.py"
-            ).read_text(),
-            "src/repro/uarch/predictors/bimode.py": (
-                REPO_ROOT / "src/repro/uarch/predictors/bimode.py"
-            ).read_text(),
-        }
+        files = _shipped(*_CONTRACT_SOURCES, "src/repro/uarch/predictors/bimode.py")
         payload = findings_json(tmp_path, files, rules="PERF001")
         assert payload["findings"] == []
-        # base.py's bulk fallback is suppressed with a justification,
+        # The shared oracle loop is suppressed with a justification,
         # not invisible to the rule.
         assert payload["summary"]["suppressed"] >= 1
 
@@ -445,13 +449,12 @@ class TestBimodeMutation:
             REPO_ROOT / "src/repro/uarch/predictors/bimode.py"
         ).read_text()
         mutated = bimode_src.rstrip("\n") + "\n" + _MUTATION
-        files = {
-            "src/repro/uarch/predictors/base.py": (
-                REPO_ROOT / "src/repro/uarch/predictors/base.py"
-            ).read_text(),
-            "src/repro/uarch/predictors/bimode.py": mutated,
-        }
-        mutated_line = "        for pc, outcome in zip(addresses.tolist(), outcomes.tolist()):"
+        files = _shipped(*_CONTRACT_SOURCES)
+        files["src/repro/uarch/predictors/bimode.py"] = mutated
+        mutated_line = (
+            "        for i, (pc, outcome) in "
+            "enumerate(zip(addresses.tolist(), outcomes.tolist())):"
+        )
         expected_line = mutated.splitlines().index(mutated_line) + 1
         payload = findings_json(tmp_path, files, rules="PERF001")
         findings = payload["findings"]
@@ -459,7 +462,7 @@ class TestBimodeMutation:
         finding = findings[0]
         assert finding["path"].endswith("src/repro/uarch/predictors/bimode.py")
         assert finding["line"] == expected_line
-        assert "MutatedBiMode._run is hot" in finding["message"]
+        assert "MutatedBiMode.scan is hot" in finding["message"]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ branches at all.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,12 @@ from repro.machine.core_model import XeonCoreModel
 from repro.program.tracegen import generate_trace
 from repro.toolchain.camino import Camino
 from repro.uarch.btb import BranchTargetBuffer
-from repro.uarch.caches import CacheConfig, CacheHierarchy, SetAssociativeCache
+from repro.uarch.caches import (
+    CacheConfig,
+    CacheHierarchy,
+    SetAssociativeCache,
+    SkewedAssociativeCache,
+)
 from repro.uarch.predictors.agree import AgreePredictor
 from repro.uarch.predictors.bimodal import BimodalPredictor
 from repro.uarch.predictors.bimode import BiModePredictor
@@ -68,6 +75,17 @@ CACHE_CONFIGS = {
     "direct-mapped": CacheConfig(1024, 32, 1, name="direct"),
     "two-way": CacheConfig(4096, 64, 2, name="two-way"),
     "eight-way": CacheConfig(32768, 64, 8, name="l1-like"),
+}
+
+# Every structure on the simulation contract, for the edge cases that
+# hold for all of them.
+STRUCTURE_FACTORIES = {
+    **PREDICTOR_FACTORIES,
+    "btb": lambda: BranchTargetBuffer(entries=16, associativity=2),
+    "last-target": LastTargetPredictor,
+    "ittage-lite": IttageLitePredictor,
+    "set-associative-cache": lambda: SetAssociativeCache(CACHE_CONFIGS["two-way"]),
+    "skewed-cache": lambda: SkewedAssociativeCache(CACHE_CONFIGS["two-way"]),
 }
 
 _WARMUP_KINDS = ("zero", "third", "all", "past-end")
@@ -117,21 +135,41 @@ def test_predictor_engines_bit_identical(name, seed, n, warmup_kind):
         assert state == _comparable_state(vectored)
 
 
+def _cache_addresses(seed: int, n: int) -> np.ndarray:
+    """Half sequential fetch runs, half random >32-bit addresses."""
+    rng = np.random.default_rng(seed)
+    sequential = np.arange(n, dtype=np.int64) * 4 + int(rng.integers(0, 1 << 28))
+    random = rng.integers(0, 1 << 34, size=n, dtype=np.int64)
+    return np.where(rng.random(n) < 0.5, sequential, random)
+
+
 @pytest.mark.parametrize("name", sorted(CACHE_CONFIGS))
 @given(seed=st.integers(min_value=0, max_value=10_000), n=st.integers(min_value=0, max_value=600))
 @settings(max_examples=15, deadline=None)
 def test_cache_engines_bit_identical(name, seed, n):
     """Vector and scalar cache simulation agree per access and on state."""
-    rng = np.random.default_rng(seed)
-    sequential = np.arange(n, dtype=np.int64) * 4 + int(rng.integers(0, 1 << 28))
-    random = rng.integers(0, 1 << 34, size=n, dtype=np.int64)
-    addresses = np.where(rng.random(n) < 0.5, sequential, random)
+    addresses = _cache_addresses(seed, n)
     scalar = SetAssociativeCache(CACHE_CONFIGS[name])
     vectored = SetAssociativeCache(CACHE_CONFIGS[name])
     mask_s = scalar.simulate_mask(addresses, engine="scalar")
     mask_v = vectored.simulate_mask(addresses, engine="vector")
     assert np.array_equal(mask_s, mask_v)
     assert scalar._sets == vectored._sets
+
+
+@pytest.mark.parametrize("name", ["two-way", "eight-way"])
+@given(seed=st.integers(min_value=0, max_value=10_000), n=st.integers(min_value=0, max_value=600))
+@settings(max_examples=15, deadline=None)
+def test_skewed_cache_engines_bit_identical(name, seed, n):
+    """The fused skewed-cache scan matches its access() oracle."""
+    addresses = _cache_addresses(seed, n)
+    scalar = SkewedAssociativeCache(CACHE_CONFIGS[name])
+    vectored = SkewedAssociativeCache(CACHE_CONFIGS[name])
+    mask_s = scalar.simulate_mask(addresses, engine="scalar")
+    mask_v = vectored.simulate_mask(addresses, engine="vector")
+    assert np.array_equal(mask_s, mask_v)
+    assert scalar._ways == vectored._ways
+    assert scalar._victim == vectored._victim
 
 
 @given(
@@ -210,77 +248,62 @@ def test_hierarchy_engines_bit_identical(seed):
     assert counts[0] == counts[1]
 
 
+def _empty_trace(structure) -> list[np.ndarray]:
+    """An empty trace: one stream per argument of the structure's step."""
+    n_streams = len(inspect.signature(structure.step).parameters)
+    return [np.zeros(0, dtype=np.int64)] * n_streams
+
+
 class TestEdgeCases:
     """Deterministic corners the hypothesis sweeps may not always hit."""
 
-    @pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_FACTORIES))
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_empty_stream(self, name, engine):
-        empty = np.zeros(0, dtype=np.int64)
-        predictor = PREDICTOR_FACTORIES[name]()
-        assert predictor.simulate(empty, empty, warmup=0, engine=engine) == 0
-        assert predictor.simulate(empty, empty, warmup=5, engine=engine) == 0
+        structure = STRUCTURE_FACTORIES[name]()
+        trace = _empty_trace(structure)
+        assert structure.simulate(*trace, warmup=0, engine=engine) == 0
+        assert structure.simulate(*trace, warmup=5, engine=engine) == 0
+        mask = structure.simulate_mask(*trace, engine=engine)
+        assert mask.dtype == bool and mask.shape == (0,)
 
-    @pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES) + ["btb"])
     def test_all_not_taken(self, name):
         addresses = (np.arange(200, dtype=np.int64) % 37) * 4
         outcomes = np.zeros(200, dtype=np.int64)
         for warmup in (0, 100, 200, 250):
             counts = {
-                engine: PREDICTOR_FACTORIES[name]().simulate(
+                engine: STRUCTURE_FACTORIES[name]().simulate(
                     addresses, outcomes, warmup=warmup, engine=engine
                 )
                 for engine in ("scalar", "vector")
             }
             assert counts["scalar"] == counts["vector"]
+            if name == "btb":
+                # A not-taken branch never needs a target.
+                assert counts["vector"] == 0
         # Counting past the end of the trace counts nothing.
         assert (
-            PREDICTOR_FACTORIES[name]().simulate(
+            STRUCTURE_FACTORIES[name]().simulate(
                 addresses, outcomes, warmup=200, engine="vector"
             )
             == 0
         )
 
-    @pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_FACTORIES))
     def test_negative_warmup_raises(self, name):
-        empty = np.zeros(0, dtype=np.int64)
+        structure = STRUCTURE_FACTORIES[name]()
         with pytest.raises(ConfigurationError):
-            PREDICTOR_FACTORIES[name]().simulate(empty, empty, warmup=-1)
+            structure.simulate(*_empty_trace(structure), warmup=-1)
 
-    def test_btb_negative_warmup_raises(self):
-        empty = np.zeros(0, dtype=np.int64)
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_FACTORIES))
+    def test_unknown_engine_rejected(self, name):
+        structure = STRUCTURE_FACTORIES[name]()
+        trace = _empty_trace(structure)
         with pytest.raises(ConfigurationError):
-            BranchTargetBuffer().simulate(empty, empty, warmup=-1)
-
-    @pytest.mark.parametrize(
-        "factory", [LastTargetPredictor, IttageLitePredictor]
-    )
-    def test_indirect_negative_warmup_raises(self, factory):
-        empty = np.zeros(0, dtype=np.int64)
+            structure.simulate(*trace, engine="simd")
         with pytest.raises(ConfigurationError):
-            factory().simulate(empty, empty, warmup=-1)
-
-    def test_unknown_engine_rejected_everywhere(self):
-        empty = np.zeros(0, dtype=np.int64)
-        with pytest.raises(ConfigurationError):
-            BimodalPredictor().simulate(empty, empty, engine="simd")
-        with pytest.raises(ConfigurationError):
-            BranchTargetBuffer().simulate(empty, empty, engine="simd")
-        with pytest.raises(ConfigurationError):
-            SetAssociativeCache(CACHE_CONFIGS["two-way"]).simulate_mask(
-                empty, engine="simd"
-            )
-        with pytest.raises(ConfigurationError):
-            LastTargetPredictor().simulate(empty, empty, engine="simd")
-
-    def test_btb_empty_and_all_not_taken(self):
-        empty = np.zeros(0, dtype=np.int64)
-        addresses = np.arange(50, dtype=np.int64) * 4
-        never = np.zeros(50, dtype=np.int64)
-        for engine in ("scalar", "vector"):
-            btb = BranchTargetBuffer(entries=16, associativity=2)
-            assert btb.simulate(empty, empty, engine=engine) == 0
-            assert btb.simulate(addresses, never, engine=engine) == 0
+            structure.simulate_mask(*trace, engine="simd")
 
 
 def test_core_model_engines_bit_identical():
