@@ -15,7 +15,9 @@ Workloads:
   ``REPRO_SCALE`` layouts); the gskew row times its fused ``scan``
   loop against the oracle;
 * the L1I cache and a skewed cache of the same geometry (again a fused
-  ``scan`` loop) over the concatenated ifetch streams;
+  ``scan`` loop) over the concatenated ifetch streams, the L1D over the
+  data streams, and the L2 over each layout's L1I+L1D miss stream in
+  :class:`~repro.uarch.caches.CacheHierarchy` order;
 * the indirect-target predictors over an interpreter-shaped program
   (the suite benchmarks have no indirect sites);
 * the structural core model alone (``core-model``):
@@ -53,7 +55,11 @@ from repro.machine.core_model import XeonCoreModel
 from repro.program.tracegen import generate_trace
 from repro.toolchain.camino import Camino
 from repro.uarch.btb import BranchTargetBuffer
-from repro.uarch.caches import SetAssociativeCache, SkewedAssociativeCache
+from repro.uarch.caches import (
+    SetAssociativeCache,
+    SkewedAssociativeCache,
+    l2_fill_stream,
+)
 from repro.uarch.predictors.agree import AgreePredictor
 from repro.uarch.predictors.bimodal import BimodalPredictor
 from repro.uarch.predictors.bimode import BiModePredictor
@@ -80,15 +86,24 @@ def _load_interpreter_spec():
     return module.build_interpreter()
 
 
-def _campaign_streams(lab):
-    """Per-layout branch and ifetch streams of the campaign benchmark."""
-    bm = get_benchmark(BENCHMARK)
-    branch, ifetch = [], []
-    for i in range(lab.scale.n_layouts):
-        exe = lab.interferometer.build_executable(bm, i)
-        branch.append((exe.branch_address_stream(), exe.trace.outcomes))
-        ifetch.append(exe.ifetch_address_stream())
-    return branch, ifetch
+def _l2_streams(config, executables):
+    """Each layout's L2 access stream: its L1I and L1D misses, merged."""
+    l1i = SetAssociativeCache(config.l1i)
+    l1d = SetAssociativeCache(config.l1d)
+    streams = []
+    for exe in executables:
+        ifetch = exe.ifetch_address_stream()
+        data = exe.data_address_stream()
+        i_miss = l1i.simulate_mask(ifetch)
+        d_miss = l1d.simulate_mask(data)
+        stream, _ = l2_fill_stream(
+            ifetch[i_miss],
+            exe.trace.iacc_event[i_miss],
+            data[d_miss],
+            exe.trace.dacc_event[d_miss],
+        )
+        streams.append(stream)
+    return streams
 
 
 def _indirect_streams(lab):
@@ -204,19 +219,31 @@ def main() -> int:
     args = parser.parse_args()
 
     lab = get_lab()
+    config = XeonE5440Config()
     print(f"scale={lab.scale.name}: building {lab.scale.n_layouts} layouts of {BENCHMARK} ...")
-    branch_streams, ifetch_streams = _campaign_streams(lab)
+    bm = get_benchmark(BENCHMARK)
+    executables = [
+        lab.interferometer.build_executable(bm, i) for i in range(lab.scale.n_layouts)
+    ]
+    branch_streams = [
+        (exe.branch_address_stream(), exe.trace.outcomes) for exe in executables
+    ]
+    cache_streams = {
+        "l1i": [exe.ifetch_address_stream() for exe in executables],
+        "l1d": [exe.data_address_stream() for exe in executables],
+        "l2": _l2_streams(config, executables),
+    }
     n_branch = sum(len(a) for a, _ in branch_streams)
     indirect_streams = _indirect_streams(lab)
     n_indirect_events = sum(len(a) for a, _ in indirect_streams)
     n_indirect = sum(int(np.count_nonzero(t >= 0)) for _, t in indirect_streams)
-    n_ifetch = sum(len(a) for a in ifetch_streams)
+    n_cache = {level: sum(len(a) for a in streams) for level, streams in cache_streams.items()}
     print(
-        f"streams: {n_branch} branch events, {n_ifetch} ifetch accesses, "
+        f"streams: {n_branch} branch events, {n_cache['l1i']} ifetch, "
+        f"{n_cache['l1d']} data and {n_cache['l2']} L2 accesses, "
         f"{n_indirect} indirect branches (of {n_indirect_events} events)"
     )
 
-    config = XeonE5440Config()
     predictors = {
         "bimodal-4096": lambda: BimodalPredictor(4096),
         "gshare-4096x12": lambda: GsharePredictor(4096, history_bits=12),
@@ -263,16 +290,19 @@ def main() -> int:
     )
 
     print("caches:")
-    for name, cache in {
-        "l1i-cache": SetAssociativeCache(config.l1i),
-        "skewed-cache": SkewedAssociativeCache(config.l1i),
-    }.items():
+    for name, cache, level in (
+        ("l1i-cache", SetAssociativeCache(config.l1i), "l1i"),
+        ("skewed-cache", SkewedAssociativeCache(config.l1i), "l1i"),
+        ("l1d-cache", SetAssociativeCache(config.l1d), "l1d"),
+        ("l2-cache", SetAssociativeCache(config.l2), "l2"),
+    ):
+        streams = cache_streams[level]
         rows.append(
             bench_row(
                 name,
-                n_ifetch,
-                lambda: sum(cache.simulate(a, engine="scalar") for a in ifetch_streams),
-                lambda: sum(cache.simulate(a, engine="vector") for a in ifetch_streams),
+                n_cache[level],
+                lambda: sum(cache.simulate(a, engine="scalar") for a in streams),
+                lambda: sum(cache.simulate(a, engine="vector") for a in streams),
             )
         )
 
@@ -292,10 +322,6 @@ def main() -> int:
         )
 
     print("structural core model (prebuilt executables):")
-    bm = get_benchmark(BENCHMARK)
-    executables = [
-        lab.interferometer.build_executable(bm, i) for i in range(lab.scale.n_layouts)
-    ]
 
     def campaign(engine):
         core = XeonCoreModel(config)
@@ -315,7 +341,9 @@ def main() -> int:
         "benchmark": BENCHMARK,
         "n_layouts": lab.scale.n_layouts,
         "branch_events": n_branch,
-        "ifetch_accesses": n_ifetch,
+        "ifetch_accesses": n_cache["l1i"],
+        "data_accesses": n_cache["l1d"],
+        "l2_accesses": n_cache["l2"],
         "indirect_branches": n_indirect,
         "rows": rows,
         "diverged": diverged,

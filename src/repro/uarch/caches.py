@@ -130,6 +130,27 @@ class HierarchyCounts:
     l2_misses: int
 
 
+def l2_fill_stream(
+    ifetch_misses: np.ndarray,
+    ifetch_events: np.ndarray,
+    data_misses: np.ndarray,
+    data_events: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge L1I and L1D miss addresses into the L2 access stream.
+
+    Fills are ordered by branch event, instruction fetches before data
+    references within one event.  Returns the addresses and their
+    events.
+    """
+    i_ev = ifetch_events.astype(np.int64)
+    d_ev = data_events.astype(np.int64)
+    order = np.argsort(np.concatenate([i_ev * 2, d_ev * 2 + 1]), kind="stable")
+    return (
+        np.concatenate([ifetch_misses, data_misses])[order],
+        np.concatenate([i_ev, d_ev])[order],
+    )
+
+
 class CacheHierarchy:
     """L1I + L1D backed by a unified L2.
 
@@ -163,17 +184,12 @@ class CacheHierarchy:
         """
         i_miss = self.l1i.simulate_mask(ifetch_addresses, engine=engine)
         d_miss = self.l1d.simulate_mask(data_addresses, engine=engine)
-        i_addr = ifetch_addresses[i_miss]
-        d_addr = data_addresses[d_miss]
-        # Order L2 fills by (event, fetch-before-data).
-        i_ev = ifetch_events[i_miss].astype(np.int64)
-        d_ev = data_events[d_miss].astype(np.int64)
-        merged_addr = np.concatenate([i_addr, d_addr])
-        merged_ev = np.concatenate([i_ev, d_ev])
-        merged_key = np.concatenate([i_ev * 2, d_ev * 2 + 1])
-        order = np.argsort(merged_key, kind="stable")
-        l2_stream = merged_addr[order]
-        l2_events = merged_ev[order]
+        l2_stream, l2_events = l2_fill_stream(
+            ifetch_addresses[i_miss],
+            ifetch_events[i_miss],
+            data_addresses[d_miss],
+            data_events[d_miss],
+        )
         l2_miss = self.l2.simulate_mask(l2_stream, engine=engine)
         i_window = ifetch_events >= warmup_event
         d_window = data_events >= warmup_event

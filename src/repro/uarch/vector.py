@@ -29,14 +29,12 @@ recurrence, handled by one of four segmented scans:
 * :func:`last_value_scan` / :func:`sticky_install_scan` — last-target
   tables and set-once bias bits.
 
-LRU state (caches, BTB) is *not* a pure function of past accesses with
-any algebraic shortcut we know, so :func:`lru_scan` keeps the
-recurrence but runs it set-parallel: accesses are grouped into rounds
-by their position within their set, and each round updates every
-active set at once on tag/age matrices.  Consecutive same-block
-accesses to a set are guaranteed MRU hits with no state change and are
-condensed away first — sequential fetch streams shrink by an order of
-magnitude.
+LRU state (caches, BTB) follows from Mattson stack distance: an access
+hits an A-way true-LRU set iff fewer than A distinct tags touched that
+set since the previous access to the same tag.  :func:`lru_scan`
+counts those distinct tags offline for every access at once, as a
+2-D dominance count over previous-occurrence positions, with no loop
+over per-set depth.
 
 All kernels carry state across :data:`CHUNK_EVENTS`-sized chunks so
 memory stays bounded on long traces.
@@ -541,95 +539,152 @@ def local_history_scan(
 
 
 class LruState:
-    """Tag/age matrices holding a bank of true-LRU sets.
+    """A bank of true-LRU sets as one tag matrix.
 
-    Ages within a set are always a permutation of ``0..ways-1`` (0 is
-    the MRU way); empty ways hold tag -1 and, by construction, always
-    occupy the oldest ages, so victim selection fills empty ways first
-    exactly like the scalar insert-then-evict list discipline.
+    Row ``s`` holds set ``s``'s resident tags, MRU first; empty ways
+    hold -1 and always trail the resident ones, exactly like the scalar
+    insert-then-evict list discipline.
     """
 
-    __slots__ = ("tags", "ages")
+    __slots__ = ("tags",)
 
     def __init__(self, n_sets: int, associativity: int) -> None:
         self.tags = np.full((n_sets, associativity), -1, dtype=np.int64)
-        self.ages = np.tile(
-            np.arange(associativity, dtype=np.int64), (n_sets, 1)
-        )
 
     def to_ways_lists(self) -> list[list[int]]:
         """MRU-first way lists, matching the scalar representation."""
-        order = np.argsort(self.ages, axis=1, kind="stable")
-        ordered = np.take_along_axis(self.tags, order, axis=1)
-        return [[int(tag) for tag in row if tag >= 0] for row in ordered]
+        return [[tag for tag in row if tag >= 0] for row in self.tags.tolist()]
+
+
+def _distinct_since_previous(prev: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Distinct keys strictly between each end and its key's previous occurrence.
+
+    *prev* maps every position to the previous position of its key (-1
+    for none).  For each ``k`` in *ends*, with ``p = prev[k]``, returns
+    the number of ``j`` in ``(p, k)`` with ``prev[j] < p``: each such
+    ``j`` is the first occurrence of its key inside the window.  Every
+    ``prev[ends]`` must be >= 0 and every window non-empty.
+
+    The window ``[prev[k] + 1, k)`` is split into aligned power-of-two
+    blocks as in a bottom-up segment tree: at level ``L`` at most one
+    block at each edge.  One sort per level orders every block's
+    ``prev`` values, and one ``searchsorted`` per edge counts the
+    values below the bound in each queried block.  Right-edge queries
+    run in end order and left-edge queries in start order, so both
+    binary-search streams are monotone block by block.
+    """
+    m = int(prev.size)
+    shift = m.bit_length()
+    # Sort keys pack (block, prev + 1) into 2 * shift bits.
+    narrow = np.int32 if 2 * shift < 31 else np.int64
+    vals = (prev + 1).astype(narrow)
+    pos = np.arange(m, dtype=narrow)
+    hi = ends.astype(narrow)
+    lo = vals[ends]
+    by_start = np.argsort(lo)
+    lo_s = lo[by_start]
+    hi_s = hi[by_start]
+    # Level 0 blocks hold one position: compare it directly.
+    count = (hi & 1) * (vals[hi - 1] < lo)
+    count_s = (lo_s & 1) * (vals[lo_s] < lo_s)
+    level = 1
+    while True:
+        hi_l = hi >> level
+        live = ((lo + ((1 << level) - 1)) >> level) < hi_l
+        if not live.any():
+            break
+        keys = np.sort(((pos >> level) << shift) | vals)
+        edge = np.flatnonzero(live & ((hi_l & 1) == 1))
+        block = hi_l[edge] - 1
+        found = np.searchsorted(keys, (block << shift) | lo[edge])
+        count[edge] += found - (block << level)
+        lo_l = (lo_s + ((1 << level) - 1)) >> level
+        edge = np.flatnonzero((lo_l < (hi_s >> level)) & ((lo_l & 1) == 1))
+        block = lo_l[edge]
+        found = np.searchsorted(keys, (block << shift) | lo_s[edge])
+        count_s[edge] += found - (block << level)
+        level += 1
+    count[by_start] += count_s
+    return count
 
 
 def lru_scan(state: LruState, set_ids: np.ndarray, tags: np.ndarray) -> np.ndarray:
     """Stream ``(set, tag)`` accesses through an LRU bank; miss mask.
 
-    Accesses are grouped into rounds by position within their set; a
-    round touches each set at most once, so every active set updates
-    in parallel.  An access repeating its set's previous tag is a
-    guaranteed MRU hit with no state change and is skipped outright.
+    Mattson stack distance, computed offline: the incoming resident
+    ways are replayed first as synthetic accesses (LRU to MRU), the
+    stream is stably grouped by set, and repeats of a set's previous
+    tag (MRU hits with no state change) are condensed away.  An access
+    then hits iff its tag occurred before in its set with fewer than
+    ``associativity`` distinct tags in between — certain when fewer
+    positions lie in between, otherwise decided by
+    :func:`_distinct_since_previous`.  The post-state is each set's
+    last ``associativity`` distinct tags by last occurrence.
     """
     n = int(set_ids.size)
-    miss = np.zeros(n, dtype=bool)
     if n == 0:
-        return miss
-    by_set = np.argsort(set_ids.astype(np.int32), kind="stable")
-    dup_sorted = np.zeros(n, dtype=bool)
-    dup_sorted[1:] = (set_ids[by_set][1:] == set_ids[by_set][:-1]) & (
-        tags[by_set][1:] == tags[by_set][:-1]
-    )
-    dup = np.empty(n, dtype=bool)
-    dup[by_set] = dup_sorted
-    kept = np.nonzero(~dup)[0]
+        return np.zeros(0, dtype=bool)
+    table = state.tags
+    n_sets, ways = table.shape
+    lru_first = table[:, ::-1].ravel()
+    resident = lru_first >= 0
+    carried = int(np.count_nonzero(resident))
+    if carried:
+        set_ids = np.concatenate(
+            [np.repeat(np.arange(n_sets, dtype=np.int64), ways)[resident], set_ids]
+        )
+        tags = np.concatenate([lru_first[resident], tags])
+
+    by_set = _stable_order(set_ids, n_sets)
+    sets = set_ids[by_set]
+    tag = tags[by_set]
+    kept = np.empty(by_set.size, dtype=bool)
+    kept[0] = True
+    kept[1:] = (sets[1:] != sets[:-1]) | (tag[1:] != tag[:-1])
+    kept = np.flatnonzero(kept)
+    sets = sets[kept]
+    tag = tag[kept]
     m = int(kept.size)
-    if m == 0:
-        return miss
-    sets = set_ids[kept]
-    tag = tags[kept]
 
-    by_set = np.argsort(sets.astype(np.int32), kind="stable")
-    seg_first = np.empty(m, dtype=bool)
-    seg_first[0] = True
-    sorted_sets = sets[by_set]
-    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=seg_first[1:])
-    arange = np.arange(m, dtype=np.int64)
-    position_sorted = arange - np.maximum.accumulate(np.where(seg_first, arange, 0))
-    position = np.empty(m, dtype=np.int64)
-    position[by_set] = position_sorted
+    # Previous same-(set, tag) position: group equal tags (dense ids),
+    # then order by (tag, position); positions are set-major.
+    by_tag = np.argsort(tag)
+    new_tag = np.empty(m, dtype=np.int64)
+    new_tag[0] = 0
+    np.not_equal(tag[by_tag][1:], tag[by_tag][:-1], out=new_tag[1:])
+    dense = np.empty(m, dtype=np.int64)
+    dense[by_tag] = np.cumsum(new_tag)
+    position = np.arange(m, dtype=np.int64)
+    order = np.argsort(dense * m + position)
+    repeat = np.empty(m, dtype=bool)
+    repeat[0] = False
+    repeat[1:] = (sets[order][1:] == sets[order][:-1]) & (
+        dense[order][1:] == dense[order][:-1]
+    )
+    prev = np.full(m, -1, dtype=np.int64)
+    prev[order[1:][repeat[1:]]] = order[:-1][repeat[1:]]
 
-    round_order = np.argsort(position, kind="stable")
-    round_sets = sets[round_order]
-    round_tags = tag[round_order]
-    round_pos = position[round_order]
-    bounds = np.searchsorted(round_pos, np.arange(int(round_pos[-1]) + 2))
-    tag_table = state.tags
-    age_table = state.ages
-    round_miss = np.empty(m, dtype=bool)
-    # Round 0 is the widest round; later rounds slice a prefix view.
-    all_lanes = np.arange(int(bounds[1]) - int(bounds[0]))
-    for r in range(bounds.size - 1):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        if lo == hi:
-            continue
-        active = round_sets[lo:hi]
-        wanted = round_tags[lo:hi]
-        row_tags = tag_table[active]
-        row_ages = age_table[active]
-        match = row_tags == wanted[:, None]
-        hit = match.any(axis=1)
-        lanes = all_lanes[: hi - lo]
-        way = np.where(hit, match.argmax(axis=1), row_ages.argmax(axis=1))
-        selected_age = row_ages[lanes, way]
-        row_ages += row_ages < selected_age[:, None]
-        row_ages[lanes, way] = 0
-        row_tags[lanes, way] = wanted
-        tag_table[active] = row_tags
-        age_table[active] = row_ages
-        round_miss[lo:hi] = ~hit
-    kept_miss = np.empty(m, dtype=bool)
-    kept_miss[round_order] = round_miss
-    miss[kept] = kept_miss
-    return miss
+    seen = prev >= 0
+    hit = seen & (position - prev <= ways)
+    unsure = np.flatnonzero(seen & ~hit)
+    if unsure.size:
+        hit[unsure] = _distinct_since_previous(prev, unsure) < ways
+
+    # Post-state: each (set, tag)'s last occurrence, newest first.
+    final = np.empty(m, dtype=bool)
+    final[-1] = True
+    final[:-1] = ~repeat[1:]
+    newest = np.sort(order[final])[::-1]
+    final_sets = sets[newest]
+    first = np.empty(newest.size, dtype=bool)
+    first[0] = True
+    np.not_equal(final_sets[1:], final_sets[:-1], out=first[1:])
+    index = np.arange(newest.size)
+    rank = index - np.maximum.accumulate(np.where(first, index, 0))
+    stays = rank < ways
+    table.fill(-1)
+    table[final_sets[stays], rank[stays]] = tag[newest[stays]]
+
+    miss = np.zeros(by_set.size, dtype=bool)
+    miss[by_set[kept]] = ~hit
+    return miss[carried:]

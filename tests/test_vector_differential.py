@@ -25,11 +25,13 @@ from repro.machine.core_model import XeonCoreModel
 from repro.program.tracegen import generate_trace
 from repro.toolchain.camino import Camino
 from repro.uarch.btb import BranchTargetBuffer
+from repro.uarch import vector
 from repro.uarch.caches import (
     CacheConfig,
     CacheHierarchy,
     SetAssociativeCache,
     SkewedAssociativeCache,
+    lru_access,
 )
 from repro.uarch.predictors.agree import AgreePredictor
 from repro.uarch.predictors.bimodal import BimodalPredictor
@@ -246,6 +248,109 @@ def test_hierarchy_engines_bit_identical(seed):
         for engine in ("scalar", "vector")
     ]
     assert counts[0] == counts[1]
+
+
+def _lru_oracle(
+    n_sets: int, ways: int, set_ids: np.ndarray, tags: np.ndarray
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Miss mask and MRU-first way lists from the scalar LRU discipline."""
+    sets: list[list[int]] = [[] for _ in range(n_sets)]
+    mask = [
+        lru_access(sets[s], t, ways)
+        for s, t in zip(set_ids.tolist(), tags.tolist())
+    ]
+    return np.array(mask, dtype=bool), sets
+
+
+def _lru_chunked(
+    n_sets: int, ways: int, set_ids: np.ndarray, tags: np.ndarray, cuts: list[int]
+) -> tuple[np.ndarray, list[list[int]]]:
+    """``lru_scan`` over consecutive slices sharing one carried state."""
+    state = vector.LruState(n_sets, ways)
+    bounds = [0, *cuts, int(set_ids.size)]
+    masks = [
+        vector.lru_scan(state, set_ids[lo:hi], tags[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return np.concatenate(masks), state.to_ways_lists()
+
+
+def _assert_lru_matches_oracle(
+    n_sets: int, ways: int, set_ids: np.ndarray, tags: np.ndarray, cuts=()
+) -> np.ndarray:
+    expected_mask, expected_sets = _lru_oracle(n_sets, ways, set_ids, tags)
+    mask, sets = _lru_chunked(n_sets, ways, set_ids, tags, list(cuts))
+    assert np.array_equal(mask, expected_mask)
+    assert sets == expected_sets
+    return mask
+
+
+class TestLruScan:
+    """``lru_scan`` against the scalar LRU discipline on its hard corners."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=3, max_value=600),
+        ways=st.sampled_from([1, 2, 4, 8]),
+        n_sets=st.sampled_from([1, 4, 16]),
+        pieces=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_carry_equals_one_call(self, seed, n, ways, n_sets, pieces):
+        """Slices with one carried state equal a single call and the oracle."""
+        rng = np.random.default_rng(seed)
+        set_ids = rng.integers(0, n_sets, size=n, dtype=np.int64)
+        tags = rng.integers(0, 2 * ways + 1, size=n, dtype=np.int64)
+        cuts = sorted(rng.choice(np.arange(1, n), size=pieces - 1, replace=False).tolist())
+        whole = _assert_lru_matches_oracle(n_sets, ways, set_ids, tags)
+        chunked = _assert_lru_matches_oracle(n_sets, ways, set_ids, tags, cuts)
+        assert np.array_equal(whole, chunked)
+
+    @pytest.mark.parametrize("ways", [1, 2, 8])
+    def test_one_hot_set(self, ways):
+        """Every access lands in one set of a larger bank."""
+        rng = np.random.default_rng(ways)
+        n = 3000
+        set_ids = np.full(n, 5, dtype=np.int64)
+        tags = rng.integers(0, 3 * ways, size=n, dtype=np.int64)
+        _assert_lru_matches_oracle(8, ways, set_ids, tags)
+        _assert_lru_matches_oracle(8, ways, set_ids, tags, cuts=[1000, 2001])
+
+    @pytest.mark.parametrize("ways", [1, 2, 4, 8])
+    def test_cyclic_sweep_one_over_capacity_always_misses(self, ways):
+        """Sweeping ways + 1 tags through one set evicts each before its reuse."""
+        tags = np.tile(np.arange(ways + 1, dtype=np.int64), 20)
+        set_ids = np.zeros(tags.size, dtype=np.int64)
+        mask = _assert_lru_matches_oracle(1, ways, set_ids, tags)
+        assert mask.all()
+        _assert_lru_matches_oracle(1, ways, set_ids, tags, cuts=[7, 50])
+
+    @pytest.mark.parametrize("ways", [1, 2, 4, 8])
+    def test_cyclic_sweep_at_capacity_hits_after_fill(self, ways):
+        """Sweeping exactly ways tags misses only while the set fills."""
+        tags = np.tile(np.arange(ways, dtype=np.int64), 20)
+        set_ids = np.zeros(tags.size, dtype=np.int64)
+        mask = _assert_lru_matches_oracle(1, ways, set_ids, tags)
+        assert mask[:ways].all() and not mask[ways:].any()
+        _assert_lru_matches_oracle(1, ways, set_ids, tags, cuts=[3, ways + 5])
+
+    @given(seed=st.integers(min_value=0, max_value=10_000), n=st.integers(min_value=2, max_value=400))
+    @settings(max_examples=25, deadline=None)
+    def test_direct_mapped_interleaved_repeats(self, seed, n):
+        """A = 1: an access hits iff its set's previous access had its tag."""
+        rng = np.random.default_rng(seed)
+        set_ids = rng.integers(0, 4, size=n, dtype=np.int64)
+        tags = rng.integers(0, 3, size=n, dtype=np.int64)
+        repeat = rng.random(n) < 0.5
+        for i in range(1, n):
+            if repeat[i]:
+                set_ids[i], tags[i] = set_ids[i - 1], tags[i - 1]
+        mask = _assert_lru_matches_oracle(4, 1, set_ids, tags)
+        last: dict[int, int] = {}
+        for i, (s, t) in enumerate(zip(set_ids.tolist(), tags.tolist())):
+            assert mask[i] == (last.get(s) != t)
+            last[s] = t
+        _assert_lru_matches_oracle(4, 1, set_ids, tags, cuts=[n // 2])
 
 
 def _empty_trace(structure) -> list[np.ndarray]:
