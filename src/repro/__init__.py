@@ -22,63 +22,16 @@ Quickstart::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results of every table and figure.
+
+Every public name is imported on first use (PEP 562), so ``import
+repro`` loads neither numpy nor scipy, and ``python -m repro.lint``
+runs on the standard library alone.
 """
 
-from repro import units
-from repro.core import (
-    BlameAnalysis,
-    Interferometer,
-    ObservationSet,
-    PerformanceModel,
-    PredictorEvaluator,
-    SampleEscalation,
-    layout_seed,
-    run_cache_interferometry,
-)
-from repro.errors import (
-    CampaignExecutionError,
-    CampaignTimeoutError,
-    CorruptCampaignError,
-    ReproError,
-    ShutdownRequested,
-    SuiteExecutionError,
-    TransientError,
-)
-from repro.faults import FailureReport, FaultPlan, RetryPolicy
-from repro.journal import JournalEntry, JournalState, SuiteJournal
-from repro.heap import DieHardAllocator, SequentialAllocator
-from repro.machine import XeonE5440, XeonE5440Config, measure_executable
-from repro.machine.counters import Counter
-from repro.mase import LinearityStudy, MaseSimulator
-from repro.pintool import PinTool
-from repro.persistence import (
-    CampaignProvenance,
-    export_observations_csv,
-    load_campaign,
-    load_observations,
-    load_trace,
-    save_observations,
-    save_trace,
-)
-from repro.store import CampaignKey, CampaignStore
-from repro.stats.bootstrap import bootstrap_interval, bootstrap_regression_prediction
-from repro.toolchain import Camino, Executable
-from repro.toolchain.placement import ConflictAvoidingPlacer, hot_grouping_order
-from repro.uarch import (
-    AgreePredictor,
-    BiModePredictor,
-    BimodalPredictor,
-    BranchPredictor,
-    GAsPredictor,
-    GsharePredictor,
-    GskewPredictor,
-    HybridPredictor,
-    LTagePredictor,
-    PerceptronPredictor,
-    PerfectPredictor,
-    TagePredictor,
-)
-from repro.workloads import Benchmark, get_benchmark, mase_suite, spec2006
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
@@ -147,3 +100,90 @@ __all__ = [
     "units",
     "__version__",
 ]
+
+#: ``name -> (defining module, attribute)`` for every lazily exported
+#: name; an attribute of ``None`` exports the module itself.
+_EXPORTS: dict[str, tuple[str, str | None]] = {
+    "units": ("repro.units", None),
+    "BlameAnalysis": ("repro.core", "BlameAnalysis"),
+    "Interferometer": ("repro.core", "Interferometer"),
+    "ObservationSet": ("repro.core", "ObservationSet"),
+    "PerformanceModel": ("repro.core", "PerformanceModel"),
+    "PredictorEvaluator": ("repro.core", "PredictorEvaluator"),
+    "SampleEscalation": ("repro.core", "SampleEscalation"),
+    "layout_seed": ("repro.core", "layout_seed"),
+    "run_cache_interferometry": ("repro.core", "run_cache_interferometry"),
+    "CampaignExecutionError": ("repro.errors", "CampaignExecutionError"),
+    "CampaignTimeoutError": ("repro.errors", "CampaignTimeoutError"),
+    "CorruptCampaignError": ("repro.errors", "CorruptCampaignError"),
+    "ReproError": ("repro.errors", "ReproError"),
+    "ShutdownRequested": ("repro.errors", "ShutdownRequested"),
+    "SuiteExecutionError": ("repro.errors", "SuiteExecutionError"),
+    "TransientError": ("repro.errors", "TransientError"),
+    "FailureReport": ("repro.faults", "FailureReport"),
+    "FaultPlan": ("repro.faults", "FaultPlan"),
+    "RetryPolicy": ("repro.faults", "RetryPolicy"),
+    "JournalEntry": ("repro.journal", "JournalEntry"),
+    "JournalState": ("repro.journal", "JournalState"),
+    "SuiteJournal": ("repro.journal", "SuiteJournal"),
+    "DieHardAllocator": ("repro.heap", "DieHardAllocator"),
+    "SequentialAllocator": ("repro.heap", "SequentialAllocator"),
+    "XeonE5440": ("repro.machine", "XeonE5440"),
+    "XeonE5440Config": ("repro.machine", "XeonE5440Config"),
+    "measure_executable": ("repro.machine", "measure_executable"),
+    "Counter": ("repro.machine.counters", "Counter"),
+    "LinearityStudy": ("repro.mase", "LinearityStudy"),
+    "MaseSimulator": ("repro.mase", "MaseSimulator"),
+    "PinTool": ("repro.pintool", "PinTool"),
+    "CampaignProvenance": ("repro.persistence", "CampaignProvenance"),
+    "export_observations_csv": ("repro.persistence", "export_observations_csv"),
+    "load_campaign": ("repro.persistence", "load_campaign"),
+    "load_observations": ("repro.persistence", "load_observations"),
+    "load_trace": ("repro.persistence", "load_trace"),
+    "save_observations": ("repro.persistence", "save_observations"),
+    "save_trace": ("repro.persistence", "save_trace"),
+    "CampaignKey": ("repro.store", "CampaignKey"),
+    "CampaignStore": ("repro.store", "CampaignStore"),
+    "bootstrap_interval": ("repro.stats.bootstrap", "bootstrap_interval"),
+    "bootstrap_regression_prediction": (
+        "repro.stats.bootstrap",
+        "bootstrap_regression_prediction",
+    ),
+    "Camino": ("repro.toolchain", "Camino"),
+    "Executable": ("repro.toolchain", "Executable"),
+    "ConflictAvoidingPlacer": ("repro.toolchain.placement", "ConflictAvoidingPlacer"),
+    "hot_grouping_order": ("repro.toolchain.placement", "hot_grouping_order"),
+    "AgreePredictor": ("repro.uarch", "AgreePredictor"),
+    "BiModePredictor": ("repro.uarch", "BiModePredictor"),
+    "BimodalPredictor": ("repro.uarch", "BimodalPredictor"),
+    "BranchPredictor": ("repro.uarch", "BranchPredictor"),
+    "GAsPredictor": ("repro.uarch", "GAsPredictor"),
+    "GsharePredictor": ("repro.uarch", "GsharePredictor"),
+    "GskewPredictor": ("repro.uarch", "GskewPredictor"),
+    "HybridPredictor": ("repro.uarch", "HybridPredictor"),
+    "LTagePredictor": ("repro.uarch", "LTagePredictor"),
+    "PerceptronPredictor": ("repro.uarch", "PerceptronPredictor"),
+    "PerfectPredictor": ("repro.uarch", "PerfectPredictor"),
+    "TagePredictor": ("repro.uarch", "TagePredictor"),
+    "Benchmark": ("repro.workloads", "Benchmark"),
+    "get_benchmark": ("repro.workloads", "get_benchmark"),
+    "mase_suite": ("repro.workloads", "mase_suite"),
+    "spec2006": ("repro.workloads", "spec2006"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name on first use and cache it in the module."""
+    try:
+        module, attribute = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = importlib.import_module(module)
+    if attribute is not None:
+        value = getattr(value, attribute)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

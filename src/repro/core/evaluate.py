@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
 
 from repro import units
 from repro.core.interferometer import Interferometer
@@ -22,7 +21,7 @@ from repro.core.model import PerformanceModel, PredictionResult
 from repro.core.observations import ObservationSet
 from repro.errors import ConfigurationError
 from repro.pintool.brsim import PinTool
-from repro.stats.intervals import Interval
+from repro.stats.intervals import Interval, critical_t
 from repro.uarch.predictors.base import BranchPredictor
 from repro.workloads.suite import Benchmark
 
@@ -67,7 +66,7 @@ def mean_confidence_interval(values: np.ndarray, confidence: float = 0.95) -> In
     if n < 2:
         return Interval(center=center, low=center, high=center, confidence=confidence)
     stderr = float(values.std(ddof=1)) / math.sqrt(n)
-    t_star = float(t_dist.ppf(0.5 + confidence / 2.0, n - 1))
+    t_star = critical_t(confidence, n - 1)
     half = t_star * stderr
     return Interval(center=center, low=center - half, high=center + half, confidence=confidence)
 

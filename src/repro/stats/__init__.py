@@ -3,8 +3,10 @@
 All estimators — descriptive statistics, Pearson correlation, simple and
 multiple least-squares regression, confidence/prediction intervals,
 Student's t-test, and the F-test — are implemented in this package.
-:mod:`scipy` is used only for the CDF/quantile functions of the t and F
-distributions.
+:mod:`scipy` supplies only four distribution ufuncs from
+:mod:`scipy.special`: ``stdtr`` (t survival function), ``stdtrit`` (t
+quantile), ``fdtrc`` (F survival function) and ``chdtrc`` (chi-squared
+survival function).  :mod:`scipy.stats` is never imported at run time.
 """
 
 from repro.stats.correlation import (

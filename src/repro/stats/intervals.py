@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtrit
 
 from repro.errors import ModelError
 from repro.stats.regression import MultipleLinearFit, SimpleLinearFit
@@ -52,12 +52,18 @@ class Interval:
         return self.half_width / abs(self.center) * 100.0
 
 
-def _critical_t(confidence: float, dof: int) -> float:
+def critical_t(confidence: float, dof: int) -> float:
+    """Two-sided Student's t critical value: the (1 + confidence)/2 quantile.
+
+    ``stdtrit`` is the t quantile ufunc, bit-identical to
+    ``scipy.stats.t.ppf`` for 0 < q < 1 and dof > 0, which the guards
+    below ensure.
+    """
     if not 0.0 < confidence < 1.0:
         raise ModelError(f"confidence must be in (0, 1), got {confidence}")
     if dof <= 0:
         raise ModelError(f"need positive degrees of freedom, got {dof}")
-    return float(t_dist.ppf(0.5 + confidence / 2.0, dof))
+    return float(stdtrit(dof, 0.5 + confidence / 2.0))
 
 
 def confidence_interval_mean_response(
@@ -67,7 +73,7 @@ def confidence_interval_mean_response(
 
     half-width = t* · s · sqrt(1/n + (x0 − x̄)²/Sxx)
     """
-    t_star = _critical_t(confidence, fit.degrees_of_freedom)
+    t_star = critical_t(confidence, fit.degrees_of_freedom)
     s = math.sqrt(fit.residual_variance)
     leverage = 1.0 / fit.n + (x0 - fit.x_mean) ** 2 / fit.sxx
     half = t_star * s * math.sqrt(leverage)
@@ -82,7 +88,7 @@ def prediction_interval_new_response(
 
     half-width = t* · s · sqrt(1 + 1/n + (x0 − x̄)²/Sxx)
     """
-    t_star = _critical_t(confidence, fit.degrees_of_freedom)
+    t_star = critical_t(confidence, fit.degrees_of_freedom)
     s = math.sqrt(fit.residual_variance)
     leverage = 1.0 + 1.0 / fit.n + (x0 - fit.x_mean) ** 2 / fit.sxx
     half = t_star * s * math.sqrt(leverage)
@@ -101,7 +107,7 @@ def interval_band(
     five series the paper's Figure 2 plots.
     """
     xs_arr = np.asarray(xs, dtype=np.float64)
-    t_star = _critical_t(confidence, fit.degrees_of_freedom)
+    t_star = critical_t(confidence, fit.degrees_of_freedom)
     s = math.sqrt(fit.residual_variance)
     leverage = 1.0 / fit.n + (xs_arr - fit.x_mean) ** 2 / fit.sxx
     line = fit.predict_many(xs_arr)
@@ -117,7 +123,7 @@ def multiple_confidence_interval(
     row = np.concatenate(([1.0], np.asarray(x0, dtype=np.float64)))
     if row.size != fit.k + 1:
         raise ModelError(f"expected {fit.k} regressors, got {row.size - 1}")
-    t_star = _critical_t(confidence, fit.degrees_of_freedom)
+    t_star = critical_t(confidence, fit.degrees_of_freedom)
     s = math.sqrt(fit.residual_variance)
     leverage = float(row @ fit.xtx_inv @ row)
     half = t_star * s * math.sqrt(max(leverage, 0.0))
@@ -132,7 +138,7 @@ def multiple_prediction_interval(
     row = np.concatenate(([1.0], np.asarray(x0, dtype=np.float64)))
     if row.size != fit.k + 1:
         raise ModelError(f"expected {fit.k} regressors, got {row.size - 1}")
-    t_star = _critical_t(confidence, fit.degrees_of_freedom)
+    t_star = critical_t(confidence, fit.degrees_of_freedom)
     s = math.sqrt(fit.residual_variance)
     leverage = float(row @ fit.xtx_inv @ row)
     half = t_star * s * math.sqrt(1.0 + max(leverage, 0.0))

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from repro.core.evaluate import mean_confidence_interval
 from repro.errors import ModelError
 from repro.stats.hypothesis_tests import (
     f_test_regression,
     t_test_correlation,
     t_test_slope,
 )
+from repro.stats.intervals import confidence_interval_mean_response, critical_t
+from repro.stats.normality import jarque_bera
 from repro.stats.regression import fit_multiple, fit_simple
 
 
@@ -118,3 +126,164 @@ class TestFTest:
         x = np.arange(10, dtype=float)
         result = f_test_regression(fit_multiple([x], 3.0 * x + 1.0))
         assert result.p_value < 1e-50
+
+
+# Degrees of freedom from 1 to 10**6 and statistics at the tails'
+# edges: signed zero, subnormal, large and infinite.
+EDGE_DOFS = (1, 2, 3, 4, 7, 10, 29, 30, 100, 1_000, 10_000, 100_000, 1_000_000)
+EDGE_STATISTICS = (
+    0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 1.96, 2.0, 3.5, 10.0,
+    40.0, 1e3, 1e8, 1e154, 1e300, math.inf,
+)
+EDGE_CONFIDENCES = (
+    1e-300, 1e-12, 1e-6, 0.01, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999,
+    1.0 - 1e-9, 1.0 - 2.0**-53,
+)
+
+
+def _slope_fit(t_stat: float, dof: int) -> SimpleNamespace:
+    """A simple-regression stand-in whose slope t statistic is *t_stat*."""
+    return SimpleNamespace(degrees_of_freedom=dof, slope=t_stat, slope_stderr=1.0)
+
+
+def _multiple_fit(f_stat: float, dof_model: int, dof_residual: int) -> SimpleNamespace:
+    """A multiple-regression stand-in whose F statistic is about *f_stat*."""
+    return SimpleNamespace(
+        k=dof_model,
+        degrees_of_freedom=dof_residual,
+        residual_ss=float(dof_residual),
+        total_ss=f_stat * dof_model + dof_residual,
+    )
+
+
+class TestExactlyScipyStats:
+    """The ``scipy.special`` ufuncs reproduce ``scipy.stats`` bit for bit.
+
+    Every comparison is ``==``: a p-value or critical value that moved
+    by one ulp would change the rendered reports' digests.
+    """
+
+    @staticmethod
+    def _two_sided_t(statistic: float, dof: int) -> float:
+        return 2.0 * float(scipy_stats.t.sf(abs(statistic), dof))
+
+    def test_slope_p_value_edge_grid(self):
+        for dof in EDGE_DOFS:
+            for t_stat in EDGE_STATISTICS:
+                for signed in (t_stat, -t_stat):
+                    result = t_test_slope(_slope_fit(signed, dof))
+                    assert result.p_value == self._two_sided_t(result.statistic, dof), (
+                        dof,
+                        signed,
+                    )
+
+    def test_f_p_value_edge_grid(self):
+        for dof_model in (1, 2, 3, 10):
+            for dof_residual in EDGE_DOFS:
+                for f_stat in EDGE_STATISTICS:
+                    result = f_test_regression(_multiple_fit(f_stat, dof_model, dof_residual))
+                    expected = float(
+                        scipy_stats.f.sf(result.statistic, dof_model, dof_residual)
+                    )
+                    assert result.p_value == expected, (dof_model, dof_residual, f_stat)
+
+    def test_critical_t_edge_grid(self):
+        for dof in EDGE_DOFS:
+            for confidence in EDGE_CONFIDENCES:
+                expected = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+                assert critical_t(confidence, dof) == expected, (dof, confidence)
+
+    def test_critical_t_rejects_bad_arguments(self):
+        for confidence, dof in ((0.0, 10), (1.0, 10), (0.95, 0)):
+            with pytest.raises(ModelError):
+                critical_t(confidence, dof)
+
+    def test_interval_uses_critical_t(self):
+        x, y = _correlated(n=12, noise=1.0, seed=8)
+        fit = fit_simple(x, y)
+        interval = confidence_interval_mean_response(fit, 3.0)
+        t_star = float(scipy_stats.t.ppf(0.975, fit.degrees_of_freedom))
+        leverage = 1.0 / fit.n + (3.0 - fit.x_mean) ** 2 / fit.sxx
+        half = t_star * math.sqrt(fit.residual_variance) * math.sqrt(leverage)
+        assert interval.high == fit.predict(3.0) + half
+
+    def test_mean_confidence_interval_matches_scipy(self):
+        values = np.random.default_rng(9).normal(1.5, 0.1, 40)
+        interval = mean_confidence_interval(values, confidence=0.9)
+        stderr = float(values.std(ddof=1)) / math.sqrt(values.size)
+        half = float(scipy_stats.t.ppf(0.95, values.size - 1)) * stderr
+        assert interval.low == float(values.mean()) - half
+        assert interval.high == float(values.mean()) + half
+
+    def test_mean_confidence_interval_single_value(self):
+        interval = mean_confidence_interval(np.array([2.5]))
+        assert interval.low == interval.high == 2.5
+
+    def test_jarque_bera_fixed_samples(self):
+        rng = np.random.default_rng(10)
+        samples = (
+            rng.normal(0.0, 1.0, 200),
+            rng.exponential(1.0, 200),
+            np.array([-1.0, 1.0] * 8),
+            np.array([0.0] * 7 + [1e6]),
+        )
+        for sample in samples:
+            result = jarque_bera(sample)
+            assert result.p_value == float(scipy_stats.chi2.sf(result.statistic, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dof=st.integers(min_value=1, max_value=10**6),
+        t_stat=st.floats(allow_nan=False),
+    )
+    def test_slope_p_value_property(self, dof, t_stat):
+        result = t_test_slope(_slope_fit(t_stat, dof))
+        assert result.p_value == self._two_sided_t(result.statistic, dof)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.floats(min_value=-1e3, max_value=1e3),
+                st.floats(min_value=-1e3, max_value=1e3),
+            ),
+            min_size=3,
+            max_size=40,
+        )
+    )
+    def test_correlation_p_value_property(self, data):
+        x, y = (np.array(column) for column in zip(*data))
+        assume(np.ptp(x) > 1e-6 and np.ptp(y) > 1e-6)
+        result = t_test_correlation(x, y)
+        assert result.p_value == self._two_sided_t(result.statistic, result.dof)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dof_model=st.integers(min_value=1, max_value=20),
+        dof_residual=st.integers(min_value=1, max_value=10**6),
+        f_stat=st.floats(min_value=0.0, max_value=1e300),
+    )
+    def test_f_p_value_property(self, dof_model, dof_residual, f_stat):
+        result = f_test_regression(_multiple_fit(f_stat, dof_model, dof_residual))
+        expected = float(scipy_stats.f.sf(result.statistic, dof_model, dof_residual))
+        assert result.p_value == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dof=st.integers(min_value=1, max_value=10**6),
+        confidence=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_critical_t_property(self, dof, confidence):
+        expected = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+        assert critical_t(confidence, dof) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sample=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6), min_size=8, max_size=60
+        )
+    )
+    def test_jarque_bera_property(self, sample):
+        assume(np.ptp(sample) > 1e-3)
+        result = jarque_bera(sample)
+        assert result.p_value == float(scipy_stats.chi2.sf(result.statistic, 2))
