@@ -7,9 +7,11 @@ whom* across module boundaries.  This module builds that view:
 * :class:`Program` — every parsed module, its functions, classes, and
   import table, indexed so a dotted name (``repro.rng.RandomStream``)
   or a call expression can be resolved to its definition.
-* :class:`CallGraph` — resolved call edges plus the call *sites*
-  (caller, callee, AST node) the rules reason about, with a
-  deterministic text rendering behind ``repro-cli lint --graph``.
+* :meth:`Program.scopes` — the one scope decomposition every
+  analysis walks: each module's top level, its functions and its
+  methods, in sorted order.
+* :class:`CallGraph` — resolved call edges (static and dynamic), with
+  a deterministic text rendering behind ``repro-cli lint --graph``.
 
 Resolution is deliberately conservative and static:
 
@@ -121,6 +123,17 @@ def module_name(rel: str) -> str:
     return stem
 
 
+def param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """All declared parameter names of a def, in order."""
+    args = node.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    if args.vararg is not None:
+        names.append(args.vararg.arg)
+    if args.kwarg is not None:
+        names.append(args.kwarg.arg)
+    return names
+
+
 @dataclass
 class FunctionInfo:
     """One function or method definition."""
@@ -141,13 +154,7 @@ class FunctionInfo:
 
     def params(self) -> list[str]:
         """All declared parameter names, in order (self/cls included)."""
-        args = self.node.args
-        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        if args.vararg is not None:
-            names.append(args.vararg.arg)
-        if args.kwarg is not None:
-            names.append(args.kwarg.arg)
-        return names
+        return param_names(self.node)
 
     def decorator_names(self) -> list[str]:
         """Trailing names of the decorators (``abstractmethod``, …)."""
@@ -229,15 +236,8 @@ class ModuleInfo:
         return ""
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """One resolved call: who calls whom, where, how confidently."""
-
-    caller: str  # qualname of the enclosing function ("<module>" scope ok)
-    callee: str  # qualname of the resolved target
-    rel: str
-    call_id: int  # id-free ordinal of the call within the module walk
-    dynamic: bool  # resolved by method-name match only
+#: Pseudo-qualname suffix for module-level (top-level) code.
+MODULE_SCOPE = "<module>"
 
 
 class Program:
@@ -321,6 +321,38 @@ class Program:
                 if isinstance(sub, ast.stmt):
                     self._index_statement(module, sub)
 
+    # -- scopes --------------------------------------------------------
+
+    def scopes(
+        self,
+    ) -> Iterator[tuple[ModuleInfo, str, FunctionInfo | None, list[ast.stmt]]]:
+        """``(module, qualname, function, body)`` for every scope.
+
+        Modules in path order; within one, the top level (qualname
+        ``<modname>.<module>``, function ``None``), then functions, then
+        methods, each sorted by name.  Nested defs are not scopes of
+        their own: they are walked within their outermost enclosing
+        function (an over-approximation that keeps reachability sound).
+        """
+        for rel in sorted(self.modules):
+            module = self.modules[rel]
+            top_level = [
+                stmt
+                for stmt in module.tree.body
+                if not isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                )
+            ]
+            yield module, f"{module.modname}.{MODULE_SCOPE}", None, top_level
+            for name in sorted(module.functions):
+                fn = module.functions[name]
+                yield module, fn.qualname, fn, list(fn.node.body)
+            for class_name in sorted(module.classes):
+                cls_info = module.classes[class_name]
+                for method_name in sorted(cls_info.methods):
+                    method = cls_info.methods[method_name]
+                    yield module, method.qualname, method, list(method.node.body)
+
     # -- resolution ----------------------------------------------------
 
     def resolve_dotted(self, dotted: str) -> FunctionInfo | ClassInfo | None:
@@ -350,29 +382,19 @@ class Program:
             if module is None:
                 continue
             for base in current.base_exprs():
-                resolved = self._resolve_class_expr(module, base)
+                resolved = self.resolve_class_expr(module, base)
                 if resolved is not None:
                     stack.append(resolved)
 
-    def _resolve_class_expr(
+    def resolve_class_expr(
         self, module: ModuleInfo, expr: ast.expr
     ) -> ClassInfo | None:
-        if isinstance(expr, ast.Name):
-            local = module.classes.get(expr.id)
-            if local is not None:
-                return local
-            dotted = module.imports.resolve(expr)
-            if dotted is not None:
-                hit = self.resolve_dotted(dotted)
-                if isinstance(hit, ClassInfo):
-                    return hit
-        elif isinstance(expr, ast.Attribute):
-            dotted = module.imports.resolve(expr)
-            if dotted is not None:
-                hit = self.resolve_dotted(dotted)
-                if isinstance(hit, ClassInfo):
-                    return hit
-        return None
+        """The program class a name or dotted expression denotes."""
+        if isinstance(expr, ast.Name) and expr.id in module.classes:
+            return module.classes[expr.id]
+        dotted = module.imports.resolve(expr)
+        hit = self.resolve_dotted(dotted) if dotted is not None else None
+        return hit if isinstance(hit, ClassInfo) else None
 
     def resolve_method(self, cls_info: ClassInfo, name: str) -> FunctionInfo | None:
         """Find *name* on a class or its resolvable ancestors."""
@@ -437,90 +459,27 @@ class Program:
         self, module: ModuleInfo, call: ast.Call
     ) -> ClassInfo | None:
         """The class a call instantiates, when statically resolvable."""
-        func = call.func
-        dotted = module.imports.resolve(func)
-        if dotted is not None:
-            hit = self.resolve_dotted(dotted)
-            if isinstance(hit, ClassInfo):
-                return hit
-        if isinstance(func, ast.Name):
-            return module.classes.get(func.id)
-        return None
-
-
-#: Pseudo-qualname suffix for module-level (top-level) code.
-MODULE_SCOPE = "<module>"
+        return self.resolve_class_expr(module, call.func)
 
 
 class CallGraph:
-    """Resolved call edges and sites over a :class:`Program`."""
+    """Resolved call edges over a :class:`Program`."""
 
     def __init__(self, program: Program) -> None:
         self.program = program
         self.edges: dict[str, set[str]] = {}
         self.dynamic_edges: dict[str, set[str]] = {}
-        self.sites: list[CallSite] = []
-        self.calls_by_function: dict[str, list[tuple[ast.Call, list[FunctionInfo], bool]]] = {}
-        self._build()
-
-    # -- construction --------------------------------------------------
-
-    def _build(self) -> None:
-        for rel in sorted(self.program.modules):
-            module = self.program.modules[rel]
-            for scope_qual, scope_fn, body in self._scopes(module):
-                for call in self._calls_in(body):
-                    targets, dynamic = self.program.resolve_call(
+        for module, scope_qual, scope_fn, body in program.scopes():
+            for stmt in body:
+                for call in ast.walk(stmt):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    targets, dynamic = program.resolve_call(
                         module, scope_fn, call
                     )
-                    self.calls_by_function.setdefault(scope_qual, []).append(
-                        (call, targets, dynamic)
-                    )
+                    bucket = self.dynamic_edges if dynamic else self.edges
                     for target in targets:
-                        bucket = self.dynamic_edges if dynamic else self.edges
                         bucket.setdefault(scope_qual, set()).add(target.qualname)
-                        self.sites.append(
-                            CallSite(
-                                caller=scope_qual,
-                                callee=target.qualname,
-                                rel=rel,
-                                call_id=getattr(call, "lineno", 0),
-                                dynamic=dynamic,
-                            )
-                        )
-
-    @staticmethod
-    def _scopes(
-        module: ModuleInfo,
-    ) -> Iterator[tuple[str, FunctionInfo | None, list[ast.stmt]]]:
-        """Each function scope plus the module's top-level scope.
-
-        Nested defs are attributed to their outermost enclosing
-        function (an over-approximation that keeps reachability sound).
-        """
-        function_nodes = {
-            info.node for info in module.functions.values()
-        } | {
-            m.node for c in module.classes.values() for m in c.methods.values()
-        }
-        top_level: list[ast.stmt] = []
-        for stmt in module.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            top_level.append(stmt)
-        yield f"{module.modname}.{MODULE_SCOPE}", None, top_level
-        for info in module.functions.values():
-            yield info.qualname, info, list(info.node.body)
-        for cls_info in module.classes.values():
-            for method in cls_info.methods.values():
-                yield method.qualname, method, list(method.node.body)
-
-    @staticmethod
-    def _calls_in(body: list[ast.stmt]) -> Iterator[ast.Call]:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    yield node
 
     # -- queries -------------------------------------------------------
 
@@ -541,16 +500,6 @@ class CallGraph:
                 for succ in self.dynamic_edges.get(current, ()):
                     stack.append(succ)
         return seen
-
-    def callers_of(self, qualname: str) -> list[str]:
-        """Static (non-dynamic) callers of one function."""
-        return sorted(
-            {
-                caller
-                for caller, callees in self.edges.items()
-                if qualname in callees
-            }
-        )
 
     def render(self) -> str:
         """Deterministic text dump (``repro-cli lint --graph``)."""

@@ -15,14 +15,27 @@ assignments, and deliberately three-valued: ``UNKNOWN`` never flags.
 A hazard is only reported when the analysis can *prove* the seed was
 dropped, shadowed, or replaced by a constant — the rules trade recall
 for a zero-false-positive contract on idiomatic code.
+
+The module also holds the scope facts every abstract interpreter in
+the lint package shares: :func:`collect_assignments` (the one
+assignment map) and :class:`ScopeFlow` (the one cycle-guarded name
+rule: seeds first, then the join over reaching definitions).  Taint
+here, units (:mod:`repro.lint.unitflow`) and dtypes
+(:mod:`repro.lint.dtypeflow`) differ only in their seeds, their
+``join`` and their transfer functions.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
+import functools
 import re
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+from repro.lint.callgraph import param_names
+
+_V = TypeVar("_V")
 
 #: Parameter / attribute names that denote seed material.
 _SEED_NAME_RE = re.compile(r"^_?(seed|seeds|[a-z0-9_]+_seeds?)$")
@@ -56,16 +69,21 @@ class Taint(enum.Enum):
     UNKNOWN = "unknown"  # cannot tell — never flagged
 
 
-def _combine(taints: list[Taint]) -> Taint:
+def _join(a: Taint, b: Taint) -> Taint:
     """Join: any seeded input seeds the result; all-constant stays so."""
-    if any(t is Taint.SEEDED for t in taints):
+    if Taint.SEEDED in (a, b):
         return Taint.SEEDED
-    if taints and all(t is Taint.CONSTANT for t in taints):
+    if a is b is Taint.CONSTANT:
         return Taint.CONSTANT
     return Taint.UNKNOWN
 
 
-def _last_name(expr: ast.expr) -> str | None:
+def _combine(taints: list[Taint]) -> Taint:
+    """:func:`_join` over a list; the empty list is UNKNOWN."""
+    return functools.reduce(_join, taints) if taints else Taint.UNKNOWN
+
+
+def last_name(expr: ast.expr) -> str | None:
     """Trailing identifier of a call target (``a.b.c`` -> ``c``)."""
     if isinstance(expr, ast.Attribute):
         return expr.attr
@@ -74,54 +92,86 @@ def _last_name(expr: ast.expr) -> str | None:
     return None
 
 
-class FunctionDataflow:
-    """Local def-use facts for one function body."""
+def collect_assignments(roots: Iterable[ast.AST]) -> dict[str, list[ast.expr]]:
+    """Name -> every expression bound to it anywhere under *roots*.
 
-    def __init__(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        module_constants: set[str] | None = None,
-    ) -> None:
-        self.node = node
-        self.module_constants = module_constants or set()
-        args = node.args
-        self.params: list[str] = [
-            a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-        ]
-        if args.vararg is not None:
-            self.params.append(args.vararg.arg)
-        if args.kwarg is not None:
-            self.params.append(args.kwarg.arg)
-        #: name -> every expression assigned to it in this body.
-        self.assignments: dict[str, list[ast.expr]] = {}
-        self._collect_assignments()
+    The one assignment map the scope interpreters share (taint here,
+    units in :mod:`repro.lint.unitflow`, dtypes in
+    :mod:`repro.lint.dtypeflow`, loop shapes in
+    :mod:`repro.lint.perfflow`): plain, annotated and augmented
+    assignments, ``for`` and comprehension targets, and ``with ... as``
+    bindings.  Flow-insensitive: every binding of a name is a reaching
+    definition.
+    """
+    assignments: dict[str, list[ast.expr]] = {}
 
-    # -- collection ----------------------------------------------------
-
-    def _collect_assignments(self) -> None:
-        for stmt in ast.walk(self.node):
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    self._record_target(target, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, ast.AugAssign):
-                self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._record_target(stmt.target, stmt.iter)
-            elif isinstance(stmt, ast.withitem) and stmt.optional_vars is not None:
-                self._record_target(stmt.optional_vars, stmt.context_expr)
-            elif isinstance(stmt, ast.comprehension):
-                self._record_target(stmt.target, stmt.iter)
-
-    def _record_target(self, target: ast.expr, value: ast.expr) -> None:
+    def record(target: ast.expr, value: ast.expr) -> None:
         if isinstance(target, ast.Name):
-            self.assignments.setdefault(target.id, []).append(value)
+            assignments.setdefault(target.id, []).append(value)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 # Tuple unpacking: every bound name inherits the
-                # right-hand side's taint (over-approximation).
-                self._record_target(element, value)
+                # right-hand side's fact (over-approximation).
+                record(element, value)
+
+    for root in roots:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    record(target, node.value)
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                record(node.target, node.value)
+            elif isinstance(node, ast.AugAssign):
+                record(node.target, node.value)
+            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                record(node.target, node.iter)
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                record(node.optional_vars, node.context_expr)
+    return assignments
+
+
+class ScopeFlow:
+    """The name rule the scope interpreters share.
+
+    A subclass supplies ``assignments`` (from :func:`collect_assignments`)
+    and, per lattice, its seeds, its ``join`` and its transfer function
+    ``evaluate(expr, visiting)``; :meth:`joined` is the cycle-guarded
+    join over a name's reaching definitions that taint, units and
+    dtypes all use once their seeds have had their say.
+    """
+
+    assignments: dict[str, list[ast.expr]]
+
+    def joined(
+        self,
+        name: str,
+        visiting: frozenset[str],
+        evaluate: Callable[[ast.expr, frozenset[str]], _V],
+        join: Callable[[_V, _V], _V],
+        unknown: _V,
+    ) -> _V | None:
+        """Join of *evaluate* over every value assigned to *name*.
+
+        ``None`` when the scope never assigns *name* (the caller's
+        fallback decides); *unknown* on a cyclic local definition.
+        """
+        if name in visiting:
+            return unknown
+        values = self.assignments.get(name)
+        if not values:
+            return None
+        inner = visiting | {name}
+        return functools.reduce(join, (evaluate(v, inner) for v in values))
+
+
+class FunctionDataflow(ScopeFlow):
+    """Local def-use facts for one function body."""
+
+    def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self.node = node
+        self.params: list[str] = param_names(node)
+        #: name -> every expression assigned to it in this body.
+        self.assignments = collect_assignments([node])
 
     # -- parameter usage -----------------------------------------------
 
@@ -201,27 +251,19 @@ class FunctionDataflow:
         return Taint.UNKNOWN
 
     def _taint_of_name(self, name: str, visiting: frozenset[str]) -> Taint:
-        if name in visiting:
-            return Taint.UNKNOWN  # cyclic local definition
         if name in self.params:
             return Taint.SEEDED if is_seed_name(name) else Taint.UNKNOWN
-        if name in self.assignments:
-            taints = [
-                self.taint_of(value, visiting | {name})
-                for value in self.assignments[name]
-            ]
-            return _combine(taints)
-        if is_seed_root_name(name):
-            return Taint.SEEDED  # published root-seed constant
-        if is_seed_name(name):
-            # A free seed-like variable (enclosing scope, module level).
+        assigned = self.joined(name, visiting, self.taint_of, _join, Taint.UNKNOWN)
+        if assigned is not None:
+            return assigned
+        if is_seed_root_name(name) or is_seed_name(name):
+            # A published root-seed constant, or a free seed-like
+            # variable (enclosing scope, module level).
             return Taint.SEEDED
-        if name in self.module_constants:
-            return Taint.UNKNOWN
         return Taint.UNKNOWN
 
     def _taint_of_call(self, call: ast.Call, visiting: frozenset[str]) -> Taint:
-        name = _last_name(call.func)
+        name = last_name(call.func)
         arg_taints = [self.taint_of(a, visiting) for a in call.args] + [
             self.taint_of(kw.value, visiting)
             for kw in call.keywords

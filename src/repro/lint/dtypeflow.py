@@ -25,6 +25,13 @@ from constants, constructor fills, masks, ``np.minimum`` clamps, and a
 deliberately tiny lexicon of wide-value names (``pcs``, ``addresses``,
 ``targets``, ``tags``: 64-bit address material by the trace-format
 contract in docs/FORMATS.md).
+
+Name lookups use the scope facts shared with the taint and unit
+interpreters: :func:`repro.lint.dataflow.collect_assignments` is the
+assignment map and :class:`repro.lint.dataflow.ScopeFlow` the
+cycle-guarded join over it, so only the seeds, :func:`join` and the
+transfer functions here are dtype-specific.  :func:`kernel_scopes`
+builds one :class:`DtypeScope` per scope per lint run.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import TYPE_CHECKING
 
 from repro.lint.callgraph import (
     ClassInfo,
@@ -42,6 +49,10 @@ from repro.lint.callgraph import (
     ModuleInfo,
     Program,
 )
+from repro.lint.dataflow import ScopeFlow, collect_assignments
+
+if TYPE_CHECKING:
+    from repro.lint.rules.base import ProgramContext
 
 
 class DType(enum.Enum):
@@ -351,13 +362,14 @@ _CLAMPS = {"numpy.minimum", "numpy.maximum"}
 _ACCUMULATORS = {"numpy.cumsum", "numpy.add.accumulate"}
 
 
-class DtypeScope:
+class DtypeScope(ScopeFlow):
     """Dtype/range inference over one function body or module top level.
 
-    Mirrors :class:`repro.lint.unitflow.UnitScope`: flow-insensitive
-    assignment map joined across reaching definitions, a cycle guard on
-    name lookups, and ``self.<field>`` knowledge supplied by
-    :func:`class_field_infos` from ``__init__`` constructor calls.
+    The shared scope facts of :mod:`repro.lint.dataflow` (assignment
+    map and cycle-guarded name join) with :class:`ArrayInfo` as the
+    lattice: seeds are wide-name parameters and the ``self.<field>``
+    knowledge :func:`class_field_infos` supplies from ``__init__``
+    constructor calls.
     """
 
     def __init__(
@@ -373,18 +385,10 @@ class DtypeScope:
         self.function = function
         self.body = body
         self.field_infos = field_infos or {}
-        self.assignments: dict[str, list[ast.expr]] = {}
+        self.assignments = collect_assignments(body)
         self.params: set[str] = set()
         if function is not None:
             self.params = set(function.params())
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.assignments.setdefault(
-                                target.id, []
-                            ).append(node.value)
 
     # -- queries -------------------------------------------------------
 
@@ -438,20 +442,10 @@ class DtypeScope:
     def _info_of_name(
         self, name: str, visiting: frozenset[str]
     ) -> ArrayInfo:
-        if name in visiting:
-            return UNKNOWN_INFO
         if name in self.params and WIDE_NAME_RE.search(name):
             return ArrayInfo(DType.INT64, *_WIDE_RANGE)
-        values = self.assignments.get(name)
-        if not values:
-            return UNKNOWN_INFO
-        infos = [
-            self.info_of(value, visiting | {name}) for value in values
-        ]
-        merged = infos[0]
-        for info in infos[1:]:
-            merged = join(merged, info)
-        return merged
+        assigned = self.joined(name, visiting, self.info_of, join, UNKNOWN_INFO)
+        return UNKNOWN_INFO if assigned is None else assigned
 
     def _info_of_attribute(self, expr: ast.Attribute) -> ArrayInfo:
         if isinstance(expr.value, ast.Name) and expr.value.id == "self":
@@ -467,7 +461,7 @@ class DtypeScope:
         func = call.func
         # x.astype(D) — dtype conversion with range carry-over.
         if isinstance(func, ast.Attribute) and func.attr == "astype":
-            target = self._call_dtype_arg(call)
+            target = astype_target(self.module, call)
             if target is DType.UNKNOWN:
                 return UNKNOWN_INFO
             operand = self.info_of(func.value, visiting)
@@ -599,10 +593,6 @@ class DtypeScope:
 
     # -- helpers -------------------------------------------------------
 
-    def _call_dtype_arg(self, call: ast.Call) -> DType:
-        """dtype named by ``astype``'s first arg or ``dtype=`` keyword."""
-        return astype_target(self.module, call)
-
     def _constructor_dtype(self, call: ast.Call, default: DType) -> DType:
         expr = _keyword(call, "dtype")
         if expr is None:
@@ -650,39 +640,33 @@ def class_field_infos(
     }
 
 
-def iter_kernel_scopes(
-    program: Program,
-) -> Iterator[
-    tuple[ModuleInfo, FunctionInfo | None, list[ast.stmt], DtypeScope]
+def kernel_scopes(
+    ctx: ProgramContext,
+) -> list[
+    tuple[ModuleInfo, str, FunctionInfo | None, list[ast.stmt], DtypeScope]
 ]:
-    """Each scope of every module in the analysis set, with its
-    :class:`DtypeScope` (field knowledge attached for methods)."""
-    for rel in sorted(program.modules):
-        module = program.modules[rel]
-        field_cache: dict[str, dict[str, ArrayInfo]] = {}
-        top_level = [
-            stmt
-            for stmt in module.tree.body
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        yield module, None, top_level, DtypeScope(
-            program, module, None, top_level
-        )
-        for name in sorted(module.functions):
-            fn = module.functions[name]
-            body = list(fn.node.body)
-            yield module, fn, body, DtypeScope(program, module, fn, body)
-        for class_name in sorted(module.classes):
-            cls = module.classes[class_name]
-            if class_name not in field_cache:
-                field_cache[class_name] = class_field_infos(
-                    program, module, cls
-                )
-            for method_name in sorted(cls.methods):
-                method = cls.methods[method_name]
-                body = list(method.node.body)
-                yield module, method, body, DtypeScope(
-                    program, module, method, body, field_cache[class_name]
-                )
+    """Every :meth:`~repro.lint.callgraph.Program.scopes` entry with its
+    :class:`DtypeScope`, built once per lint run.
+
+    Methods see their class's carried-state field knowledge.  VEC001,
+    VEC002 and PERF003 all read this one list.
+    """
+
+    def build() -> list:
+        program = ctx.program
+        fields: dict[tuple[str, str], dict[str, ArrayInfo]] = {}
+        scopes = []
+        for module, qualname, fn, body in program.scopes():
+            field_infos = None
+            if fn is not None and fn.class_name is not None:
+                key = (module.rel, fn.class_name)
+                if key not in fields:
+                    fields[key] = class_field_infos(
+                        program, module, module.classes[fn.class_name]
+                    )
+                field_infos = fields[key]
+            scope = DtypeScope(program, module, fn, body, field_infos)
+            scopes.append((module, qualname, fn, body, scope))
+        return scopes
+
+    return ctx.shared("kernel-dtype-scopes", build)

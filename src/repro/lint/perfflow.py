@@ -41,12 +41,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.lint.callgraph import (
-    MODULE_SCOPE,
-    FunctionInfo,
-    ModuleInfo,
-    Program,
-)
+from repro.lint.callgraph import FunctionInfo, ModuleInfo, Program
+from repro.lint.dataflow import collect_assignments
 
 #: Engine entry points: reachability roots of the hot scope.
 ENTRY_NAMES = frozenset(
@@ -140,11 +136,11 @@ class _Scope:
     fn: FunctionInfo | None
     qualname: str
     body: list[ast.stmt]
+    #: Name -> value exprs assigned anywhere in the scope.
+    assigns: dict[str, list[ast.expr]]
     #: callee qualnames of calls *outside* any scalar guard.
     vector_callees: set[str] = field(default_factory=set)
     loops: list[HotLoop] = field(default_factory=list)
-    #: Name -> value exprs assigned anywhere in the scope.
-    assigns: dict[str, list[ast.expr]] = field(default_factory=dict)
 
 
 class HotPathModel:
@@ -161,8 +157,8 @@ class HotPathModel:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.scopes: dict[str, _Scope] = {}
-        for module, fn, qualname, body in _iter_scopes(program):
-            scope = _Scope(module, fn, qualname, body)
+        for module, qualname, fn, body in program.scopes():
+            scope = _Scope(module, fn, qualname, body, collect_assignments(body))
             self._collect(scope)
             self.scopes[qualname] = scope
         self.entries: tuple[str, ...] = tuple(
@@ -216,15 +212,10 @@ class HotPathModel:
                 self._scan(scope, stmt.body, in_scalar, inner)
                 self._scan(scope, stmt.orelse, in_scalar, loop)
                 continue
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                if loop is not None:
-                    loop.assignments.append(stmt)
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            scope.assigns.setdefault(target.id, []).append(
-                                stmt.value
-                            )
+            if loop is not None and isinstance(
+                stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)
+            ):
+                loop.assignments.append(stmt)
             if isinstance(stmt, ast.Try):
                 for handler in stmt.handlers:
                     self._scan(scope, handler.body, in_scalar, loop)
@@ -357,30 +348,6 @@ class HotPathModel:
             ):
                 families.add("shifted_histories")
         return "/".join(sorted(families)) or "counter_scan/last_value_scan"
-
-
-def _iter_scopes(
-    program: Program,
-) -> Iterator[tuple[ModuleInfo, FunctionInfo | None, str, list[ast.stmt]]]:
-    """Every scope of every module: top level, functions, methods."""
-    for rel in sorted(program.modules):
-        module = program.modules[rel]
-        top_level = [
-            stmt
-            for stmt in module.tree.body
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        yield module, None, f"{module.modname}.{MODULE_SCOPE}", top_level
-        for name in sorted(module.functions):
-            fn = module.functions[name]
-            yield module, fn, fn.qualname, list(fn.node.body)
-        for class_name in sorted(module.classes):
-            cls = module.classes[class_name]
-            for method_name in sorted(cls.methods):
-                method = cls.methods[method_name]
-                yield module, method, method.qualname, list(method.node.body)
 
 
 def _is_chunked(module: ModuleInfo, iter_expr: ast.expr) -> bool:

@@ -4,12 +4,12 @@ Per-file rules carry ``DET00x`` ids; whole-program rules carry named
 ids and run over the project call graph instead of one file: the
 interprocedural pack (``SEED001``, ``PURE001``, ``EXC001``,
 ``CONC001``), the quantity-algebra pack (``UNIT001``–``UNIT003`` /
-``STAT001``), the concurrency pack riding
-:mod:`repro.lint.threadflow` (``CONC002``–``CONC005``), the dtype
-pack riding :mod:`repro.lint.dtypeflow` (``VEC001``/``VEC002``), and
-the hot-path performance pack riding :mod:`repro.lint.perfflow`
-(``PERF001``–``PERF004``), and the event-loop contract pack riding
-:mod:`repro.lint.asyncflow` (``ASYNC001``–``ASYNC004``).  Importing
+``STAT001``), the concurrency pack (``CONC002``–``CONC005``) and the
+event-loop contract pack (``ASYNC001``–``ASYNC004``) riding the one
+context model in :mod:`repro.lint.contextflow`, the dtype pack riding
+:mod:`repro.lint.dtypeflow` (``VEC001``/``VEC002``), and the hot-path
+performance pack riding :mod:`repro.lint.perfflow`
+(``PERF001``–``PERF004``).  Importing
 this package registers every rule; the engine then iterates
 :func:`~repro.lint.rules.base.all_rules`.
 """

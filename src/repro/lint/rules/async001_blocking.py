@@ -10,11 +10,11 @@ only holds if all blocking work is offloaded via
 
 The rule checks every ``async def`` in product scope:
 
-* a direct lexicon hit (:data:`~repro.lint.asyncflow.BLOCKING_CALLS`,
+* a direct lexicon hit (:data:`~repro.lint.contextflow.BLOCKING_CALLS`,
   blocking builtins, lock/future/queue method patterns) flags at the
   call site;
 * a call statically resolving to a *sync* function the
-  :class:`~repro.lint.asyncflow.AsyncFlowModel` proves transitively
+  :class:`~repro.lint.contextflow.ContextModel` proves transitively
   blocking flags with the root cause in the message.
 
 Awaited calls are exempt (the ``await`` is the yield point, not a
@@ -28,32 +28,19 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.asyncflow import (
-    AsyncFlowModel,
+from repro.lint.contextflow import (
     blocking_call_reason,
+    context_model,
     direct_calls,
     is_awaited,
 )
+from repro.lint.rules.conc002_shared_state import in_scope
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
     ProgramRule,
-    has_segment,
     register,
 )
-
-
-def in_scope(rel: str) -> bool:
-    """Product source only; test fixtures may block on purpose."""
-    return has_segment(rel, "repro") and not has_segment(rel, "tests")
-
-
-def asyncflow_model(ctx: ProgramContext) -> AsyncFlowModel:
-    """The shared per-run event-loop context model."""
-    program = ctx.program
-    return ctx.shared(
-        "asyncflow-model", lambda: AsyncFlowModel(program, ctx.callgraph)
-    )
 
 
 @register
@@ -76,7 +63,7 @@ class BlockingInCoroutineRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        model = asyncflow_model(ctx)
+        model = context_model(ctx)
         program = ctx.program
         for rel in sorted(program.modules):
             if not in_scope(rel):

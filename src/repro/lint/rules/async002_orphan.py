@@ -26,7 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.rules.async001_blocking import asyncflow_model, in_scope
+from repro.lint.contextflow import context_model
+from repro.lint.rules.async001_blocking import in_scope
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
@@ -58,7 +59,7 @@ class OrphanCoroutineRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        model = asyncflow_model(ctx)
+        model = context_model(ctx)
         program = ctx.program
         for rel in sorted(program.modules):
             if not in_scope(rel):

@@ -7,8 +7,10 @@ thread while the loop (or the main thread) reads or mutates it loses
 updates depending on scheduling.  The GIL serializes bytecodes, not
 read-modify-write sequences.
 
-The rule mirrors CONC002 over the
-:class:`~repro.lint.asyncflow.AsyncFlowModel`'s contexts: a compound
+The rule runs CONC002's shared-state pass
+(:func:`~repro.lint.contextflow.shared_state_conflicts`) over the
+loop/executor family of the shared
+:class:`~repro.lint.contextflow.ContextModel`: a compound
 mutation (``+=``, ``.append``, ``self.x[i] = …``, ``self.x = f(self.x)``)
 of ``self.<attr>`` flags when another method touching the same
 attribute runs under a provably *different* context set and one side
@@ -23,8 +25,7 @@ handoffs silence it:
 * **call_soon_threadsafe** — a callable handed to the loop via
   ``call_soon_threadsafe`` *executes on the loop thread*; the model
   labels it ``loop`` context, so both sides agree and nothing flags.
-* **threading.Event / plain stores** — inherited from threadflow's
-  facts, same as CONC002.
+* **threading.Event / plain stores** — the same facts as CONC002.
 
 Functions the async machinery never reaches conflict with nothing,
 and unresolvable callables contribute no context: UNKNOWN never flags.
@@ -34,40 +35,27 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.asyncflow import ASYNC_PRIMITIVE_CONSTRUCTORS
-from repro.lint.rules.async001_blocking import asyncflow_model, in_scope
+from repro.lint.contextflow import (
+    MUTATION_KINDS,
+    ASYNC_CONTEXTS,
+    ASYNC_PRIMITIVE_CONSTRUCTORS,
+    context_model,
+    render_contexts,
+    shared_state_conflicts,
+)
+from repro.lint.rules.async001_blocking import in_scope
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
     ProgramRule,
     register,
 )
-from repro.lint.threadflow import AttributeUse, analyze_class
-
-import ast
 
 
-def _async_primitive_attrs(module, cls) -> set[str]:
-    """Attributes assigned an asyncio primitive anywhere in the class."""
-    attrs: set[str] = set()
-    for method in cls.methods.values():
-        for node in ast.walk(method.node):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                continue
-            if (
-                isinstance(node.value, ast.Call)
-                and module.imports.resolve(node.value.func)
-                in ASYNC_PRIMITIVE_CONSTRUCTORS
-            ):
-                attrs.add(target.attr)
-    return attrs
+def _crosses_loop(mine: frozenset[str], theirs: frozenset[str]) -> bool:
+    """The pair must cross the event-loop boundary: executor-vs-plain-
+    thread sharing is CONC002's jurisdiction, not the loop contract's."""
+    return "loop" in (mine | theirs)
 
 
 @register
@@ -90,79 +78,23 @@ class AsyncSharedStateRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        model = asyncflow_model(ctx)
-        program = ctx.program
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
-            for class_name in sorted(module.classes):
-                cls = module.classes[class_name]
-                facts = analyze_class(module, cls)
-                yield from self._check_class(model, module, cls, facts)
-
-    def _check_class(self, model, module, cls, facts) -> Iterator[Finding]:
-        exempt = (
-            facts.lock_attrs
-            | facts.event_attrs
-            | _async_primitive_attrs(module, cls)
+        conflicts = shared_state_conflicts(
+            context_model(ctx),
+            in_scope,
+            ASYNC_CONTEXTS,
+            exempt=ASYNC_PRIMITIVE_CONSTRUCTORS,
+            crosses=_crosses_loop,
         )
-        by_attr: dict[str, list[AttributeUse]] = {}
-        for use in facts.uses:
-            if use.method.qualname.endswith(".__init__"):
-                # Pre-publication: __init__ completes before the object
-                # can reach the loop or an executor thread.
-                continue
-            if use.attr not in exempt:
-                by_attr.setdefault(use.attr, []).append(use)
-        for attr in sorted(by_attr):
-            uses = by_attr[attr]
-            contexts = {
-                use.method.qualname: model.contexts_of(use.method.qualname)
-                for use in uses
-            }
-            if not any(contexts.values()):
-                continue  # the async machinery never touches this attr
-            for use in uses:
-                if not use.is_hazard or use.held_locks:
-                    continue
-                mine = contexts[use.method.qualname]
-                # The conflicting pair must cross the event-loop
-                # boundary: executor-vs-plain-thread sharing is
-                # threadflow's (CONC002) jurisdiction, not the loop
-                # contract's.
-                other = next(
-                    (
-                        u
-                        for u in uses
-                        if contexts[u.method.qualname] != mine
-                        and "loop" in (mine | contexts[u.method.qualname])
-                    ),
-                    None,
-                )
-                if other is None:
-                    continue
-                yield self.finding_at(
-                    module.rel,
-                    use.node,
-                    f"{use.method.qualname}() mutates self.{attr} "
-                    f"({_KINDS[use.kind]}) in async context "
-                    f"{_ctx(mine)}, but "
-                    f"{other.method.qualname}() touches it in context "
-                    f"{_ctx(contexts[other.method.qualname])} — no lock, "
-                    "asyncio primitive, or call_soon_threadsafe handoff "
-                    "guards the read-modify-write",
-                    source_line=module.source_text(use.node),
-                )
-
-
-_KINDS = {
-    "augstore": "augmented assignment",
-    "mutcall": "in-place container mutation",
-    "substore": "subscript store",
-    "rmw": "self-referencing reassignment",
-}
-
-
-def _ctx(contexts: frozenset[str]) -> str:
-    return "{" + (", ".join(sorted(contexts)) or "outside async") + "}"
+        for c in conflicts:
+            yield self.finding_at(
+                c.module.rel,
+                c.use.node,
+                f"{c.use.method.qualname}() mutates self.{c.use.attr} "
+                f"({MUTATION_KINDS[c.use.kind]}) in async context "
+                f"{render_contexts(c.mine, 'outside async')}, but "
+                f"{c.other.method.qualname}() touches it in context "
+                f"{render_contexts(c.theirs, 'outside async')} — no lock, "
+                "asyncio primitive, or call_soon_threadsafe handoff "
+                "guards the read-modify-write",
+                source_line=c.module.source_text(c.use.node),
+            )

@@ -93,7 +93,9 @@ class WorkerBoundaryRule(ProgramRule):
             module = program.modules.get(info.rel)
             if module is None:
                 continue
-            yield from self._check_function(program, info, module)
+            yield from self._check_function(
+                program, info, module, ctx.dataflow(info)
+            )
 
     # -- pool discovery ------------------------------------------------
 
@@ -125,11 +127,12 @@ class WorkerBoundaryRule(ProgramRule):
     # -- submissions ---------------------------------------------------
 
     def _check_function(
-        self, program: Program, info: FunctionInfo, module: ModuleInfo
+        self,
+        program: Program,
+        info: FunctionInfo,
+        module: ModuleInfo,
+        flow: FunctionDataflow,
     ) -> Iterator[Finding]:
-        flow = FunctionDataflow(
-            info.node, module_constants=module.module_level_names
-        )
         pools = self._pool_names(module, flow)
         if not pools:
             return

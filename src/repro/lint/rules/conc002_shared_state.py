@@ -9,12 +9,14 @@ so two contexts interleaving ``load / modify / store`` lose updates —
 and which update is lost depends on scheduling, breaking bit-identical
 reproduction in exactly the way nothing downstream can detect.
 
-The rule builds the :class:`~repro.lint.threadflow.ConcurrencyModel`
-(which contexts can execute each method, from statically resolved
-``Thread(target=…)`` / ``signal.signal`` / thread-pool submissions)
-and flags a compound mutation of ``self.<attr>`` when some *other*
-method touching the same attribute runs under a provably different
-context set.  Three disciplines silence it, because they are actually
+The rule reads the thread/signal family of the shared
+:class:`~repro.lint.contextflow.ContextModel` (which contexts can
+execute each method, from statically resolved ``Thread(target=…)`` /
+``signal.signal`` / thread-pool submissions) and, through the
+shared-state pass it runs with ASYNC003
+(:func:`~repro.lint.contextflow.shared_state_conflicts`), flags a
+compound mutation of ``self.<attr>`` when some *other* method touching
+the same attribute runs under a provably different context set.  Three disciplines silence it, because they are actually
 safe:
 
 * **Lock**: the mutation sits inside ``with self.<lock>:`` for a lock
@@ -41,12 +43,19 @@ from repro.lint.rules.base import (
     has_segment,
     register,
 )
-from repro.lint.threadflow import AttributeUse, ConcurrencyModel, analyze_class
+from repro.lint.contextflow import (
+    MUTATION_KINDS,
+    THREAD_CONTEXTS,
+    context_model,
+    render_contexts,
+    shared_state_conflicts,
+)
 
 
 def in_scope(rel: str) -> bool:
-    """Product source only: the concurrency contract binds ``repro/``
-    modules; test helpers may race on purpose to provoke them."""
+    """Product source only: the concurrency and event-loop contracts
+    bind ``repro/`` modules; test helpers may race or block on purpose
+    to provoke them."""
     return has_segment(rel, "repro") and not has_segment(rel, "tests")
 
 
@@ -71,70 +80,18 @@ class SharedStateRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program = ctx.program
-        model = ctx.shared(
-            "concurrency-model",
-            lambda: ConcurrencyModel(program, ctx.callgraph),
+        conflicts = shared_state_conflicts(
+            context_model(ctx), in_scope, THREAD_CONTEXTS
         )
-        for rel in sorted(program.modules):
-            if not in_scope(rel):
-                continue
-            module = program.modules[rel]
-            for class_name in sorted(module.classes):
-                facts = analyze_class(module, module.classes[class_name])
-                yield from self._check_class(model, module, facts)
-
-    def _check_class(self, model, module, facts) -> Iterator[Finding]:
-        exempt = facts.lock_attrs | facts.event_attrs
-        by_attr: dict[str, list[AttributeUse]] = {}
-        for use in facts.uses:
-            if use.method.qualname.endswith(".__init__"):
-                # Pre-publication: __init__ completes before the object
-                # can be handed to Thread(target=...), so its writes
-                # neither race nor witness a conflicting context.
-                continue
-            if use.attr not in exempt:
-                by_attr.setdefault(use.attr, []).append(use)
-        for attr in sorted(by_attr):
-            uses = by_attr[attr]
-            contexts = {
-                use.method.qualname: model.contexts_of(use.method.qualname)
-                for use in uses
-            }
-            for use in uses:
-                if not use.is_hazard or use.held_locks:
-                    continue
-                mine = contexts[use.method.qualname]
-                other = next(
-                    (
-                        u
-                        for u in uses
-                        if contexts[u.method.qualname] != mine
-                    ),
-                    None,
-                )
-                if other is None:
-                    continue
-                yield self.finding_at(
-                    module.rel,
-                    use.node,
-                    f"{use.method.qualname}() mutates self.{attr} "
-                    f"({_KINDS[use.kind]}) in context "
-                    f"{_ctx(mine)}, but "
-                    f"{other.method.qualname}() touches it in context "
-                    f"{_ctx(contexts[other.method.qualname])} — the "
-                    "read-modify-write is not atomic under the GIL",
-                    source_line=module.source_text(use.node),
-                )
-
-
-_KINDS = {
-    "augstore": "augmented assignment",
-    "mutcall": "in-place container mutation",
-    "substore": "subscript store",
-    "rmw": "self-referencing reassignment",
-}
-
-
-def _ctx(contexts: frozenset[str]) -> str:
-    return "{" + (", ".join(sorted(contexts)) or "main only") + "}"
+        for c in conflicts:
+            yield self.finding_at(
+                c.module.rel,
+                c.use.node,
+                f"{c.use.method.qualname}() mutates self.{c.use.attr} "
+                f"({MUTATION_KINDS[c.use.kind]}) in context "
+                f"{render_contexts(c.mine, 'main only')}, but "
+                f"{c.other.method.qualname}() touches it in context "
+                f"{render_contexts(c.theirs, 'main only')} — the "
+                "read-modify-write is not atomic under the GIL",
+                source_line=c.module.source_text(c.use.node),
+            )

@@ -38,7 +38,7 @@ from repro.lint.rules.base import (
     ProgramRule,
     register,
 )
-from repro.lint.threadflow import ConcurrencyModel, is_lock_expr
+from repro.lint.contextflow import context_model, is_lock_expr
 from repro.lint.rules.conc002_shared_state import in_scope
 
 #: Canonical dotted names that are I/O, blocking, or allocation-heavy.
@@ -104,10 +104,7 @@ class SignalSafetyRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program = ctx.program
-        model = ctx.shared(
-            "concurrency-model",
-            lambda: ConcurrencyModel(program, ctx.callgraph),
-        )
+        model = context_model(ctx)
         for fn in model.signal_functions():
             if not in_scope(fn.rel):
                 continue

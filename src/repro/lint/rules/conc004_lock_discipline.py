@@ -36,12 +36,7 @@ from repro.lint.rules.base import (
     ProgramRule,
     register,
 )
-from repro.lint.threadflow import (
-    LOCK_CONSTRUCTORS,
-    LOCK_NAME_RE,
-    is_lock_expr,
-    lock_key,
-)
+from repro.lint.contextflow import LOCK_CONSTRUCTORS, is_lock_expr, lock_key
 from repro.lint.rules.conc002_shared_state import in_scope
 
 #: Dotted calls that block for wall-clock time.

@@ -29,6 +29,7 @@ designed to rule out:
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
 from repro.lint.callgraph import ModuleInfo, Program
@@ -38,10 +39,14 @@ from repro.lint.rules.base import (
     ProgramRule,
     register,
 )
-from repro.lint.threadflow import DEADLINE_NAME_RE
 from repro.lint.rules.conc002_shared_state import in_scope
 
 _THREAD_CONSTRUCTORS = frozenset({"threading.Thread", "threading.Timer"})
+
+#: Identifier lexicon for deadline/timeout arithmetic.
+DEADLINE_NAME_RE = re.compile(
+    r"(^|_)(deadline|deadlines|timeout|timeouts|expiry|expires|remaining)(_|$)"
+)
 
 #: Calls returning wall-clock time (non-monotonic).
 _WALL_CALLS = frozenset(

@@ -34,7 +34,7 @@ from repro.lint.dtypeflow import (
     DType,
     DtypeScope,
     astype_target,
-    iter_kernel_scopes,
+    kernel_scopes,
     promote_info,
 )
 from repro.lint.rules.base import (
@@ -49,27 +49,15 @@ from repro.lint.rules.perf001_hot_loop import hot_path_model, in_scope
 def dtype_scope_map(ctx: ProgramContext) -> dict[str, DtypeScope]:
     """Shared qualname -> :class:`DtypeScope` map for the perf pack.
 
-    Layered on the ``kernel-dtype-scopes`` list the VEC rules share,
-    so the dtypeflow interpretation pass runs once per lint run no
-    matter how many rules consume it.
+    Layered on the :func:`kernel_scopes` list the VEC rules share, so
+    the dtypeflow interpretation pass runs once per lint run no matter
+    how many rules consume it.
     """
 
-    def build() -> dict[str, DtypeScope]:
-        kernel_scopes = ctx.shared(
-            "kernel-dtype-scopes",
-            lambda: list(iter_kernel_scopes(ctx.program)),
-        )
-        scopes: dict[str, DtypeScope] = {}
-        for module, fn, _body, scope in kernel_scopes:
-            key = (
-                fn.qualname
-                if fn is not None
-                else f"{module.modname}.<module>"
-            )
-            scopes[key] = scope
-        return scopes
-
-    return ctx.shared("perf-dtype-scopes", build)
+    return ctx.shared(
+        "perf-dtype-scopes",
+        lambda: {qualname: scope for _m, qualname, _f, _b, scope in kernel_scopes(ctx)},
+    )
 
 
 @register

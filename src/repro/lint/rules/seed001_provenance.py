@@ -105,9 +105,7 @@ class SeedProvenanceRule(ProgramRule):
             module = program.modules.get(info.rel)
             if module is None:
                 continue
-            flow = FunctionDataflow(
-                info.node, module_constants=module.module_level_names
-            )
+            flow = ctx.dataflow(info)
             yield from self._check_dropped(info, flow, module)
             yield from self._check_shadowed(info, flow, module)
             yield from self._check_constructions(info, flow, module)

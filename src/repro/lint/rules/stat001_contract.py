@@ -35,7 +35,7 @@ from repro.lint.rules.base import (
     has_segment,
     register,
 )
-from repro.lint.unitflow import UnitScope, UnitValue, iter_scopes
+from repro.lint.unitflow import UnitScope, UnitValue, unit_scopes
 
 #: Metrics legal only on the response (y) axis of the paper's models.
 _RESPONSE_METRICS = frozenset({"cpi", "cycles"})
@@ -92,8 +92,7 @@ class StatisticalContractRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body in iter_scopes(program):
-            scope = UnitScope(program, module, function, body)
+        for module, function, body, scope in unit_scopes(ctx):
             nodes = [node for stmt in body for node in ast.walk(stmt)]
             for node in nodes:
                 if isinstance(node, ast.Call):

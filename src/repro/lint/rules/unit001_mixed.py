@@ -18,14 +18,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import Program
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
     ProgramRule,
     register,
 )
-from repro.lint.unitflow import UnitScope, is_known, iter_scopes
+from repro.lint.unitflow import UnitScope, is_known, unit_scopes
 
 #: Comparison operators for which unit disagreement is meaningless.
 _ORDERING_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
@@ -51,9 +50,7 @@ class MixedUnitArithmeticRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body in iter_scopes(program):
-            scope = UnitScope(program, module, function, body)
+        for module, function, body, scope in unit_scopes(ctx):
             for stmt in body:
                 for node in ast.walk(stmt):
                     yield from self._check_node(module, scope, node)

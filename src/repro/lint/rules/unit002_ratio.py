@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import ModuleInfo, Program
+from repro.lint.callgraph import ModuleInfo
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
@@ -32,7 +32,7 @@ from repro.lint.unitflow import (
     is_kilo_literal,
     is_known,
     is_units_module,
-    iter_scopes,
+    unit_scopes,
 )
 
 #: (numerator, denominator) unit pairs that must go through repro.units.
@@ -63,11 +63,9 @@ class MalformedRatioRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body in iter_scopes(program):
+        for module, function, body, scope in unit_scopes(ctx):
             if is_units_module(module.rel):
                 continue  # the one sanctioned definition site
-            scope = UnitScope(program, module, function, body)
             nodes = [node for stmt in body for node in ast.walk(stmt)]
             flagged: set[int] = set()
             for node in nodes:

@@ -37,7 +37,7 @@ from repro.lint.unitflow import (
     UnitValue,
     annotation_unit,
     is_known,
-    iter_scopes,
+    unit_scopes,
     name_unit,
 )
 
@@ -78,8 +78,7 @@ class CallBoundaryUnitRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body in iter_scopes(program):
-            scope = UnitScope(program, module, function, body)
+        for module, function, body, scope in unit_scopes(ctx):
             for stmt in body:
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Call):

@@ -35,7 +35,7 @@ from repro.lint.dtypeflow import (
     INT_DTYPES,
     WIDTH,
     _interval_binop,
-    iter_kernel_scopes,
+    kernel_scopes,
     promote_info,
 )
 from repro.lint.rules.base import (
@@ -70,11 +70,7 @@ class PromotionDivergenceRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program = ctx.program
-        scopes = ctx.shared(
-            "kernel-dtype-scopes", lambda: list(iter_kernel_scopes(program))
-        )
-        for module, _fn, body, scope in scopes:
+        for module, _qualname, _fn, body, scope in kernel_scopes(ctx):
             if not in_scope(module.rel):
                 continue
             for stmt in body:

@@ -20,8 +20,12 @@ NewTypes, the identifier lexicon (``mean_mpki``, ``n_cycles``), metric
 string keys (``series("mpki")``, ``d["cpi"]``), ``Counter`` enum
 members, the sanctioned constructors (``units.mpki(...)``), and the
 return annotations of statically resolved callees.  Propagation runs
-through the PR-4 def-use chains (:mod:`repro.lint.dataflow` idiom) and
-call-argument bindings.
+through the scope facts shared with the taint and dtype interpreters
+(:func:`repro.lint.dataflow.collect_assignments` and the
+cycle-guarded name join of :class:`repro.lint.dataflow.ScopeFlow`) and
+through call-argument bindings.  :func:`unit_scopes` builds one
+:class:`UnitScope` per scope per lint run for every rule that reads
+units.
 
 The arithmetic maps (:func:`add_units`, :func:`mul_units`,
 :func:`div_units`) encode the paper's quantity algebra: cycles divided
@@ -36,14 +40,17 @@ from __future__ import annotations
 import ast
 import enum
 import re
-from typing import Iterator
+from typing import TYPE_CHECKING
 
 from repro.lint.callgraph import (
     FunctionInfo,
     ModuleInfo,
     Program,
 )
-from repro.lint.dataflow import argument_for_param  # noqa: F401  (re-export)
+from repro.lint.dataflow import ScopeFlow, collect_assignments, last_name
+
+if TYPE_CHECKING:
+    from repro.lint.rules.base import ProgramContext
 
 
 class UnitValue(enum.Enum):
@@ -198,14 +205,6 @@ def name_unit(name: str) -> UnitValue:
     return UnitValue.UNKNOWN
 
 
-def _last_name(expr: ast.expr) -> str | None:
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    if isinstance(expr, ast.Name):
-        return expr.id
-    return None
-
-
 def annotation_unit(expr: ast.expr | None, module: ModuleInfo) -> UnitValue:
     """Unit named by an annotation expression, UNKNOWN when none."""
     if expr is None:
@@ -214,7 +213,7 @@ def annotation_unit(expr: ast.expr | None, module: ModuleInfo) -> UnitValue:
         dotted = module.imports.resolve(expr)
         if dotted in CONSTRUCTOR_UNITS:
             return CONSTRUCTOR_UNITS[dotted]
-        last = _last_name(expr)
+        last = last_name(expr)
         if last in ANNOTATION_UNITS:
             return ANNOTATION_UNITS[last]
         return UnitValue.UNKNOWN
@@ -246,18 +245,19 @@ def _counter_member_unit(expr: ast.expr, module: ModuleInfo) -> UnitValue:
     dotted = module.imports.resolve(base)
     if dotted is not None and dotted.split(".")[-1] != "Counter":
         return UnitValue.UNKNOWN
-    if dotted is None and _last_name(base) != "Counter":
+    if dotted is None and last_name(base) != "Counter":
         return UnitValue.UNKNOWN
     return COUNTER_MEMBER_UNITS[expr.attr]
 
 
-class UnitScope:
+class UnitScope(ScopeFlow):
     """Unit inference over one function body or module top level.
 
-    Mirrors :class:`repro.lint.dataflow.FunctionDataflow`: parameters
-    and a flow-insensitive map of local assignments, plus the program
-    symbol table for resolving callee return annotations.  All queries
-    go through :meth:`unit_of`.
+    The shared scope facts of :mod:`repro.lint.dataflow` (assignment
+    map and cycle-guarded name join) with units as the lattice: seeds
+    are parameter and local annotations plus the identifier lexicon,
+    and the program symbol table resolves callee return annotations.
+    All queries go through :meth:`unit_of`.
     """
 
     def __init__(
@@ -273,38 +273,21 @@ class UnitScope:
         self.body = body
         self.param_units: dict[str, UnitValue] = {}
         self.annotated: dict[str, UnitValue] = {}
-        self.assignments: dict[str, list[ast.expr]] = {}
+        self.assignments = collect_assignments(body)
         if function is not None:
             args = function.node.args
             for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 unit = annotation_unit(arg.annotation, module)
                 if unit is not UnitValue.UNKNOWN:
                     self.param_units[arg.arg] = unit
-        for stmt in self._walk_statements():
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    self._record_target(target, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name):
-                    unit = annotation_unit(stmt.annotation, module)
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Name
+                ):
+                    unit = annotation_unit(node.annotation, module)
                     if unit is not UnitValue.UNKNOWN:
-                        self.annotated[stmt.target.id] = unit
-                if stmt.value is not None:
-                    self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, ast.AugAssign):
-                self._record_target(stmt.target, stmt.value)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._record_target(stmt.target, stmt.iter)
-            elif isinstance(stmt, ast.withitem) and stmt.optional_vars is not None:
-                self._record_target(stmt.optional_vars, stmt.context_expr)
-
-    def _walk_statements(self) -> Iterator[ast.AST]:
-        for stmt in self.body:
-            yield from ast.walk(stmt)
-
-    def _record_target(self, target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            self.assignments.setdefault(target.id, []).append(value)
+                        self.annotated[node.target.id] = unit
 
     # -- queries -------------------------------------------------------
 
@@ -353,22 +336,16 @@ class UnitScope:
         return UnitValue.UNKNOWN
 
     def _unit_of_name(self, name: str, visiting: frozenset[str]) -> UnitValue:
-        if name in self.param_units:
-            return self.param_units[name]
-        if name in self.annotated:
-            return self.annotated[name]
+        seed = self.param_units.get(name) or self.annotated.get(name)
+        if seed is not None:
+            return seed
         lexical = name_unit(name)
         if lexical is not UnitValue.UNKNOWN:
             return lexical
-        if name in visiting:
-            return UnitValue.UNKNOWN  # cyclic local definition
-        values = self.assignments.get(name)
-        if values:
-            result = self.unit_of(values[0], visiting | {name})
-            for value in values[1:]:
-                result = join(result, self.unit_of(value, visiting | {name}))
-            return result
-        return UnitValue.UNKNOWN
+        assigned = self.joined(
+            name, visiting, self.unit_of, join, UnitValue.UNKNOWN
+        )
+        return UnitValue.UNKNOWN if assigned is None else assigned
 
     def _unit_of_subscript(
         self, expr: ast.Subscript, visiting: frozenset[str]
@@ -389,7 +366,7 @@ class UnitScope:
         dotted = self.module.imports.resolve(call.func)
         if dotted in CONSTRUCTOR_UNITS:
             return CONSTRUCTOR_UNITS[dotted]
-        fname = _last_name(call.func)
+        fname = last_name(call.func)
         if (
             fname in _METRIC_LOOKUP_METHODS
             and isinstance(call.func, ast.Attribute)
@@ -437,37 +414,30 @@ class UnitScope:
         return UnitValue.UNKNOWN
 
 
-def iter_scopes(
-    program: Program,
-) -> Iterator[tuple[ModuleInfo, FunctionInfo | None, list[ast.stmt]]]:
-    """Each function scope plus each module's top level, in stable order.
+def unit_scopes(
+    ctx: ProgramContext,
+) -> list[tuple[ModuleInfo, FunctionInfo | None, list[ast.stmt], UnitScope]]:
+    """Every scope with its :class:`UnitScope`, built once per lint run.
 
-    Mirrors the call graph's scope decomposition: nested defs are
-    walked within their outermost enclosing function.
+    UNIT001–UNIT003 and STAT001 all read this one list.
     """
-    for rel in sorted(program.modules):
-        module = program.modules[rel]
-        top_level = [
-            stmt
-            for stmt in module.tree.body
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        yield module, None, top_level
-        for name in sorted(module.functions):
-            info = module.functions[name]
-            yield module, info, list(info.node.body)
-        for class_name in sorted(module.classes):
-            cls_info = module.classes[class_name]
-            for method_name in sorted(cls_info.methods):
-                method = cls_info.methods[method_name]
-                yield module, method, list(method.node.body)
+    program = ctx.program
+    return ctx.shared(
+        "unit-scopes",
+        lambda: [
+            (module, fn, body, UnitScope(program, module, fn, body))
+            for module, _qualname, fn, body in program.scopes()
+        ],
+    )
 
 
 def is_units_module(rel: str) -> bool:
-    """Whether *rel* is the sanctioned conversion module itself."""
-    return rel.endswith("repro/units.py") or rel.endswith("/units.py")
+    """Whether *rel* is the sanctioned conversion module itself.
+
+    Matches the ``repro/units.py`` path components only: another
+    module that happens to be named ``units.py`` gets no exemption.
+    """
+    return f"/{rel.strip('/')}".endswith("/repro/units.py")
 
 
 def is_kilo_literal(expr: ast.expr) -> bool:

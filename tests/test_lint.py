@@ -12,6 +12,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -424,6 +425,18 @@ class TestEngine:
     def test_no_baseline_file_is_shipped(self):
         """The grandfathered-findings file is gone: debt stays at zero."""
         assert not (REPO_ROOT / "repro-lint-baseline.json").exists()
+
+    def test_ci_lint_matrix_covers_every_rule_once(self):
+        """The CI ``lint`` passes partition the registered rule set."""
+        workflow = (REPO_ROOT / ".github/workflows/ci.yml").read_text()
+        listed = [
+            rule_id
+            for group in re.findall(r'^\s*rules:\s*"([^"]*)"', workflow, re.M)
+            for rule_id in group.split(",")
+        ]
+        assert listed, "no `rules:` lines found in ci.yml"
+        assert len(listed) == len(set(listed)), sorted(listed)
+        assert set(listed) == {rule.id for rule in all_rules()}
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,8 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lint.asyncflow import AsyncFlowModel
-from repro.lint.callgraph import CallGraph, Program
+from repro.lint.callgraph import Program
+from repro.lint.contextflow import ContextModel
 from repro.lint.cli import main as lint_main
 from repro.lint.rules.base import annotate_parents
 
@@ -82,14 +82,14 @@ def shipped_files() -> dict[str, str]:
     return {rel: (REPO_ROOT / rel).read_text() for rel in SHIPPED}
 
 
-def build_model(files: dict[str, str]) -> AsyncFlowModel:
+def build_model(files: dict[str, str]) -> ContextModel:
     parsed = []
     for rel, source in sorted(files.items()):
         tree = ast.parse(source)
         annotate_parents(tree)
         parsed.append((rel, tree, source.splitlines()))
     program = Program.build(parsed)
-    return AsyncFlowModel(program, CallGraph(program))
+    return ContextModel(program)
 
 
 # ----------------------------------------------------------------------

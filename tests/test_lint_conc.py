@@ -1,8 +1,9 @@
-"""The concurrency lint pack: threadflow contexts and CONC002-CONC005.
+"""The concurrency lint pack: thread/signal contexts and CONC002-CONC005.
 
-Covers the concurrency-context model (thread targets, signal handlers,
-thread-pool submissions resolve; process pools and unresolvable
-targets do not), a true-positive/true-negative fixture corpus per
+Covers the thread/signal family of the context model (thread targets,
+signal handlers, thread-pool submissions resolve; process pools and
+unresolvable targets do not), one program mixing both context families
+(each rule sees only its own), a true-positive/true-negative fixture corpus per
 rule, the mutation checks the issue demands (swapping the monotonic
 clock for the wall clock in a copy of ``supervise.py`` must produce
 CONC005 at the exact line), and the suppression path for deliberate
@@ -17,10 +18,10 @@ import io
 import json
 from pathlib import Path
 
-from repro.lint.callgraph import CallGraph, Program
+from repro.lint.callgraph import Program
 from repro.lint.cli import main as lint_main
 from repro.lint.rules.base import annotate_parents
-from repro.lint.threadflow import ConcurrencyModel
+from repro.lint.contextflow import ASYNC_CONTEXTS, THREAD_CONTEXTS, ContextModel
 
 CONC_RULES = "CONC002,CONC003,CONC004,CONC005"
 
@@ -57,14 +58,14 @@ def by_rule(tmp_path: Path, files: dict[str, str], rules: str = CONC_RULES):
     return findings_json(tmp_path, files, rules)["summary"]["by_rule"]
 
 
-def build_model(sources: dict[str, str]) -> ConcurrencyModel:
+def build_model(sources: dict[str, str]) -> ContextModel:
     parsed = []
     for rel, source in sorted(sources.items()):
         tree = ast.parse(source)
         annotate_parents(tree)
         parsed.append((rel, tree, source.splitlines()))
     program = Program.build(parsed)
-    return ConcurrencyModel(program, CallGraph(program))
+    return ContextModel(program)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +156,98 @@ class TestConcurrencyModel:
             ),
         })
         assert model.contexts_of("repro.core.app.helper") == {"thread"}
+
+
+# ----------------------------------------------------------------------
+# Both families in one program: thread/signal for CONC, loop/executor
+# for ASYNC, never merged.
+# ----------------------------------------------------------------------
+
+_MIXED_REL = "src/repro/svc/app.py"
+
+_MIXED_APP = (
+    "import asyncio\n"
+    "import signal\n"
+    "import threading\n"
+    "class Service:\n"
+    "    def run(self):\n"
+    "        return 1\n"
+    "class App:\n"
+    "    def __init__(self):\n"
+    "        self.svc = Service()\n"
+    "        self.hits = 0\n"
+    "        self.served = 0\n"
+    "    def worker(self):\n"
+    "        self.hits += 1\n"
+    "    def report(self):\n"
+    "        return self.hits\n"
+    "    def on_signal(self, signum, frame):\n"
+    "        self.stopping = True\n"
+    "    def offload(self):\n"
+    "        self.served += 1\n"
+    "    async def serve(self):\n"
+    "        loop = asyncio.get_running_loop()\n"
+    "        await loop.run_in_executor(None, self.offload)\n"
+    "        return self.served\n"
+    "    def start(self):\n"
+    "        threading.Thread(target=self.worker, daemon=True).start()\n"
+    "        threading.Thread(target=self.svc.run, daemon=True).start()\n"
+    "        signal.signal(signal.SIGTERM, self.on_signal)\n"
+    "def main():\n"
+    "    app = App()\n"
+    "    app.start()\n"
+    "    asyncio.run(app.serve())\n"
+)
+
+
+def _mixed_line(text: str) -> int:
+    return next(
+        n for n, line in enumerate(_MIXED_APP.splitlines(), 1) if text in line
+    )
+
+
+class TestCrossFamilyContexts:
+    def test_contexts_of_each_function(self):
+        model = build_model({_MIXED_REL: _MIXED_APP})
+        app = "repro.svc.app.App"
+        assert model.contexts_of(f"{app}.worker") == {"thread"}
+        assert model.contexts_of(f"{app}.on_signal") == {"signal"}
+        assert model.contexts_of(f"{app}.serve") == {"loop"}
+        assert model.contexts_of(f"{app}.offload") == {"executor"}
+        for main_only in (f"{app}.start", f"{app}.report", "repro.svc.app.main"):
+            assert model.contexts_of(main_only) == frozenset(), main_only
+
+    def test_each_family_sees_only_its_own_contexts(self):
+        model = build_model({_MIXED_REL: _MIXED_APP})
+        app = "repro.svc.app.App"
+        assert model.contexts_of(f"{app}.worker", THREAD_CONTEXTS) == {"thread"}
+        assert model.contexts_of(f"{app}.offload", THREAD_CONTEXTS) == frozenset()
+        assert model.contexts_of(f"{app}.serve", THREAD_CONTEXTS) == frozenset()
+        assert model.contexts_of(f"{app}.offload", ASYNC_CONTEXTS) == {"executor"}
+        assert model.contexts_of(f"{app}.worker", ASYNC_CONTEXTS) == frozenset()
+        assert model.contexts_of(f"{app}.on_signal", ASYNC_CONTEXTS) == frozenset()
+
+    def test_each_pair_is_flagged_by_its_own_family_rule_only(self, tmp_path):
+        payload = findings_json(
+            tmp_path, {_MIXED_REL: _MIXED_APP}, rules="CONC002,ASYNC003"
+        )
+        flagged = [(f["rule"], f["line"]) for f in payload["findings"]]
+        # thread-vs-main is CONC002's; loop-vs-executor is ASYNC003's.
+        assert flagged == [
+            ("CONC002", _mixed_line("self.hits += 1")),
+            ("ASYNC003", _mixed_line("self.served += 1")),
+        ]
+        conc, asyn = payload["findings"]
+        assert "{thread}" in conc["message"]
+        assert "{main only}" in conc["message"]
+        assert "{executor}" in asyn["message"]
+        assert "{loop}" in asyn["message"]
+
+    def test_typed_attribute_thread_target_resolves(self):
+        # Thread(target=self.svc.run), with self.svc = Service() in
+        # __init__: the resolver follows the typed attribute chain.
+        model = build_model({_MIXED_REL: _MIXED_APP})
+        assert model.contexts_of("repro.svc.app.Service.run") == {"thread"}
 
 
 # ----------------------------------------------------------------------

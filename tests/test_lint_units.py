@@ -304,6 +304,34 @@ class TestUnit002:
         })
         assert code == 0
 
+    def test_other_module_named_units_is_not_exempt(self, tmp_path):
+        # Only the repro/units.py path components earn the exemption:
+        # a harness module that happens to be called units.py is
+        # policed exactly like its rates.py sibling.
+        body = (
+            "def rate(misses, instructions):\n"
+            "    return misses / instructions * 1000\n"
+        )
+        root = write_tree(tmp_path, {
+            "src/repro/harness/rates.py": body,
+            "src/repro/harness/units.py": body,
+        })
+        _, out, _ = run_cli("--rules", "UNIT002", "--json", str(root))
+        flagged = sorted(
+            (f["path"].rsplit("/", 2)[-2:], f["line"])
+            for f in json.loads(out)["findings"]
+        )
+        assert flagged == [
+            (["harness", "rates.py"], 2),
+            (["harness", "units.py"], 2),
+        ]
+
+    def test_shipped_units_module_stays_exempt(self, tmp_path):
+        source = (REPO_ROOT / "src/repro/units.py").read_text()
+        root = write_tree(tmp_path, {"src/repro/units.py": source})
+        code, out, _ = run_cli("--rules", "UNIT002", str(root))
+        assert code == 0, out
+
 
 # ----------------------------------------------------------------------
 # UNIT003 — call and return boundaries.
