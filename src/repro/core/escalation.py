@@ -43,8 +43,7 @@ def _resume_campaign(
     stored = store.load(key)
     if stored is not None:
         observations.extend(stored.observations[:max_samples])
-        store.stats.hits += 1
-        store.stats.layouts_loaded += len(observations)
+        store.stats.record_hit(len(observations))
     return observations, store.sink(key)
 
 

@@ -24,8 +24,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from repro import faults
 from repro.core.interferometer import Interferometer
@@ -49,6 +49,10 @@ from repro.machine.config import XeonE5440Config
 from repro.machine.system import XeonE5440
 from repro.rng import derive_seed
 from repro.workloads.suite import Benchmark, get_benchmark
+
+#: Receives each campaign's measured slice as soon as it completes:
+#: ``sink(benchmark_name, observations)``.
+SliceSink = Callable[[str, Sequence[Observation]], None]
 
 
 @dataclass(frozen=True)
@@ -186,12 +190,17 @@ class MachinePark:
         journal: SuiteJournal | None = None,
         shutdown: ShutdownHandler | None = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
+        sink: SliceSink | None = None,
     ) -> Mapping[str, ObservationSet]:
         """Run full campaigns for several benchmarks across the park.
 
-        ``workers=0`` runs serially in-process; ``workers=k`` fans the
-        per-benchmark campaigns out over *k* worker processes.  Results
-        are identical either way.
+        This is the one campaign path: the
+        :class:`~repro.harness.lab.Laboratory` serves every campaign
+        through it.  ``workers=0`` runs serially in-process;
+        ``workers=k`` fans the per-benchmark campaigns out over *k*
+        worker processes.  Both run the same pure function
+        (``_run_campaign``) under the same supervision, so results are
+        identical either way.
 
         ``start_indices`` maps benchmark names to already-measured
         layout counts: each campaign measures layouts
@@ -221,18 +230,22 @@ class MachinePark:
           under a monotonic-clock watchdog.  Either way the expiry is
           recorded as a ``timed_out`` incident and the campaign re-runs
           under the same retry budget, bit-identically on recovery.
+          Injected hangs fire in either mode.
         * Pool failures (broken pool, deadline expiry, worker crash)
           feed a :class:`~repro.core.supervise.CircuitBreaker`; after
           ``breaker_threshold`` consecutive failures the suite stops
           re-creating pools and the remainder degrades to supervised
           serial execution, recorded via
           :meth:`~repro.faults.FailureReport.trip_breaker`.
+        * ``sink`` receives each campaign's measured slice as soon as
+          it completes (the laboratory persists it there).
         * ``journal`` receives a ``begin`` entry before each slice and
-          a ``commit`` once it is measured, so an interrupted suite can
-          be resumed.  ``shutdown`` is polled between campaigns: once a
-          drain is requested, in-flight work completes and nothing new
-          starts (the missing campaigns are simply absent from the
-          result).
+          a ``commit`` once the sink has returned, so a slice is never
+          journaled as durable before its caller stored it and an
+          interrupted suite can be resumed.  ``shutdown`` is polled
+          between campaigns: once a drain is requested, in-flight work
+          completes and nothing new starts (the missing campaigns are
+          simply absent from the result).
         """
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -278,134 +291,161 @@ class MachinePark:
             for name in names
             if n_layouts - starts.get(name, 0) > 0
         ]
-        local_report = report if report is not None else FailureReport()
-        collected: dict[str, list[Observation]] = {}
-        if workers == 0:
-            for spec in specs:
-                if shutdown is not None and shutdown.requested:
-                    break  # draining: nothing new starts
-                self._measure_one(
-                    spec, policy, local_report, fail_fast,
-                    deadline_seconds, journal, collected,
-                )
-        else:
+        run = _SuiteRun(
+            policy=policy,
+            report=report if report is not None else FailureReport(),
+            fail_fast=fail_fast,
+            deadline_seconds=deadline_seconds,
+            journal=journal,
+            sink=sink,
+        )
+        pending = specs
+        if workers > 0:
             breaker = CircuitBreaker(breaker_threshold)
-            pending = list(specs)
             while (
                 pending
                 and not breaker.tripped
                 and not (shutdown is not None and shutdown.requested)
             ):
-                pending = self._pool_round(
-                    pending, workers, policy, local_report, fail_fast,
-                    deadline_seconds, journal, breaker, collected,
-                )
+                pending = run.pool_round(pending, workers, breaker)
             if breaker.tripped:
-                local_report.trip_breaker(breaker.reason)
-            for spec in pending:
-                # Breaker tripped: the remainder degrades to supervised
-                # serial execution (no more pool re-creation).
-                if shutdown is not None and shutdown.requested:
-                    break
-                self._measure_one(
-                    spec, policy, local_report, fail_fast,
-                    deadline_seconds, journal, collected,
-                )
+                run.report.trip_breaker(breaker.reason)
+        for spec in pending:
+            # Serial mode, or the remainder after the breaker tripped:
+            # supervised execution in this process.
+            if shutdown is not None and shutdown.requested:
+                break  # draining: nothing new starts
+            run.begin(spec)
+            run.run_serially(spec)
         results: dict[str, ObservationSet] = {}
         for spec in specs:
-            observations = collected.get(spec.benchmark_name)
+            observations = run.collected.get(spec.benchmark_name)
             if observations is None:
                 continue  # failed, drained, or deferred; in the report
             observation_set = ObservationSet(benchmark=spec.benchmark_name)
             observation_set.extend(observations)
             results[spec.benchmark_name] = observation_set
-        if report is None and not local_report.ok:
-            raise SuiteExecutionError(local_report)
+        if report is None and not run.report.ok:
+            raise SuiteExecutionError(run.report)
         return results
 
-    # -- supervised execution ------------------------------------------
 
-    @staticmethod
-    def _journal_begin(journal: SuiteJournal | None, spec: _CampaignSpec) -> None:
-        if journal is not None:
-            journal.record_begin(
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear down a pool sheltering a hung worker.
+
+    A plain ``shutdown()`` would join the hung worker and inherit
+    its hang, so the worker processes are killed first; the
+    executor's management machinery then observes the breakage and
+    resolves any remaining futures as broken or cancelled.
+    """
+    # _processes is private, but the executor exposes no supported
+    # way to kill (rather than join) its workers.
+    for process in list((pool._processes or {}).values()):
+        process.kill()
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+@dataclass
+class _SuiteRun:
+    """The supervision state of one :meth:`MachinePark.observe_suite` call.
+
+    Every campaign of the suite, pooled or serial, goes through the same
+    three steps: :meth:`begin` journals the slice, a measurement runs,
+    and :meth:`finish` hands the slice to the caller's sink and only
+    then journals it as committed.
+    """
+
+    policy: RetryPolicy
+    report: FailureReport
+    fail_fast: bool
+    deadline_seconds: float | None
+    journal: SuiteJournal | None
+    sink: SliceSink | None
+    collected: dict[str, list[Observation]] = field(default_factory=dict)
+
+    def begin(self, spec: _CampaignSpec) -> None:
+        """Journal that *spec*'s slice is about to be measured."""
+        if self.journal is not None:
+            self.journal.record_begin(
                 spec.benchmark_name,
                 spec.randomize_heap,
                 spec.start_index,
                 spec.start_index + spec.n_layouts,
             )
 
-    @staticmethod
-    def _journal_commit(journal: SuiteJournal | None, spec: _CampaignSpec) -> None:
-        if journal is not None:
-            journal.record_commit(
+    def finish(self, spec: _CampaignSpec, observations: list[Observation]) -> None:
+        """Sink one measured slice, then journal it as committed.
+
+        The commit follows the sink on every path, so a slice the caller
+        failed to persist is never journaled as durable.
+        """
+        if self.sink is not None:
+            self.sink(spec.benchmark_name, observations)
+        self.collected[spec.benchmark_name] = observations
+        if self.journal is not None:
+            self.journal.record_commit(
                 spec.benchmark_name,
                 spec.randomize_heap,
                 spec.start_index + spec.n_layouts,
             )
 
-    def _measure_one(
-        self,
-        spec: _CampaignSpec,
-        policy: RetryPolicy,
-        report: FailureReport,
-        fail_fast: bool,
-        deadline_seconds: float | None,
-        journal: SuiteJournal | None,
-        collected: dict[str, list[Observation]],
-    ) -> None:
-        """Journal, supervise, and collect one campaign serially."""
-        self._journal_begin(journal, spec)
-        self._recover_serially(
-            spec, policy, report, fail_fast, deadline_seconds, journal,
-            collected,
-        )
+    def run_serially(self, spec: _CampaignSpec) -> None:
+        """Run one begun campaign in this process under the retry budget.
 
-    def _recover_serially(
-        self,
-        spec: _CampaignSpec,
-        policy: RetryPolicy,
-        report: FailureReport,
-        fail_fast: bool,
-        deadline_seconds: float | None,
-        journal: SuiteJournal | None,
-        collected: dict[str, list[Observation]],
-    ) -> None:
-        """Run one already-begun campaign in-process; commit on success."""
-        observations = self._run_supervised(
-            spec, policy, report, fail_fast,
-            deadline_seconds=deadline_seconds,
-        )
-        if observations is not None:
-            collected[spec.benchmark_name] = observations
-            self._journal_commit(journal, spec)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear down a pool sheltering a hung worker.
-
-        A plain ``shutdown()`` would join the hung worker and inherit
-        its hang, so the worker processes are killed first; the
-        executor's management machinery then observes the breakage and
-        resolves any remaining futures as broken or cancelled.
+        With a deadline, each execution runs under the
+        :func:`~repro.core.supervise.run_with_deadline` watchdog; an
+        expiry is recorded as a ``timed_out`` incident and consumes one
+        retry like any other transient failure.  When the budget is
+        exhausted the failure is recorded in the report and the campaign
+        produces no slice; with ``fail_fast`` it raises
+        :class:`~repro.errors.SuiteExecutionError` immediately instead.
         """
-        # _processes is private, but the executor exposes no supported
-        # way to kill (rather than join) its workers.
-        for process in list((pool._processes or {}).values()):
-            process.kill()
-        pool.shutdown(wait=False, cancel_futures=True)
+        name = spec.benchmark_name
+        attempts = 0
+        slept = 0.0
+        last_error: TransientError | None = None
+        while True:
+            try:
+                observations = run_with_deadline(
+                    lambda: _run_campaign(spec),
+                    self.deadline_seconds,
+                    describe=name,
+                )
+                break
+            except TransientError as exc:
+                attempts += 1
+                last_error = exc
+                if isinstance(exc, CampaignTimeoutError):
+                    self.report.record(
+                        name, "timed_out", attempts=attempts, error=str(exc),
+                        heap=spec.randomize_heap,
+                    )
+                if attempts > self.policy.max_retries:
+                    self.report.record(
+                        name, "failed", attempts=attempts, error=str(exc),
+                        heap=spec.randomize_heap,
+                    )
+                    if self.fail_fast:
+                        raise SuiteExecutionError(self.report) from exc
+                    return
+                slept += self.policy.sleep(
+                    attempts - 1, key=name, already_slept=slept
+                )
+        if attempts:
+            self.report.record(
+                name,
+                "recovered",
+                attempts=attempts + 1,
+                error=f"transient failure(s), last: {last_error}",
+                heap=spec.randomize_heap,
+            )
+        self.finish(spec, observations)
 
-    def _pool_round(
+    def pool_round(
         self,
         pending: list[_CampaignSpec],
         workers: int,
-        policy: RetryPolicy,
-        report: FailureReport,
-        fail_fast: bool,
-        deadline_seconds: float | None,
-        journal: SuiteJournal | None,
         breaker: CircuitBreaker,
-        collected: dict[str, list[Observation]],
     ) -> list[_CampaignSpec]:
         """One pool generation: submit all pending campaigns, harvest.
 
@@ -421,7 +461,7 @@ class MachinePark:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             for spec in pending:
-                self._journal_begin(journal, spec)
+                self.begin(spec)
             futures = [
                 (spec, pool.submit(_run_campaign, spec)) for spec in pending
             ]
@@ -436,38 +476,34 @@ class MachinePark:
                         and not future.cancelled()
                         and future.exception() is None
                     ):
-                        collected[spec.benchmark_name] = future.result()
-                        self._journal_commit(journal, spec)
+                        self.finish(spec, future.result())
                     else:
                         deferred.append(spec)
                     continue
                 try:
-                    result = future.result(timeout=deadline_seconds)
+                    result = future.result(timeout=self.deadline_seconds)
                 except FutureTimeoutError:
                     breaker.record_failure(
                         f"deadline expiry on {spec.benchmark_name}"
                     )
-                    report.record(
+                    self.report.record(
                         spec.benchmark_name,
                         "timed_out",
                         attempts=1,
                         error=(
-                            f"pool worker exceeded the {deadline_seconds:g}s "
+                            f"pool worker exceeded the {self.deadline_seconds:g}s "
                             "deadline; pool killed, campaign re-run serially"
                         ),
                         heap=spec.randomize_heap,
                     )
-                    self._kill_pool(pool)
+                    _kill_pool(pool)
                     pool_dead = True
-                    self._recover_serially(
-                        spec, policy, report, fail_fast, deadline_seconds,
-                        journal, collected,
-                    )
+                    self.run_serially(spec)
                 except BrokenProcessPool as exc:
                     breaker.record_failure(
                         f"broken pool on {spec.benchmark_name}"
                     )
-                    report.record(
+                    self.report.record(
                         spec.benchmark_name,
                         "degraded",
                         attempts=1,
@@ -475,97 +511,24 @@ class MachinePark:
                         heap=spec.randomize_heap,
                     )
                     pool_dead = True
-                    self._recover_serially(
-                        spec, policy, report, fail_fast, deadline_seconds,
-                        journal, collected,
-                    )
+                    self.run_serially(spec)
                 except TransientError as exc:
                     # The worker raised (soft crash): the pool itself is
                     # healthy, only this campaign degrades to serial.
                     breaker.record_failure(
                         f"worker crash on {spec.benchmark_name}"
                     )
-                    report.record(
+                    self.report.record(
                         spec.benchmark_name,
                         "degraded",
                         attempts=1,
                         error=f"pool worker failed ({exc}); re-ran serially",
                         heap=spec.randomize_heap,
                     )
-                    self._recover_serially(
-                        spec, policy, report, fail_fast, deadline_seconds,
-                        journal, collected,
-                    )
+                    self.run_serially(spec)
                 else:
                     breaker.record_success()
-                    collected[spec.benchmark_name] = result
-                    self._journal_commit(journal, spec)
+                    self.finish(spec, result)
         finally:
             pool.shutdown(wait=not pool_dead)
         return deferred
-
-    def _run_supervised(
-        self,
-        spec: _CampaignSpec,
-        policy: RetryPolicy,
-        report: FailureReport,
-        fail_fast: bool,
-        deadline_seconds: float | None = None,
-    ) -> list[Observation] | None:
-        """One campaign with the retry budget, in this process.
-
-        With a deadline, each execution runs under the
-        :func:`~repro.core.supervise.run_with_deadline` watchdog; an
-        expiry is recorded as a ``timed_out`` incident and consumes one
-        retry like any other transient failure.  Returns the measured
-        slice, or ``None`` when the budget is exhausted (the failure is
-        recorded in *report*; with ``fail_fast`` it raises immediately
-        instead).
-        """
-        attempts = 0
-        slept = 0.0
-        last_error: TransientError | None = None
-        while True:
-            try:
-                result = run_with_deadline(
-                    lambda: _run_campaign(spec),
-                    deadline_seconds,
-                    describe=spec.benchmark_name,
-                )
-                break
-            except TransientError as exc:
-                attempts += 1
-                last_error = exc
-                if isinstance(exc, CampaignTimeoutError):
-                    report.record(
-                        spec.benchmark_name,
-                        "timed_out",
-                        attempts=attempts,
-                        error=str(exc),
-                        heap=spec.randomize_heap,
-                    )
-                if attempts > policy.max_retries:
-                    report.record(
-                        spec.benchmark_name,
-                        "failed",
-                        attempts=attempts,
-                        error=str(exc),
-                        heap=spec.randomize_heap,
-                    )
-                    if fail_fast:
-                        raise SuiteExecutionError(report) from exc
-                    return None
-                slept += policy.sleep(
-                    attempts - 1,
-                    key=spec.benchmark_name,
-                    already_slept=slept,
-                )
-        if attempts:
-            report.record(
-                spec.benchmark_name,
-                "recovered",
-                attempts=attempts + 1,
-                error=f"transient failure(s), last: {last_error}",
-                heap=spec.randomize_heap,
-            )
-        return result

@@ -357,9 +357,12 @@ def plan_scope(plan: FaultPlan | None) -> Iterator[None]:
 
     Worker entry points use this: a pickled plan travelling with the
     campaign spec takes precedence, while ``None`` keeps whatever the
-    worker inherited (e.g. an environment plan).
+    worker inherited (e.g. an environment plan).  In the supervising
+    process the spec carries the already-active plan itself, which is
+    left in place: an abandoned watchdog thread finishing late must not
+    restore a plan its caller has since uninstalled.
     """
-    if plan is None:
+    if plan is None or plan is _active:
         yield
         return
     with injected(plan):

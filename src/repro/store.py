@@ -34,10 +34,10 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro import faults
-from repro.core.observations import Observation, ObservationSet
+from repro.core.observations import ObservationSet
 from repro.errors import ConfigurationError, CorruptCampaignError, ReproError
 from repro.persistence import (
     _FORMAT_VERSION,
@@ -52,11 +52,6 @@ _LOG = logging.getLogger(__name__)
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.interferometer import Interferometer
     from repro.machine.config import XeonE5440Config
-
-#: Signature of the measurement callback :meth:`CampaignStore.get`
-#: invokes on a miss: ``measure(start_index, n_layouts) -> observations``.
-MeasureFn = Callable[[int, int], Sequence[Observation]]
-
 
 def config_digest(config: "XeonE5440Config") -> str:
     """Short content digest of a machine configuration."""
@@ -296,35 +291,24 @@ class CampaignStore:
 
         return persist
 
-    def get(
-        self, key: CampaignKey, n_layouts: int, measure: MeasureFn
-    ) -> ObservationSet:
-        """The first *n_layouts* observations of a campaign.
+    def load_prefix(self, key: CampaignKey, n_layouts: int) -> ObservationSet:
+        """The stored first *n_layouts* observations of a campaign.
 
-        Fully served from disk when the stored campaign is long enough
-        (a *hit*); otherwise only the missing suffix is measured via
-        ``measure(start_index, n_missing)`` and the union is persisted
-        (a *miss* — partial reuse still avoids re-measuring the prefix).
+        A stored campaign at least that long serves the request in full
+        and is counted as a *hit*.  Otherwise the (possibly empty)
+        stored prefix is returned uncounted: the caller measures only
+        the missing suffix, saves the union, and records the *miss*
+        with :meth:`StoreStats.record_miss` — partial reuse still
+        avoids re-measuring the prefix.
         """
         if n_layouts <= 0:
             raise ConfigurationError(
                 f"n_layouts must be positive, got {n_layouts}"
             )
         stored = self.load(key)
-        prefix = list(stored.observations) if stored is not None else []
-        if len(prefix) >= n_layouts:
+        prefix = ObservationSet(benchmark=key.benchmark)
+        if stored is not None:
+            prefix.extend(stored.observations[:n_layouts])
+        if len(prefix) == n_layouts:
             self.stats.record_hit(n_layouts)
-            result = ObservationSet(benchmark=key.benchmark)
-            result.extend(prefix[:n_layouts])
-            return result
-        fresh = list(measure(len(prefix), n_layouts - len(prefix)))
-        if len(fresh) != n_layouts - len(prefix):
-            raise ReproError(
-                f"measure callback returned {len(fresh)} observations, "
-                f"expected {n_layouts - len(prefix)}"
-            )
-        self.stats.record_miss(loaded=len(prefix), measured=len(fresh))
-        result = ObservationSet(benchmark=key.benchmark)
-        result.extend(prefix + fresh)
-        self.save(key, result)
-        return result
+        return prefix

@@ -17,6 +17,7 @@ import pickle
 import pytest
 
 from repro import faults
+from repro.core import park as park_module
 from repro.core.interferometer import Interferometer
 from repro.core.park import MachinePark
 from repro.errors import (
@@ -455,15 +456,9 @@ class TestStoreHardening:
         assert store.load(key) is None  # no JSONDecodeError escapes
         quarantined = sorted(tmp_path.glob("*.corrupt-*"))
         assert len(quarantined) == 1
-        # get() then measures fresh and persists a good file.
-        measured = store.get(
-            key,
-            4,
-            lambda start, n: _synthetic_observations(
-                n=n, benchmark="456.hmmer"
-            ).observations,
-        )
-        assert len(measured) == 4
+        # The campaign is then a miss, re-measured and persisted cleanly.
+        assert len(store.load_prefix(key, 4)) == 0
+        store.save(key, _synthetic_observations(n=4, benchmark="456.hmmer"))
         assert store.load(key) is not None
 
     def test_quarantine_round_trip_through_laboratory(self, tmp_path):
@@ -492,15 +487,15 @@ class TestCampaignSupervision:
         baseline = Laboratory(scale=TINY, machine_seed=7).observations("456.hmmer")
         lab = Laboratory(scale=TINY, machine_seed=7, max_retries=2)
         lab.retry_policy = RetryPolicy(max_retries=2, backoff_base=0.0)
-        original = Laboratory._measure_campaign_once
+        original = park_module._run_campaign
         failures = iter([True, False])
 
-        def flaky_once(self, name, heap):
+        def flaky_once(spec):
             if next(failures):
                 raise TransientMeasurementError("injected campaign fault")
-            return original(self, name, heap)
+            return original(spec)
 
-        monkeypatch.setattr(Laboratory, "_measure_campaign_once", flaky_once)
+        monkeypatch.setattr(park_module, "_run_campaign", flaky_once)
         recovered = lab.observations("456.hmmer")
         assert_bit_identical(baseline, recovered)
         assert [i.status for i in lab.failure_report.incidents] == ["recovered"]
@@ -519,6 +514,20 @@ class TestCampaignSupervision:
         assert not report.ok
         assert report.failed[0].benchmark == "456.hmmer"
         assert "456.hmmer" in report.render()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_fail_fast_prefetch_raises_suite_error(self, workers):
+        """A fail-fast prefetch raises the same error with or without
+        worker processes."""
+        lab = Laboratory(
+            scale=TINY, machine_seed=7, fail_fast=True, workers=workers
+        )
+        lab.retry_policy = RetryPolicy(max_retries=0, backoff_base=0.0)
+        plan = FaultPlan(seed=3, flaky_read=1.0, only_benchmarks=("456.hmmer",))
+        with faults.injected(plan):
+            with pytest.raises(SuiteExecutionError) as err:
+                lab.prefetch(["456.hmmer", "470.lbm"])
+        assert [i.benchmark for i in err.value.report.failed] == ["456.hmmer"]
 
     def test_suite_failure_names_every_campaign(self, park):
         plan = FaultPlan(seed=1, flaky_read=1.0, only_benchmarks=("470.lbm",))

@@ -75,41 +75,31 @@ class TestStoreRoundTrip:
         assert (reloaded.mpkis == original.mpkis).all()
         assert (reloaded.series("l2_mpki") == original.series("l2_mpki")).all()
 
-    def test_get_measures_once_then_hits(self, tmp_path):
-        calls = []
-
-        def measure(start, n):
-            calls.append((start, n))
-            return _synthetic_observations(n=n, benchmark="456.hmmer").observations
-
+    def test_prefix_is_a_hit_once_stored(self, tmp_path):
         store = CampaignStore(tmp_path)
-        first = store.get(_key(), 6, measure)
-        assert calls == [(0, 6)]
-        assert store.stats.misses == 1
+        assert len(store.load_prefix(_key(), 6)) == 0
+        assert store.stats.hits == 0  # the caller measures and counts a miss
+        original = _synthetic_observations(n=6, benchmark="456.hmmer")
+        store.save(_key(), original)
 
         second = CampaignStore(tmp_path)
-        again = second.get(_key(), 6, measure)
-        assert calls == [(0, 6)]  # no new measurement
+        again = second.load_prefix(_key(), 6)
         assert second.stats.hits == 1
+        assert second.stats.layouts_loaded == 6
         assert second.stats.layouts_measured == 0
-        assert (first.cpis == again.cpis).all()
+        assert (original.cpis == again.cpis).all()
 
     def test_partial_campaign_extends_incrementally(self, tmp_path):
-        calls = []
-
-        def measure(start, n):
-            calls.append((start, n))
-            full = _synthetic_observations(n=start + n, benchmark="456.hmmer")
-            return full.observations[start:]
-
         store = CampaignStore(tmp_path)
-        store.get(_key(), 4, measure)
-        extended = store.get(_key(), 10, measure)
-        assert calls == [(0, 4), (4, 6)]  # only the missing suffix
-        assert len(extended) == 10
+        store.save(_key(), _synthetic_observations(n=4, benchmark="456.hmmer"))
+        prefix = store.load_prefix(_key(), 10)
+        # A short prefix is not a hit: only the missing suffix is measured.
+        assert [o.layout_index for o in prefix] == [0, 1, 2, 3]
+        assert store.stats.hits == 0
+        store.save(_key(), _synthetic_observations(n=10, benchmark="456.hmmer"))
         # the extension was persisted: a third request is a pure hit
         third = CampaignStore(tmp_path)
-        third.get(_key(), 10, lambda s, n: pytest.fail("should not measure"))
+        assert len(third.load_prefix(_key(), 10)) == 10
         assert third.stats.hits == 1
 
     def test_benchmark_mismatch_rejected(self, tmp_path):
@@ -131,7 +121,7 @@ class TestStoreRoundTrip:
     def test_bad_n_layouts(self, tmp_path):
         store = CampaignStore(tmp_path)
         with pytest.raises(ConfigurationError):
-            store.get(_key(), 0, lambda s, n: [])
+            store.load_prefix(_key(), 0)
 
 
 class TestCacheInvalidation:
@@ -223,7 +213,7 @@ class TestParallelLaboratory:
 
     def test_prefetch_serial_path_populates_cache(self):
         lab = Laboratory(scale=TINY, machine_seed=7)
-        lab.prefetch(["456.hmmer"], workers=0)
+        lab.prefetch(["456.hmmer"])
         assert "456.hmmer" in lab._observations
 
     def test_prefetch_resumes_partial_store(self, tmp_path):
@@ -235,8 +225,8 @@ class TestParallelLaboratory:
         )
         store_lab.store.save(key, prefix)
 
-        lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
-        lab.prefetch(["456.hmmer"], workers=2)
+        lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path, workers=2)
+        lab.prefetch(["456.hmmer"])
         obs = lab.observations("456.hmmer")
         assert len(obs) == TINY.n_layouts
         assert lab.store.stats.layouts_measured == TINY.n_layouts - 2
@@ -246,9 +236,6 @@ class TestParallelLaboratory:
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             Laboratory(scale=TINY, machine_seed=7, workers=-1)
-        lab = Laboratory(scale=TINY, machine_seed=7)
-        with pytest.raises(ConfigurationError):
-            lab.prefetch(["456.hmmer"], workers=-2)
 
 
 class TestEscalationWithStore:

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults, telemetry
+from repro.core import park as park_module
 from repro.core.park import MachinePark
 from repro.core.supervise import (
     DEFAULT_BREAKER_THRESHOLD,
@@ -37,6 +38,7 @@ from repro.errors import (
 from repro.faults import FailureReport, FaultPlan, RetryPolicy
 from repro.harness.lab import Laboratory
 from repro.journal import JournalEntry, SuiteJournal
+from repro.store import CampaignStore
 
 from tests.test_faults import TINY, assert_bit_identical, park  # noqa: F401
 
@@ -452,19 +454,58 @@ class TestLaboratorySupervision:
         lab.retry_policy = RetryPolicy(
             max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
         )
-        original = Laboratory._measure_campaign_once
+        original = park_module._run_campaign
         hangs = iter([True, False])
 
-        def hang_once(self, name, heap):
+        def hang_once(spec):
             if next(hangs):
                 faults.hang(HANG)
-            return original(self, name, heap)
+            return original(spec)
 
-        monkeypatch.setattr(Laboratory, "_measure_campaign_once", hang_once)
+        monkeypatch.setattr(park_module, "_run_campaign", hang_once)
         recovered = lab.observations("456.hmmer")
         assert_bit_identical(baseline, recovered)
         statuses = [i.status for i in lab.failure_report.incidents]
         assert statuses == ["timed_out", "recovered"]
+
+    def test_serial_lab_observes_injected_hang(self):
+        """Injected hangs fire on the serial path too, not only in pool
+        workers: the watchdog kills the hung execution and the retry
+        recovers the campaign bit-identically."""
+        baseline = Laboratory(scale=TINY, machine_seed=7).observations(
+            "456.hmmer"
+        )
+        lab = Laboratory(scale=TINY, machine_seed=7, deadline_seconds=DEADLINE)
+        lab.retry_policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
+        plan = FaultPlan(
+            seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
+        )
+        with faults.injected(plan):
+            recovered = lab.observations("456.hmmer")
+        assert_bit_identical(baseline, recovered)
+        statuses = [i.status for i in lab.failure_report.incidents]
+        assert statuses == ["timed_out", "recovered"]
+
+    def test_journal_commits_only_after_the_store_save(
+        self, tmp_path, monkeypatch
+    ):
+        """A campaign whose store save fails is never journaled as
+        committed, with worker processes as without them."""
+
+        def full_disk(store, key, observations):
+            raise OSError("injected: no space left on device")
+
+        monkeypatch.setattr(CampaignStore, "save", full_disk)
+        lab = Laboratory(
+            scale=TINY, machine_seed=7, cache_dir=tmp_path, workers=2
+        )
+        with pytest.raises(OSError, match="no space left"):
+            lab.prefetch(["456.hmmer"])
+        state = SuiteJournal(tmp_path / "suite-journal.json").replay()
+        assert state.interrupted("456.hmmer")
+        assert state.committed_layouts("456.hmmer") == 0
 
     def test_resume_requires_cache_dir(self):
         with pytest.raises(ConfigurationError, match="cache_dir"):
