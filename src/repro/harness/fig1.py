@@ -34,6 +34,10 @@ class Fig1Result:
 
     rows: tuple[Fig1Row, ...]
 
+    def narrowest(self, count: int) -> list[str]:
+        """The *count* benchmarks with the narrowest violins, narrowest first."""
+        return [r.benchmark for r in sorted(self.rows, key=lambda r: r.std_pct)[:count]]
+
     def render(self) -> str:
         """The table a violin plot would be drawn from."""
         table = format_table(

@@ -12,7 +12,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import telemetry
 from repro.core.evaluate import PredictorEvaluation, PredictorEvaluator
@@ -219,6 +219,9 @@ class Laboratory:
         self._memory_lock = threading.Lock()
         self._evaluations: dict[str, PredictorEvaluation] = {}
         self._significant: list[str] | None = None
+        #: Experiment results by name, memoized by repro.harness.claims
+        #: so that each experiment runs once per laboratory.
+        self.results: dict[str, Any] = {}
 
     def benchmark(self, name: str) -> Benchmark:
         """Look up a benchmark (suite member or MASE-only)."""

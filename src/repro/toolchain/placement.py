@@ -18,7 +18,8 @@ flavours over our toolchain:
 
 The paper notes that if such optimizations were widely adopted, its
 own technique would lose variance to measure (§2.2) — the
-``bench_placement`` ablation quantifies exactly that.
+``ablation.placement_beats_random`` claim in :mod:`repro.harness.claims`
+quantifies exactly that.
 """
 
 from __future__ import annotations

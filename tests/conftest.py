@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.lab import Laboratory, Scale
+from repro.harness.lab import SCALES, Laboratory, Scale
 from repro.lint.sanitizer import DeterminismSanitizer, sanitize_requested
 from repro.machine.system import XeonE5440
 from repro.program.behavior import BiasedBehavior, LoopBehavior
@@ -136,6 +136,12 @@ def machine() -> XeonE5440:
 def lab() -> Laboratory:
     """A shared laboratory at test scale (cached campaigns)."""
     return Laboratory(scale=TEST_SCALE, machine_seed=7)
+
+
+@pytest.fixture(scope="session")
+def ci_lab() -> Laboratory:
+    """The laboratory ``--scale ci`` runs: the ci tier at the default seed."""
+    return Laboratory(scale=SCALES["ci"])
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,8 @@ from repro.harness.experiments_doc import PAPER_TABLE1, build_document
 
 class TestExperimentsDoc:
     @pytest.fixture(scope="class")
-    def document(self, lab):
-        return build_document(lab)
+    def document(self, ci_lab):
+        return build_document(ci_lab)
 
     def test_all_sections_present(self, document):
         for heading in (
