@@ -49,7 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro import telemetry
-from repro.harness.lab import get_lab
+from repro.harness.lab import Laboratory
 from repro.machine.config import XeonE5440Config
 from repro.machine.core_model import XeonCoreModel
 from repro.program.tracegen import generate_trace
@@ -218,7 +218,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    lab = get_lab()
+    lab = Laboratory()
     config = XeonE5440Config()
     print(f"scale={lab.scale.name}: building {lab.scale.n_layouts} layouts of {BENCHMARK} ...")
     bm = get_benchmark(BENCHMARK)

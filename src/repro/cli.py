@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
 
 from repro import faults, telemetry
 from repro.core.supervise import ShutdownHandler
@@ -24,62 +23,19 @@ from repro.errors import (
     SuiteExecutionError,
 )
 from repro.faults import FaultPlan
-from repro.harness import SCALES, Laboratory, get_lab
-from repro.harness import (  # noqa: F401 - imported for registry
-    extended,
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    headline,
-    significance,
-    table1,
+from repro.harness import (  # noqa: F401 - EXPERIMENTS: the CLI's runner table
+    EXPERIMENT_TABLE,
+    EXPERIMENTS,
+    SCALES,
+    SUITE,
+    Laboratory,
+    export_csv,
+    result_of,
 )
-from repro.harness.extended import STUDY_BENCHMARKS
-from repro.workloads.params import CACHE_STUDY_BENCHMARK, FIGURE2_BENCHMARKS
-
-#: Experiment registry: name -> regenerator.
-EXPERIMENTS: dict[str, Callable[[Laboratory], object]] = {
-    "fig1": fig1.run,
-    "fig2": fig2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "table1": table1.run,
-    "significance": significance.run,
-    "headline": headline.run,
-    "extended": extended.run,
-}
-
-#: Interferometry campaigns each experiment consumes, for ``--workers``
-#: prefetching: ``"suite"`` = every suite benchmark; a list = just
-#: those; key ``heap`` = campaigns with heap randomization.  Figures 4
-#: and 5 are MASE-only and need no campaigns.
-EXPERIMENT_CAMPAIGNS: dict[str, dict[str, object]] = {
-    "fig1": {"code": "suite"},
-    "fig2": {"code": list(FIGURE2_BENCHMARKS)},
-    "fig3": {"heap": [CACHE_STUDY_BENCHMARK]},
-    "fig4": {},
-    "fig5": {},
-    "fig6": {"code": "suite"},
-    "fig7": {"code": "suite"},
-    "fig8": {"code": "suite"},
-    "table1": {"code": "suite"},
-    "significance": {"code": "suite"},
-    "headline": {"code": ["400.perlbench"]},
-    "extended": {"code": list(STUDY_BENCHMARKS)},
-}
 
 
 def _campaigns_needed(names: list[str]) -> tuple[list[str] | None, list[str]]:
-    """Union of (code, heap) campaigns the named experiments consume.
+    """Union of (code, heap) campaigns the named experiments read.
 
     The first element is ``None`` when any experiment needs the whole
     suite (prefetch everything), else the explicit benchmark list.
@@ -88,13 +44,12 @@ def _campaigns_needed(names: list[str]) -> tuple[list[str] | None, list[str]]:
     heap: dict[str, None] = {}
     suite_wide = False
     for name in names:
-        needs = EXPERIMENT_CAMPAIGNS.get(name, {})
-        for kind, target in (("code", code), ("heap", heap)):
-            wanted = needs.get(kind)
-            if wanted == "suite":
-                suite_wide = True
-            elif wanted:
-                target.update(dict.fromkeys(wanted))
+        experiment = EXPERIMENT_TABLE[name]
+        if experiment.code == SUITE:
+            suite_wide = True
+        else:
+            code.update(dict.fromkeys(experiment.code))
+        heap.update(dict.fromkeys(experiment.heap))
     return (None if suite_wide else list(code)), list(heap)
 
 
@@ -227,13 +182,13 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_USAGE
         print("available experiments:")
-        for name in EXPERIMENTS:
+        for name in EXPERIMENT_TABLE:
             print(f"  {name}")
         print("scale via REPRO_SCALE env var: ci | small (default) | paper")
         return EXIT_OK
 
-    names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
-    unknown = [n for n in names if n not in EXPERIMENTS]
+    names = list(EXPERIMENT_TABLE) if args.experiments == ["all"] else args.experiments
+    unknown = [n for n in names if n not in EXPERIMENT_TABLE]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return EXIT_USAGE
@@ -271,27 +226,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         with ShutdownHandler() as shutdown:
-            if (
-                args.scale
-                or cache_dir
-                or args.workers
-                or args.max_retries is not None
-                or args.fail_fast
-                or args.deadline is not None
-            ):
-                lab = Laboratory(
-                    scale=SCALES[args.scale] if args.scale else None,
-                    cache_dir=cache_dir,
-                    workers=args.workers,
-                    max_retries=args.max_retries,
-                    fail_fast=args.fail_fast,
-                    deadline_seconds=args.deadline,
-                    resume=args.resume,
-                    shutdown=shutdown,
-                )
-            else:
-                lab = get_lab()
-                lab.shutdown = shutdown
+            lab = Laboratory(
+                scale=SCALES[args.scale] if args.scale else None,
+                cache_dir=cache_dir,
+                workers=args.workers,
+                max_retries=args.max_retries,
+                fail_fast=args.fail_fast,
+                deadline_seconds=args.deadline,
+                resume=args.resume,
+                shutdown=shutdown,
+            )
             return _run(lab, names, args, shutdown)
     except SuiteExecutionError as exc:
         # fail-fast path: a suite prefetch gave up mid-flight.
@@ -343,7 +287,7 @@ def _run(
             break  # draining: finish nothing new, keep what completed
         start = telemetry.tick_seconds()
         try:
-            result = EXPERIMENTS[name](lab)
+            result = result_of(lab, name)
         except (CampaignExecutionError, SuiteExecutionError) as exc:
             # A campaign exhausted its retry budget.  Report the
             # experiment as failed and keep going: partial results beat
@@ -372,9 +316,8 @@ def _run(
         return EXIT_PARTIAL
 
     if args.export:
-        from repro.harness.export import export_experiments
-
-        paths = export_experiments(lab, names, args.export)
+        completed = [name for name in lab.results if name in names]
+        paths = export_csv(lab, completed, args.export)
         print(f"\nexported {len(paths)} CSV files to {args.export}/")
     if failed_experiments or not lab.failure_report.ok:
         print(

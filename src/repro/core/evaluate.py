@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +58,39 @@ class PredictorEvaluation:
             raise ConfigurationError("real CPI is zero")
         return (self.real_mean_cpi - outcome.predicted_cpi.mean) / self.real_mean_cpi * 100.0
 
+    @classmethod
+    def from_mpkis(
+        cls, observations: ObservationSet, mpkis: Mapping[str, Sequence[float]]
+    ) -> PredictorEvaluation:
+        """Feed each predictor's mean simulated MPKI into the campaign's model.
+
+        *mpkis* maps a predictor name to its MPKI on some of the
+        campaign's layouts; the model is always fit to the whole
+        campaign.
+        """
+        if len(observations) == 0:
+            raise ConfigurationError(f"no observations for {observations.benchmark}")
+        model = PerformanceModel.from_observations(observations)
+        outcomes = []
+        for name, values in mpkis.items():
+            mean_mpki = float(np.mean(values))
+            outcomes.append(
+                PredictorOutcome(
+                    predictor=name,
+                    mean_mpki=mean_mpki,
+                    predicted_cpi=model.predict(mean_mpki),
+                )
+            )
+        cpis = observations.cpis
+        return cls(
+            benchmark=observations.benchmark,
+            real_mean_mpki=float(observations.mpkis.mean()),
+            real_mean_cpi=float(cpis.mean()),
+            real_cpi_confidence=mean_confidence_interval(cpis),
+            outcomes=tuple(outcomes),
+            model=model,
+        )
+
 
 def mean_confidence_interval(values: np.ndarray, confidence: float = 0.95) -> Interval:
     """CI of a sample mean (the 'tighter' real-predictor error bars)."""
@@ -88,37 +121,28 @@ class PredictorEvaluator:
         warmup_fraction = interferometer.machine.config.warmup_fraction
         self.pintool = PinTool(predictors, warmup_fraction=warmup_fraction)
 
+    def mpkis(
+        self, benchmark: Benchmark, layout_indices: Iterable[int]
+    ) -> dict[str, list[float]]:
+        """Each predictor's MPKI on each of *benchmark*'s reordered layouts.
+
+        The one predictor sweep: every layout's executable is built once
+        and the Pin tool simulates all candidates over it.
+        """
+        mpkis: dict[str, list[float]] = {
+            predictor.name: [] for predictor in self.pintool.predictors
+        }
+        for index in layout_indices:
+            executable = self.interferometer.build_executable(benchmark, index)
+            for name, result in self.pintool.run(executable).items():
+                mpkis[name].append(result.mpki)
+        return mpkis
+
     def evaluate(
         self, benchmark: Benchmark, observations: ObservationSet
     ) -> PredictorEvaluation:
-        """Evaluate every candidate predictor on one benchmark."""
-        if len(observations) == 0:
-            raise ConfigurationError(f"no observations for {benchmark.name}")
-        model = PerformanceModel.from_observations(observations)
-        per_predictor_mpkis: dict[str, list[float]] = {
-            predictor.name: [] for predictor in self.pintool.predictors
-        }
-        for obs in observations:
-            executable = self.interferometer.build_executable(benchmark, obs.layout_index)
-            results = self.pintool.run(executable)
-            for name, result in results.items():
-                per_predictor_mpkis[name].append(result.mpki)
-        outcomes = []
-        for name, mpkis in per_predictor_mpkis.items():
-            mean_mpki = float(np.mean(mpkis))
-            outcomes.append(
-                PredictorOutcome(
-                    predictor=name,
-                    mean_mpki=mean_mpki,
-                    predicted_cpi=model.predict(mean_mpki),
-                )
-            )
-        cpis = observations.cpis
-        return PredictorEvaluation(
-            benchmark=benchmark.name,
-            real_mean_mpki=float(observations.mpkis.mean()),
-            real_mean_cpi=float(cpis.mean()),
-            real_cpi_confidence=mean_confidence_interval(cpis),
-            outcomes=tuple(outcomes),
-            model=model,
+        """Evaluate every candidate predictor on every layout of a campaign."""
+        indices = [obs.layout_index for obs in observations]
+        return PredictorEvaluation.from_mpkis(
+            observations, self.mpkis(benchmark, indices)
         )

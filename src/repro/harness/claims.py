@@ -21,17 +21,16 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.evaluate import PredictorEvaluator
 from repro.core.interferometer import Interferometer
 from repro.core.model import PerformanceModel
 from repro.core.observations import ObservationSet
-from repro.harness import extended, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8
-from repro.harness import headline, significance, table1
+from repro.harness import extended, fig1, fig2, fig6, fig7, fig8, result_of, table1
 from repro.harness.lab import SCALES, Laboratory, Scale
 from repro.machine.config import XeonE5440Config
 from repro.machine.counters import Counter
 from repro.machine.pmc import measure_executable
 from repro.machine.system import XeonE5440
-from repro.pintool.brsim import PinTool
 from repro.toolchain.camino import Camino
 from repro.toolchain.placement import ConflictAvoidingPlacer, hot_grouping_order
 from repro.uarch.predictors.agree import AgreePredictor
@@ -107,21 +106,18 @@ def _table_pressure(lab: Laboratory) -> dict[str, float]:
 
 def _antialiasing(lab: Laboratory) -> dict[str, float]:
     """MPKI level and layout-to-layout spread of agree and bi-mode vs the hybrid."""
-    benchmark = lab.benchmark("445.gobmk")
-    observations = lab.observations("445.gobmk")
-    tool = PinTool(
+    observations = lab.observations("445.gobmk").observations[:12]
+    evaluator = PredictorEvaluator(
+        lab.interferometer,
         [
             HybridPredictor(2048, 4096, 8, 2048, name="hybrid"),
             AgreePredictor(entries=4096, history_bits=8, name="agree"),
             BiModePredictor(entries=4096, history_bits=8, name="bimode"),
         ],
-        warmup_fraction=lab.machine.config.warmup_fraction,
     )
-    mpkis: dict[str, list[float]] = {}
-    for obs in observations.observations[: min(12, len(observations))]:
-        executable = lab.interferometer.build_executable(benchmark, obs.layout_index)
-        for name, result in tool.run(executable).items():
-            mpkis.setdefault(name, []).append(result.mpki)
+    mpkis = evaluator.mpkis(
+        lab.benchmark("445.gobmk"), [obs.layout_index for obs in observations]
+    )
     stats = {}
     for name, values in mpkis.items():
         stats[f"{name} MPKI"] = float(np.mean(values))
@@ -149,20 +145,9 @@ def _placement(lab: Laboratory) -> dict[str, float]:
     }
 
 
-#: Experiment name -> runner on a laboratory.
-EXPERIMENTS: dict[str, Callable[[Laboratory], Any]] = {
-    "fig1": fig1.run,
-    "fig2": fig2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": lambda lab: fig5.run(lab, study=result_of(lab, "fig4").study),
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "table1": table1.run,
-    "significance": significance.run,
-    "headline": headline.run,
-    "extended": extended.run,
+#: Claim-only measurements: ablations no CLI experiment reports.  They
+#: share the experiments' per-laboratory memo (:func:`measured`).
+ABLATIONS: dict[str, Callable[[Laboratory], dict[str, float]]] = {
     "heap_randomization": _heap_randomization,
     "median_of_five": _median_of_five,
     "layouts_vs_interval": _layouts_vs_interval,
@@ -172,11 +157,9 @@ EXPERIMENTS: dict[str, Callable[[Laboratory], Any]] = {
 }
 
 
-def result_of(lab: Laboratory, experiment: str) -> Any:
-    """*experiment*'s result on *lab*; each experiment runs once per lab."""
-    if experiment not in lab.results:
-        lab.results[experiment] = EXPERIMENTS[experiment](lab)
-    return lab.results[experiment]
+def measured(lab: Laboratory, name: str) -> Any:
+    """Experiment or ablation *name*'s result on *lab*, run once per lab."""
+    return result_of(lab, name, ABLATIONS.get(name))
 
 
 @dataclass(frozen=True)
@@ -199,7 +182,7 @@ class Claim:
         """``HOLDS``, ``FAILS``, or why the claim was not checked on *lab*."""
         if not self.checked_at(lab.scale):
             return f"not checked below `{self.min_scale}`"
-        return HOLDS if self.holds(result_of(lab, self.experiment)) else FAILS
+        return HOLDS if self.holds(measured(lab, self.experiment)) else FAILS
 
 
 # ---- predicates that need more than one expression --------------------

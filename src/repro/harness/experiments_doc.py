@@ -16,10 +16,9 @@ from __future__ import annotations
 import io
 import sys
 
-from repro.harness import claims
-from repro.harness.claims import result_of
+from repro.harness import claims, result_of
 from repro.harness.extended import STUDY_BENCHMARKS
-from repro.harness.lab import Laboratory, get_lab
+from repro.harness.lab import Laboratory
 
 #: Table 1 of the paper: benchmark -> (slope, intercept, low, high).
 PAPER_TABLE1 = {
@@ -68,10 +67,8 @@ def _measured(result: dict[str, float]) -> str:
     return "; ".join(f"{key} {value:.4g}" for key, value in result.items())
 
 
-#: The ablation experiments, rendered in their own section.
-ABLATIONS = (
-    "median_of_five", "layouts_vs_interval", "table_pressure", "antialiasing", "placement"
-)
+#: The ablations rendered in their own section (Fig. 3's shows the heap one).
+ABLATIONS = tuple(name for name in claims.ABLATIONS if name != "heap_randomization")
 
 
 def build_document(lab: Laboratory) -> str:
@@ -132,7 +129,7 @@ def build_document(lab: Laboratory) -> str:
           f"r^2 {panel.model.r_squared:.3f}, p {test.p_value:.1e} "
           f"({'significant' if test.rejects_null() else 'NOT significant'}) |\n")
     w(f"| L1D MPKI spread without the randomizing allocator | quiet | "
-      f"{_measured(result_of(lab, 'heap_randomization'))} |\n")
+      f"{_measured(claims.measured(lab, 'heap_randomization'))} |\n")
     w("\n" + _verdicts(lab, "fig3", "heap_randomization"))
 
     # ---- Figures 4 & 5 -------------------------------------------------
@@ -272,7 +269,7 @@ def build_document(lab: Laboratory) -> str:
     for claim in claims.claims_for("extended", *ABLATIONS):
         measured = (
             tage_ranks if claim.experiment == "extended"
-            else _measured(result_of(lab, claim.experiment))
+            else _measured(claims.measured(lab, claim.experiment))
         )
         w(f"| {claim.detail} (`{claim.name}`) | {claim.paper_ref} | {measured} | "
           f"{claim.verdict(lab)} |\n")
@@ -302,7 +299,7 @@ def build_document(lab: Laboratory) -> str:
 
 def main() -> int:
     """Write EXPERIMENTS.md to the working directory; 1 if a claim fails."""
-    lab = get_lab()
+    lab = Laboratory()
     document = build_document(lab)
     with open("EXPERIMENTS.md", "w", encoding="utf-8") as handle:
         handle.write(document)

@@ -21,10 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from repro import units
+from repro.core.evaluate import PredictorEvaluator
 from repro.core.model import PerformanceModel
-from repro.harness.lab import Laboratory, get_lab
+from repro.harness.lab import Laboratory
 from repro.harness.report import format_table
-from repro.pintool.brsim import PinTool
 from repro.uarch.predictors.agree import AgreePredictor
 from repro.uarch.predictors.base import BranchPredictor
 from repro.uarch.predictors.bimode import BiModePredictor
@@ -112,16 +112,13 @@ class ExtendedResult:
 
 
 def run(
-    lab: Laboratory | None = None,
+    lab: Laboratory,
     benchmarks: Sequence[str] = STUDY_BENCHMARKS,
     n_layouts: int | None = None,
 ) -> ExtendedResult:
-    """Run the extended study on the shared laboratory's campaigns."""
-    lab = lab if lab is not None else get_lab()
+    """Run the extended study on the laboratory's campaigns."""
     layouts = n_layouts if n_layouts is not None else min(8, lab.scale.n_layouts)
-    tool = PinTool(
-        study_predictors(), warmup_fraction=lab.machine.config.warmup_fraction
-    )
+    evaluator = PredictorEvaluator(lab.interferometer, study_predictors())
     rows: list[ExtendedRow] = []
     real_mpki: dict[str, float] = {}
     real_std: dict[str, float] = {}
@@ -130,14 +127,10 @@ def run(
         model = PerformanceModel.from_observations(observations)
         real_mpki[name] = float(observations.mpkis.mean())
         real_std[name] = float(observations.mpkis.std())
-        benchmark = lab.benchmark(name)
-        per_predictor: dict[str, list[float]] = {}
-        for obs in observations.observations[:layouts]:
-            executable = lab.interferometer.build_executable(
-                benchmark, obs.layout_index
-            )
-            for pred_name, result in tool.run(executable).items():
-                per_predictor.setdefault(pred_name, []).append(result.mpki)
+        per_predictor = evaluator.mpkis(
+            lab.benchmark(name),
+            [obs.layout_index for obs in observations.observations[:layouts]],
+        )
         for pred_name, mpkis in per_predictor.items():
             mean_mpki = float(np.mean(mpkis))
             prediction = model.predict(mean_mpki)

@@ -9,9 +9,10 @@ renders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 from repro.stats.descriptive import ViolinProfile, violin_profile
 
 
@@ -57,9 +58,8 @@ class Fig1Result:
         )
 
 
-def run(lab: Laboratory | None = None) -> Fig1Result:
+def run(lab: Laboratory) -> Fig1Result:
     """Regenerate Figure 1's data."""
-    lab = lab if lab is not None else get_lab()
     rows = []
     for name in lab.suite:
         observations = lab.observations(name)
@@ -77,3 +77,19 @@ def run(lab: Laboratory | None = None) -> Fig1Result:
             )
         )
     return Fig1Result(rows=tuple(rows))
+
+
+def export(result: Fig1Result, directory: Path) -> list[Path]:
+    """Violin KDE profiles, long format."""
+    rows = [
+        (row.benchmark, float(grid_value), float(density))
+        for row in result.rows
+        for grid_value, density in zip(row.profile.grid, row.profile.density)
+    ]
+    return [
+        write_csv(
+            directory / "fig1_violins.csv",
+            ["benchmark", "percent_deviation", "density"],
+            rows,
+        )
+    ]

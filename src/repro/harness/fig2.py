@@ -8,12 +8,13 @@ prediction bands evaluated over the observed MPKI range and at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.model import PerformanceModel
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 from repro.workloads.params import FIGURE2_BENCHMARKS
 
 
@@ -60,15 +61,22 @@ class Fig2Result:
         return f"Figure 2: performance vs branch prediction accuracy\n{body}"
 
 
-def run(lab: Laboratory | None = None, grid_points: int = 7) -> Fig2Result:
+#: Band points a panel prints; the exported CSV band is finer.
+RENDER_POINTS = 7
+EXPORT_POINTS = 40
+
+
+def _grid(model: PerformanceModel, points: int) -> np.ndarray:
+    """*points* MPKI values from 0 to just past the largest observed."""
+    return np.linspace(0.0, float(model.x_values.max()) * 1.05, points)
+
+
+def run(lab: Laboratory) -> Fig2Result:
     """Regenerate Figure 2's data."""
-    lab = lab if lab is not None else get_lab()
     panels = []
     for name in FIGURE2_BENCHMARKS:
         model = lab.model(name)
-        lo = 0.0
-        hi = float(model.x_values.max()) * 1.05
-        grid = np.linspace(lo, hi, grid_points)
+        grid = _grid(model, RENDER_POINTS)
         line, ci_low, ci_high, pi_low, pi_high = model.band(grid)
         panels.append(
             Fig2Panel(
@@ -83,3 +91,26 @@ def run(lab: Laboratory | None = None, grid_points: int = 7) -> Fig2Result:
             )
         )
     return Fig2Result(panels=tuple(panels))
+
+
+def export(result: Fig2Result, directory: Path) -> list[Path]:
+    """Scatter points and a 40-point regression band, one file pair per panel."""
+    paths = []
+    for panel in result.panels:
+        slug = panel.benchmark.replace(".", "_")
+        grid = _grid(panel.model, EXPORT_POINTS)
+        paths.append(
+            write_csv(
+                directory / f"fig2_{slug}_points.csv",
+                ["mpki", "cpi"],
+                zip(panel.model.x_values, panel.model.y_values),
+            )
+        )
+        paths.append(
+            write_csv(
+                directory / f"fig2_{slug}_band.csv",
+                ["mpki", "line", "ci_low", "ci_high", "pi_low", "pi_high"],
+                zip(grid, *panel.model.band(grid)),
+            )
+        )
+    return paths

@@ -8,12 +8,13 @@ instructions, with CI/PI bands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.model import PerformanceModel
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 from repro.workloads.params import CACHE_STUDY_BENCHMARK
 
 
@@ -59,9 +60,8 @@ class Fig3Result:
         )
 
 
-def run(lab: Laboratory | None = None) -> Fig3Result:
+def run(lab: Laboratory) -> Fig3Result:
     """Regenerate Figure 3's data."""
-    lab = lab if lab is not None else get_lab()
     observations = lab.heap_observations(CACHE_STUDY_BENCHMARK)
     l1_model = PerformanceModel.from_observations(observations, x_metric="l1d_mpki")
     l2_model = PerformanceModel.from_observations(observations, x_metric="l2_mpki")
@@ -70,3 +70,15 @@ def run(lab: Laboratory | None = None) -> Fig3Result:
         l1_panel=Fig3Panel(CACHE_STUDY_BENCHMARK, "a: L1 data cache", l1_model),
         l2_panel=Fig3Panel(CACHE_STUDY_BENCHMARK, "b: L2 cache", l2_model),
     )
+
+
+def export(result: Fig3Result, directory: Path) -> list[Path]:
+    """Cache-model scatter, both levels, long format."""
+    rows = [
+        (level, float(x), float(y))
+        for level, panel in (("L1D", result.l1_panel), ("L2", result.l2_panel))
+        for x, y in zip(panel.model.x_values, panel.model.y_values)
+    ]
+    return [
+        write_csv(directory / "fig3_cache_points.csv", ["level", "miss_mpki", "cpi"], rows)
+    ]

@@ -8,9 +8,10 @@ Per benchmark, sorted lowest to highest: the percent error of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 from repro.mase.linearity import LinearityStudy, LinearityStudyResult
 
 
@@ -44,10 +45,25 @@ class Fig4Result:
         )
 
 
-def run(lab: Laboratory | None = None) -> Fig4Result:
+def run(lab: Laboratory) -> Fig4Result:
     """Regenerate Figure 4's data."""
-    lab = lab if lab is not None else get_lab()
     study = LinearityStudy(
         trace_events=lab.scale.mase_trace_events, n_configs=lab.scale.mase_configs
     )
     return Fig4Result(study=study.run(list(lab.mase_suite.values())))
+
+
+def export(result: Fig4Result, directory: Path) -> list[Path]:
+    """Linearity-study errors, lowest to highest."""
+    return [
+        write_csv(
+            directory / "fig4_errors.csv",
+            ["benchmark", "perfect_cpi", "perfect_estimate", "perfect_error_pct",
+             "ltage_error_pct"],
+            [
+                (b.benchmark, b.perfect_cpi, b.perfect_estimate,
+                 b.perfect_error_percent, b.ltage_error_percent)
+                for b in result.study.sorted_by_perfect_error()
+            ],
+        )
+    ]

@@ -10,10 +10,12 @@ distance from 1 *is* the extrapolation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from repro.harness.fig4 import run as run_fig4
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+import numpy as np
+
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 from repro.mase.linearity import BenchmarkLinearity, LinearityStudyResult
 from repro.stats.regression import fit_simple
 from repro.workloads.params import FIGURE5_LINEAR, FIGURE5_NONLINEAR
@@ -27,9 +29,9 @@ class Fig5Line:
     slope: float
     intercept: float
     error_at_zero_percent: float
-    n_points: int
-    mpki_min: float
-    mpki_max: float
+    #: The (MPKI, normalized CPI) points the line is fit to.
+    mpkis: np.ndarray
+    normalized_cpis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class Fig5Result:
                         l.slope,
                         l.intercept,
                         l.error_at_zero_percent,
-                        l.n_points,
-                        f"{l.mpki_min:.1f}..{l.mpki_max:.1f}",
+                        l.mpkis.size,
+                        f"{l.mpkis.min():.1f}..{l.mpkis.max():.1f}",
                     )
                     for l in lines
                 ],
@@ -74,20 +76,39 @@ def _line(bench: BenchmarkLinearity) -> Fig5Line:
         slope=fit.slope,
         intercept=fit.intercept,
         error_at_zero_percent=abs(fit.intercept - 1.0) * 100.0,
-        n_points=int(mpkis.size),
-        mpki_min=float(mpkis.min()),
-        mpki_max=float(mpkis.max()),
+        mpkis=mpkis,
+        normalized_cpis=normalized,
     )
 
 
-def run(
-    lab: Laboratory | None = None, study: LinearityStudyResult | None = None
-) -> Fig5Result:
-    """Regenerate Figure 5's data (reusing a Fig. 4 study if given)."""
-    lab = lab if lab is not None else get_lab()
-    if study is None:
-        study = run_fig4(lab).study
+def from_study(study: LinearityStudyResult) -> Fig5Result:
+    """Both panels' lines, fit to a linearity study's points."""
     return Fig5Result(
         linear=tuple(_line(study.result_for(name)) for name in FIGURE5_LINEAR),
         nonlinear=tuple(_line(study.result_for(name)) for name in FIGURE5_NONLINEAR),
     )
+
+
+def run(lab: Laboratory) -> Fig5Result:
+    """Regenerate Figure 5's data from Figure 4's stored linearity study."""
+    # Imported here: the harness package imports this module for its table.
+    from repro.harness import result_of
+
+    return from_study(result_of(lab, "fig4").study)
+
+
+def export(result: Fig5Result, directory: Path) -> list[Path]:
+    """Every panel's normalized points, long format."""
+    rows = [
+        (group, line.benchmark, float(x), float(y))
+        for group, lines in (("linear", result.linear), ("nonlinear", result.nonlinear))
+        for line in lines
+        for x, y in zip(line.mpkis, line.normalized_cpis)
+    ]
+    return [
+        write_csv(
+            directory / "fig5_points.csv",
+            ["panel", "benchmark", "mpki", "normalized_cpi"],
+            rows,
+        )
+    ]

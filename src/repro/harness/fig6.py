@@ -9,12 +9,13 @@ independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.blame import BlameAnalysis, BlameReport
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,29 @@ class Fig6Result:
         )
 
 
-def run(lab: Laboratory | None = None) -> Fig6Result:
+def run(lab: Laboratory) -> Fig6Result:
     """Regenerate Figure 6's data."""
-    lab = lab if lab is not None else get_lab()
     analysis = BlameAnalysis()
     reports = tuple(analysis.analyze(lab.observations(name)) for name in lab.suite)
     return Fig6Result(reports=reports)
+
+
+def export(result: Fig6Result, directory: Path) -> list[Path]:
+    """Per-benchmark r² decomposition."""
+    rows = [
+        (
+            report.benchmark,
+            report.per_event["mpki"].r_squared,
+            report.per_event["l1i_mpki"].r_squared,
+            report.per_event["l2_mpki"].r_squared,
+            report.combined_r_squared,
+        )
+        for report in result.reports
+    ]
+    return [
+        write_csv(
+            directory / "fig6_blame.csv",
+            ["benchmark", "r2_branch", "r2_l1i", "r2_l2", "r2_combined"],
+            rows,
+        )
+    ]

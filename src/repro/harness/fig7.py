@@ -9,12 +9,13 @@ counter measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.evaluate import PredictorEvaluation
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 
 #: Predictor column order for Figures 7 and 8.
 PREDICTOR_ORDER = ("GAs-2KB", "GAs-4KB", "GAs-8KB", "GAs-16KB", "L-TAGE")
@@ -65,10 +66,22 @@ class Fig7Result:
         )
 
 
-def run(lab: Laboratory | None = None) -> Fig7Result:
+def run(lab: Laboratory) -> Fig7Result:
     """Regenerate Figure 7's data."""
-    lab = lab if lab is not None else get_lab()
     evaluations = tuple(
         lab.evaluation(name) for name in lab.significant_benchmarks()
     )
     return Fig7Result(evaluations=evaluations)
+
+
+def export(result: Fig7Result, directory: Path) -> list[Path]:
+    """Every predictor's MPKI per benchmark, long format."""
+    rows = []
+    for evaluation in result.evaluations:
+        rows.append((evaluation.benchmark, "real", evaluation.real_mean_mpki))
+        for name in PREDICTOR_ORDER:
+            rows.append(
+                (evaluation.benchmark, name, evaluation.by_predictor[name].mean_mpki)
+            )
+        rows.append((evaluation.benchmark, "perfect", 0.0))
+    return [write_csv(directory / "fig7_mpki.csv", ["benchmark", "predictor", "mpki"], rows)]

@@ -10,13 +10,14 @@ and §7.2.2 headline aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.evaluate import PredictorEvaluation
 from repro.harness.fig7 import PREDICTOR_ORDER
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,33 @@ class Fig8Result:
         )
 
 
-def run(lab: Laboratory | None = None) -> Fig8Result:
+def run(lab: Laboratory) -> Fig8Result:
     """Regenerate Figure 8's data."""
-    lab = lab if lab is not None else get_lab()
     evaluations = tuple(lab.evaluation(name) for name in lab.significant_benchmarks())
     return Fig8Result(evaluations=evaluations)
+
+
+def export(result: Fig8Result, directory: Path) -> list[Path]:
+    """Every predictor's CPI per benchmark with its interval (real: CI)."""
+    rows = []
+    for evaluation in result.evaluations:
+        ci = evaluation.real_cpi_confidence
+        rows.append(
+            (evaluation.benchmark, "real", evaluation.real_mean_cpi, ci.low, ci.high)
+        )
+        for name in PREDICTOR_ORDER:
+            predicted = evaluation.by_predictor[name].predicted_cpi
+            pi = predicted.prediction
+            rows.append((evaluation.benchmark, name, predicted.mean, pi.low, pi.high))
+        perfect = evaluation.model.perfect_event_prediction()
+        rows.append(
+            (
+                evaluation.benchmark, "perfect", perfect.mean,
+                perfect.prediction.low, perfect.prediction.high,
+            )
+        )
+    return [
+        write_csv(
+            directory / "fig8_cpi.csv", ["benchmark", "predictor", "cpi", "low", "high"], rows
+        )
+    ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro import units
 from repro.core.model import PerformanceModel
-from repro.harness.lab import Laboratory, get_lab
+from repro.harness.lab import Laboratory
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ class HeadlineResult:
         )
 
 
-def run(lab: Laboratory | None = None, benchmark: str = "400.perlbench") -> HeadlineResult:
+def run(lab: Laboratory, benchmark: str = "400.perlbench") -> HeadlineResult:
     """Compute the §1.4 predictions."""
-    lab = lab if lab is not None else get_lab()
     model = lab.model(benchmark)
     mean_cpi = float(model.y_values.mean())
     mean_mpki = float(model.x_values.mean())

@@ -219,8 +219,9 @@ class Laboratory:
         self._memory_lock = threading.Lock()
         self._evaluations: dict[str, PredictorEvaluation] = {}
         self._significant: list[str] | None = None
-        #: Experiment results by name, memoized by repro.harness.claims
-        #: so that each experiment runs once per laboratory.
+        #: Experiment results by name, stored by
+        #: :func:`repro.harness.result_of`: each experiment runs at most
+        #: once per laboratory.
         self.results: dict[str, Any] = {}
 
     def benchmark(self, name: str) -> Benchmark:
@@ -414,52 +415,20 @@ class Laboratory:
         is evaluated on the first ``ltage_layouts`` reorderings while
         the cheaper predictors use the full campaign (documented
         scale-reduction; at ``paper`` scale everything uses all 100).
+        Every predictor's CPI is predicted by the full campaign's model.
         """
         cached = self._evaluations.get(name)
         if cached is not None:
             return cached
         observations = self.observations(name)
         benchmark = self.benchmark(name)
-        fast = PredictorEvaluator(self.interferometer, gas_hybrid_family())
-        evaluation = fast.evaluate(benchmark, observations)
-        # L-TAGE on a layout subset.
-        subset = ObservationSet(benchmark=name)
-        subset.extend(observations.observations[: self.scale.ltage_layouts])
-        slow = PredictorEvaluator(self.interferometer, [LTagePredictor()])
-        ltage_eval = slow.evaluate(benchmark, subset)
-        ltage_outcome = ltage_eval.outcomes[0]
-        # Re-predict CPI with the *full* model for consistency.
-        merged = PredictorEvaluation(
-            benchmark=evaluation.benchmark,
-            real_mean_mpki=evaluation.real_mean_mpki,
-            real_mean_cpi=evaluation.real_mean_cpi,
-            real_cpi_confidence=evaluation.real_cpi_confidence,
-            outcomes=evaluation.outcomes
-            + (
-                type(ltage_outcome)(
-                    predictor=ltage_outcome.predictor,
-                    mean_mpki=ltage_outcome.mean_mpki,
-                    predicted_cpi=evaluation.model.predict(ltage_outcome.mean_mpki),
-                ),
-            ),
-            model=evaluation.model,
+        layouts = [obs.layout_index for obs in observations]
+        mpkis = PredictorEvaluator(self.interferometer, gas_hybrid_family()).mpkis(
+            benchmark, layouts
         )
-        self._evaluations[name] = merged
-        return merged
-
-
-_GLOBAL_LAB: Laboratory | None = None
-
-
-def get_lab() -> Laboratory:
-    """The process-wide laboratory (created on first use)."""
-    global _GLOBAL_LAB
-    if _GLOBAL_LAB is None:
-        _GLOBAL_LAB = Laboratory()
-    return _GLOBAL_LAB
-
-
-def reset_lab() -> None:
-    """Drop the process-wide laboratory and its caches."""
-    global _GLOBAL_LAB
-    _GLOBAL_LAB = None
+        mpkis |= PredictorEvaluator(self.interferometer, [LTagePredictor()]).mpkis(
+            benchmark, layouts[: self.scale.ltage_layouts]
+        )
+        evaluation = PredictorEvaluation.from_mpkis(observations, mpkis)
+        self._evaluations[name] = evaluation
+        return evaluation

@@ -1,8 +1,10 @@
-"""Plain-text table rendering for harness output."""
+"""Harness output: plain-text tables and the CSV files ``--export`` writes."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import csv
+from pathlib import Path
+from typing import Iterable, Sequence
 
 
 def format_cell(value: object, precision: int = 3) -> str:
@@ -35,3 +37,12 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
+    """Write *rows* under *header* as one CSV file; returns *path*."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ModelError
-from repro.harness.lab import Laboratory, get_lab
+from repro.harness.lab import Laboratory
 from repro.harness.report import format_table
 
 
@@ -64,9 +64,8 @@ class SignificanceResult:
         )
 
 
-def run(lab: Laboratory | None = None) -> SignificanceResult:
+def run(lab: Laboratory) -> SignificanceResult:
     """Run the significance screen over the full suite."""
-    lab = lab if lab is not None else get_lab()
     rows = []
     for name, benchmark in lab.suite.items():
         try:

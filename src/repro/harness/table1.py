@@ -8,11 +8,12 @@ MPKI, for every benchmark that passed the significance screen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro import units
 from repro.errors import UnknownBenchmarkError
-from repro.harness.lab import Laboratory, get_lab
-from repro.harness.report import format_table
+from repro.harness.lab import Laboratory
+from repro.harness.report import format_table, write_csv
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,8 @@ class Table1Result:
         )
 
 
-def run(lab: Laboratory | None = None) -> Table1Result:
+def run(lab: Laboratory) -> Table1Result:
     """Regenerate Table 1."""
-    lab = lab if lab is not None else get_lab()
     rows = []
     for name in lab.significant_benchmarks():
         model = lab.model(name)
@@ -83,3 +83,17 @@ def run(lab: Laboratory | None = None) -> Table1Result:
             )
         )
     return Table1Result(rows=tuple(rows))
+
+
+def export(result: Table1Result, directory: Path) -> list[Path]:
+    """Table 1 rows."""
+    return [
+        write_csv(
+            directory / "table1.csv",
+            ["benchmark", "slope", "intercept", "low", "high", "r_squared", "p_value"],
+            [
+                (r.benchmark, r.slope, r.intercept, r.low, r.high, r.r_squared, r.p_value)
+                for r in result.rows
+            ],
+        )
+    ]

@@ -6,13 +6,13 @@ import csv
 
 import pytest
 
-from repro.harness.export import export_all
+from repro.harness import EXPERIMENT_TABLE, export_csv
 
 
 @pytest.fixture(scope="module")
 def exported(lab, tmp_path_factory):
     directory = tmp_path_factory.mktemp("export")
-    paths = export_all(lab, directory)
+    paths = export_csv(lab, list(EXPERIMENT_TABLE), directory)
     return directory, paths
 
 
@@ -52,6 +52,7 @@ class TestExport:
     def test_fig2_band_ordering(self, exported):
         directory, _ = exported
         rows = _read(directory / "fig2_400_perlbench_band.csv")
+        assert len(rows) - 1 == 40
         for row in rows[1:]:
             _, line, ci_low, ci_high, pi_low, pi_high = map(float, row)
             assert pi_low <= ci_low <= line <= ci_high <= pi_high

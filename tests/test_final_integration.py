@@ -36,17 +36,44 @@ class TestIndirectTraceRoundTrip:
 
 class TestCliMulti:
     def test_multiple_experiments_one_lab(self, capsys, monkeypatch):
-        from repro.harness import lab as lab_module
-
         monkeypatch.setenv("REPRO_SCALE", "ci")
-        lab_module.reset_lab()
-        try:
-            assert main(["headline", "table1"]) == 0
-            out = capsys.readouterr().out
-            assert "=== headline" in out
-            assert "=== table1" in out
-        finally:
-            lab_module.reset_lab()
+        assert main(["headline", "table1"]) == 0
+        out = capsys.readouterr().out
+        assert "=== headline" in out
+        assert "=== table1" in out
+
+    def test_each_run_reads_its_own_scale(self, capsys, monkeypatch):
+        """Every call builds its own laboratory from its flags and env."""
+        for scale in ("ci", "small"):
+            monkeypatch.setenv("REPRO_SCALE", scale)
+            assert main(["headline"]) == 0
+            assert f"scale: {scale} (" in capsys.readouterr().out
+
+    def test_clean_run_after_a_failed_one_succeeds(self, capsys, monkeypatch):
+        """A failed run's failure report does not outlive its run."""
+        monkeypatch.setenv("REPRO_SCALE", "ci")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        assert main(["headline", "--fault-plan", "seed=1,garbled_read=1.0"]) == 1
+        capsys.readouterr()
+        assert main(["headline"]) == 0
+
+    def test_no_experiment_runs_twice(self, capsys, monkeypatch, tmp_path):
+        """Fig. 5 and --export reuse Fig. 4's stored linearity study."""
+        from repro.mase.linearity import LinearityStudy
+
+        calls = []
+        original = LinearityStudy.run
+
+        def counted(study, *args, **kwargs):
+            calls.append(study)
+            return original(study, *args, **kwargs)
+
+        monkeypatch.setattr(LinearityStudy, "run", counted)
+        out_dir = tmp_path / "out"
+        assert main(["--scale", "ci", "fig4", "fig5", "--export", str(out_dir)]) == 0
+        assert len(calls) == 1
+        assert (out_dir / "fig4_errors.csv").exists()
+        assert (out_dir / "fig5_points.csv").exists()
 
 
 class TestEndToEndNormality:

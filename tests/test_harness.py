@@ -120,7 +120,7 @@ class TestFigures:
                 "456.hmmer", "252.eon", "178.galgel",
             )]
         )
-        result = fig5.run(lab, study=study)
+        result = fig5.from_study(study)
         assert len(result.linear) == 3
         assert len(result.nonlinear) == 3
         assert "Figure 5" in result.render()
@@ -185,11 +185,6 @@ class TestCli:
             "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
             "table1", "significance", "headline", "extended",
         }
-
-    def test_every_experiment_has_campaign_metadata(self):
-        from repro.cli import EXPERIMENT_CAMPAIGNS
-
-        assert set(EXPERIMENT_CAMPAIGNS) == set(EXPERIMENTS)
 
     def test_unknown_experiment(self, capsys):
         assert main(["not-a-fig"]) == 2
