@@ -60,8 +60,6 @@ __all__ = [
     "GskewPredictor",
     "HybridPredictor",
     "Interferometer",
-    "JournalEntry",
-    "JournalState",
     "LTagePredictor",
     "LinearityStudy",
     "MaseSimulator",
@@ -77,7 +75,6 @@ __all__ = [
     "SequentialAllocator",
     "ShutdownRequested",
     "SuiteExecutionError",
-    "SuiteJournal",
     "TagePredictor",
     "TransientError",
     "XeonE5440",
@@ -123,9 +120,6 @@ _EXPORTS: dict[str, tuple[str, str | None]] = {
     "FailureReport": ("repro.faults", "FailureReport"),
     "FaultPlan": ("repro.faults", "FaultPlan"),
     "RetryPolicy": ("repro.faults", "RetryPolicy"),
-    "JournalEntry": ("repro.journal", "JournalEntry"),
-    "JournalState": ("repro.journal", "JournalState"),
-    "SuiteJournal": ("repro.journal", "SuiteJournal"),
     "DieHardAllocator": ("repro.heap", "DieHardAllocator"),
     "SequentialAllocator": ("repro.heap", "SequentialAllocator"),
     "XeonE5440": ("repro.machine", "XeonE5440"),

@@ -66,9 +66,10 @@ exit codes:
      whenever anything had to be retried)
   1  partial failure — some campaigns or experiments failed after
      exhausting their retry budget, or a graceful shutdown
-     (SIGINT/SIGTERM) drained the run early; completed campaigns are
-     kept and journaled, and '--resume' measures exactly the missing
-     slices (a second signal aborts the drain immediately)
+     (SIGINT/SIGTERM) drained the run early; with --cache-dir the
+     completed campaigns are kept in the store, and rerunning with the
+     same --cache-dir measures only the missing ones (a second signal
+     aborts the drain immediately)
   2  configuration or usage error (unknown experiment, bad flag value,
      invalid fault plan, ...)
 """
@@ -123,10 +124,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--max-retries",
         type=int,
-        default=None,
+        default=faults.DEFAULT_MAX_RETRIES,
         metavar="N",
         help="retry budget per campaign on transient failures "
-        "(default: $REPRO_MAX_RETRIES or 2); retried measurements are "
+        "(default: %(default)s); retried measurements are "
         "bit-identical because each is a pure function of its key",
     )
     parser.add_argument(
@@ -143,12 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-campaign execution deadline: a campaign (pool worker or "
         "serial alike) that exceeds it is killed, recorded as timed out, "
         "and re-run under the retry budget — bit-identical on recovery",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the suite journal in --cache-dir from an interrupted "
-        "run and measure only the missing campaign slices",
     )
     parser.add_argument(
         "--fault-plan",
@@ -195,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers < 0:
         print(f"error: --workers must be >= 0, got {args.workers}", file=sys.stderr)
         return EXIT_USAGE
-    if args.max_retries is not None and args.max_retries < 0:
+    if args.max_retries < 0:
         print(
             f"error: --max-retries must be >= 0, got {args.max_retries}",
             file=sys.stderr,
@@ -217,13 +212,6 @@ def main(argv: list[str] | None = None) -> int:
         plan_installed = True
 
     cache_dir = None if args.no_cache else args.cache_dir
-    if args.resume and cache_dir is None:
-        print(
-            "error: --resume requires --cache-dir (or $REPRO_CACHE_DIR): "
-            "the suite journal and campaign store live there",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
         with ShutdownHandler() as shutdown:
             lab = Laboratory(
@@ -233,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
                 max_retries=args.max_retries,
                 fail_fast=args.fail_fast,
                 deadline_seconds=args.deadline,
-                resume=args.resume,
                 shutdown=shutdown,
             )
             return _run(lab, names, args, shutdown)
@@ -268,11 +255,6 @@ def _run(
           f"{lab.scale.trace_events} trace events)")
     if lab.store is not None:
         print(f"campaign store: {lab.store.root}")
-    if lab.resumed is not None:
-        print(f"resuming: {lab.resumed.summary()}")
-        for benchmark, heap in lab.resumed.interrupted_campaigns:
-            kind = " (heap)" if heap else ""
-            print(f"  interrupted mid-slice: {benchmark}{kind}")
 
     if args.workers > 0:
         code_names, heap_names = _campaigns_needed(names)
@@ -307,10 +289,15 @@ def _run(
         print("\n" + lab.failure_report.render())
 
     if shutdown is not None and shutdown.requested:
+        kept = (
+            "nothing was persisted (no campaign store)"
+            if lab.store is None
+            else "completed campaigns are in the campaign store; rerun "
+            "with the same --cache-dir to measure only the missing ones"
+        )
         print(
             f"\ngraceful shutdown ({shutdown.signal_name}): in-flight "
-            "campaigns drained and journaled; rerun with --resume to "
-            "measure exactly the missing slices",
+            f"campaigns drained; {kept}",
             file=sys.stderr,
         )
         return EXIT_PARTIAL

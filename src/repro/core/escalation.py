@@ -43,8 +43,24 @@ def _resume_campaign(
     stored = store.load(key)
     if stored is not None:
         observations.extend(stored.observations[:max_samples])
-        store.stats.record_hit(len(observations))
     return observations, store.sink(key)
+
+
+def _record_store_use(
+    store: "CampaignStore | None", loaded: int, observations: ObservationSet
+) -> None:
+    """Account one escalation against the store's statistics.
+
+    A campaign served entirely from the stored prefix is a hit; one
+    that had to measure more is a single miss (partial reuse counted).
+    """
+    if store is None:
+        return
+    measured = len(observations) - loaded
+    if measured == 0:
+        store.stats.record_hit(loaded)
+    else:
+        store.stats.record_miss(loaded=loaded, measured=measured)
 
 
 @dataclass(frozen=True)
@@ -115,6 +131,7 @@ class SampleEscalation:
         observations, sink = _resume_campaign(
             self.interferometer, benchmark, self.store, self.max_samples
         )
+        loaded = len(observations)
         p_values: list[float] = []
         significant = False
         if len(observations) >= 3:
@@ -126,6 +143,7 @@ class SampleEscalation:
             self.interferometer.extend(benchmark, observations, n_more, sink=sink)
             p_value, significant = self._test_round(observations)
             p_values.append(p_value)
+        _record_store_use(self.store, loaded, observations)
         return EscalationResult(
             benchmark=benchmark.name,
             observations=observations,
@@ -189,6 +207,7 @@ class PrecisionEscalation:
         observations, sink = _resume_campaign(
             self.interferometer, benchmark, self.store, self.max_samples
         )
+        loaded = len(observations)
         half_widths: list[float] = []
         achieved = False
         if len(observations) >= 3:
@@ -202,6 +221,7 @@ class PrecisionEscalation:
             half_widths.append(percent)
             if percent <= self.target_percent_half_width:
                 achieved = True
+        _record_store_use(self.store, loaded, observations)
         return PrecisionResult(
             benchmark=benchmark.name,
             observations=observations,

@@ -44,7 +44,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.faults import FailureReport, FaultPlan, RetryPolicy
-from repro.journal import SuiteJournal
 from repro.machine.config import XeonE5440Config
 from repro.machine.system import XeonE5440
 from repro.rng import derive_seed
@@ -182,14 +181,10 @@ class MachinePark:
         randomize_heap: bool = False,
         workers: int = 0,
         start_indices: Mapping[str, int] | None = None,
-        max_retries: int | None = None,
         retry_policy: RetryPolicy | None = None,
         report: FailureReport | None = None,
         fail_fast: bool = False,
-        deadline_seconds: float | None = None,
-        journal: SuiteJournal | None = None,
         shutdown: ShutdownHandler | None = None,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         sink: SliceSink | None = None,
     ) -> Mapping[str, ObservationSet]:
         """Run full campaigns for several benchmarks across the park.
@@ -207,11 +202,12 @@ class MachinePark:
         ``[start, n_layouts)`` only, so callers resuming from a
         persisted prefix get exactly the missing suffix back.
 
-        Fault tolerance: each campaign is retried up to the policy's
-        ``max_retries`` on transient failures (exponential backoff); a
-        campaign whose pool worker crashes or dies is re-run serially
-        in this process (graceful degradation, parallel → serial)
-        instead of aborting the suite.  Because a retry re-runs the
+        Fault tolerance: each campaign is retried up to *retry_policy*'s
+        ``max_retries`` (``RetryPolicy()`` when none is passed) on
+        transient failures (exponential backoff); a campaign whose pool
+        worker crashes or dies is re-run serially in this process
+        (graceful degradation, parallel → serial) instead of aborting
+        the suite.  Because a retry re-runs the
         same pure function of (seed, benchmark, layout index), every
         recovered campaign is bit-identical to a fault-free run.
         Incidents are recorded in *report* when one is passed (failed
@@ -224,8 +220,8 @@ class MachinePark:
 
         Supervision:
 
-        * ``deadline_seconds`` (default: the policy's) bounds each
-          campaign execution.  A pool worker that exceeds it is killed
+        * The policy's ``deadline_seconds`` bounds each campaign
+          execution.  A pool worker that exceeds it is killed
           (``future.result(timeout=...)``); serially the campaign runs
           under a monotonic-clock watchdog.  Either way the expiry is
           recorded as a ``timed_out`` incident and the campaign re-runs
@@ -233,33 +229,18 @@ class MachinePark:
           Injected hangs fire in either mode.
         * Pool failures (broken pool, deadline expiry, worker crash)
           feed a :class:`~repro.core.supervise.CircuitBreaker`; after
-          ``breaker_threshold`` consecutive failures the suite stops
-          re-creating pools and the remainder degrades to supervised
-          serial execution, recorded via
+          ``DEFAULT_BREAKER_THRESHOLD`` consecutive failures the suite
+          stops re-creating pools and the remainder degrades to
+          supervised serial execution, recorded via
           :meth:`~repro.faults.FailureReport.trip_breaker`.
         * ``sink`` receives each campaign's measured slice as soon as
           it completes (the laboratory persists it there).
-        * ``journal`` receives a ``begin`` entry before each slice and
-          a ``commit`` once the sink has returned, so a slice is never
-          journaled as durable before its caller stored it and an
-          interrupted suite can be resumed.  ``shutdown`` is polled
-          between campaigns: once a drain is requested, in-flight work
-          completes and nothing new starts (the missing campaigns are
-          simply absent from the result).
+        * ``shutdown`` is polled between campaigns: once a drain is
+          requested, in-flight work completes and nothing new starts
+          (the missing campaigns are simply absent from the result).
         """
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.from_env(max_retries)
-        )
-        if deadline_seconds is None:
-            deadline_seconds = policy.deadline_seconds
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ConfigurationError(
-                f"deadline_seconds must be > 0, got {deadline_seconds}"
-            )
         names = [b if isinstance(b, str) else b.name for b in benchmarks]
         counts = collections.Counter(names)
         duplicates = sorted(name for name, count in counts.items() if count > 1)
@@ -292,16 +273,14 @@ class MachinePark:
             if n_layouts - starts.get(name, 0) > 0
         ]
         run = _SuiteRun(
-            policy=policy,
+            policy=retry_policy if retry_policy is not None else RetryPolicy(),
             report=report if report is not None else FailureReport(),
             fail_fast=fail_fast,
-            deadline_seconds=deadline_seconds,
-            journal=journal,
             sink=sink,
         )
         pending = specs
         if workers > 0:
-            breaker = CircuitBreaker(breaker_threshold)
+            breaker = CircuitBreaker(DEFAULT_BREAKER_THRESHOLD)
             while (
                 pending
                 and not breaker.tripped
@@ -315,7 +294,6 @@ class MachinePark:
             # supervised execution in this process.
             if shutdown is not None and shutdown.requested:
                 break  # draining: nothing new starts
-            run.begin(spec)
             run.run_serially(spec)
         results: dict[str, ObservationSet] = {}
         for spec in specs:
@@ -349,48 +327,25 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 class _SuiteRun:
     """The supervision state of one :meth:`MachinePark.observe_suite` call.
 
-    Every campaign of the suite, pooled or serial, goes through the same
-    three steps: :meth:`begin` journals the slice, a measurement runs,
-    and :meth:`finish` hands the slice to the caller's sink and only
-    then journals it as committed.
+    Every campaign of the suite, pooled or serial, ends in
+    :meth:`finish`, which hands the measured slice to the caller's sink
+    before collecting it.
     """
 
     policy: RetryPolicy
     report: FailureReport
     fail_fast: bool
-    deadline_seconds: float | None
-    journal: SuiteJournal | None
     sink: SliceSink | None
     collected: dict[str, list[Observation]] = field(default_factory=dict)
 
-    def begin(self, spec: _CampaignSpec) -> None:
-        """Journal that *spec*'s slice is about to be measured."""
-        if self.journal is not None:
-            self.journal.record_begin(
-                spec.benchmark_name,
-                spec.randomize_heap,
-                spec.start_index,
-                spec.start_index + spec.n_layouts,
-            )
-
     def finish(self, spec: _CampaignSpec, observations: list[Observation]) -> None:
-        """Sink one measured slice, then journal it as committed.
-
-        The commit follows the sink on every path, so a slice the caller
-        failed to persist is never journaled as durable.
-        """
+        """Sink one measured slice, then collect it."""
         if self.sink is not None:
             self.sink(spec.benchmark_name, observations)
         self.collected[spec.benchmark_name] = observations
-        if self.journal is not None:
-            self.journal.record_commit(
-                spec.benchmark_name,
-                spec.randomize_heap,
-                spec.start_index + spec.n_layouts,
-            )
 
     def run_serially(self, spec: _CampaignSpec) -> None:
-        """Run one begun campaign in this process under the retry budget.
+        """Run one campaign in this process under the retry budget.
 
         With a deadline, each execution runs under the
         :func:`~repro.core.supervise.run_with_deadline` watchdog; an
@@ -408,7 +363,7 @@ class _SuiteRun:
             try:
                 observations = run_with_deadline(
                     lambda: _run_campaign(spec),
-                    self.deadline_seconds,
+                    self.policy.deadline_seconds,
                     describe=name,
                 )
                 break
@@ -428,9 +383,7 @@ class _SuiteRun:
                     if self.fail_fast:
                         raise SuiteExecutionError(self.report) from exc
                     return
-                slept += self.policy.sleep(
-                    attempts - 1, key=name, already_slept=slept
-                )
+                slept += self.policy.sleep(attempts - 1, already_slept=slept)
         if attempts:
             self.report.record(
                 name,
@@ -456,12 +409,11 @@ class _SuiteRun:
         immediately; innocent bystanders keep their parallelism in the
         next pool generation (until the breaker trips).
         """
+        deadline = self.policy.deadline_seconds
         deferred: list[_CampaignSpec] = []
         pool_dead = False
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            for spec in pending:
-                self.begin(spec)
             futures = [
                 (spec, pool.submit(_run_campaign, spec)) for spec in pending
             ]
@@ -481,7 +433,7 @@ class _SuiteRun:
                         deferred.append(spec)
                     continue
                 try:
-                    result = future.result(timeout=self.deadline_seconds)
+                    result = future.result(timeout=deadline)
                 except FutureTimeoutError:
                     breaker.record_failure(
                         f"deadline expiry on {spec.benchmark_name}"
@@ -491,7 +443,7 @@ class _SuiteRun:
                         "timed_out",
                         attempts=1,
                         error=(
-                            f"pool worker exceeded the {self.deadline_seconds:g}s "
+                            f"pool worker exceeded the {deadline:g}s "
                             "deadline; pool killed, campaign re-run serially"
                         ),
                         heap=spec.randomize_heap,

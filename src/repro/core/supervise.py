@@ -17,9 +17,9 @@ the three mechanisms the campaign supervisors compose against them:
   reason is recorded in the :class:`~repro.faults.FailureReport`.
 * :class:`ShutdownHandler` — SIGINT/SIGTERM become a *drain* request
   checked at safe points between campaigns: in-flight work completes
-  and is journaled, nothing new starts, and the process exits with the
-  documented partial-results code so ``--resume`` measures exactly the
-  missing slices.
+  (and, with a campaign store, is saved there), nothing new starts, and
+  the process exits with the documented partial-results code; a rerun
+  on the same store measures exactly the missing campaigns.
 
 Everything here lives outside the measurement closure: supervision
 decides *when and where* a campaign runs, never *what* it measures, so
@@ -172,8 +172,8 @@ class ShutdownHandler:
 
     While installed (as a context manager), the first signal only sets
     :attr:`requested`; supervisors poll it (or call :meth:`check`)
-    between campaigns, finish what is in flight, flush the journal,
-    and exit with the partial-results code.  A *second* signal restores
+    between campaigns, finish what is in flight, and exit with the
+    partial-results code.  A *second* signal restores
     the previous handlers and re-raises — the operator's escalation
     path when draining is not fast enough.
 

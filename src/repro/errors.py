@@ -81,10 +81,10 @@ class ShutdownRequested(ReproError):
     """A graceful-shutdown signal arrived and the suite is draining.
 
     Raised by :meth:`repro.core.supervise.ShutdownHandler.check` at
-    safe points between campaigns; the supervisor flushes the journal,
-    keeps every completed result, and exits with the documented
-    partial-results code.  A ``--resume`` rerun measures exactly the
-    missing slices.
+    safe points between campaigns; the supervisor keeps every completed
+    result (in the campaign store, when there is one) and exits with the
+    documented partial-results code.  A rerun on the same store measures
+    exactly the missing campaigns.
     """
 
     def __init__(self, message: str, *, signal_name: str | None = None) -> None:

@@ -48,8 +48,7 @@ from repro.rng import derive_seed
 #: Decision resolution: rates are compared against a 32-bit hash slice.
 _RESOLUTION = 1 << 32
 
-#: Default campaign retry budget when neither the caller nor
-#: ``REPRO_MAX_RETRIES`` says otherwise.
+#: Default campaign retry budget when the caller sets none.
 DEFAULT_MAX_RETRIES = 2
 
 #: Canned fault profiles selectable by name (CLI ``--fault-plan`` and
@@ -387,21 +386,9 @@ def hang(seconds: float) -> None:
 # ----------------------------------------------------------------------
 
 
-def max_retries_from_env(default: int = DEFAULT_MAX_RETRIES) -> int:
-    """The campaign retry budget from ``REPRO_MAX_RETRIES`` (or *default*)."""
-    # repro: allow-DET005 retry budget is configuration resolved once at RetryPolicy construction, never per-measurement
-    raw = os.environ.get("REPRO_MAX_RETRIES")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_MAX_RETRIES must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(f"REPRO_MAX_RETRIES must be >= 0, got {value}")
-    return value
+#: Bound on the cumulative backoff one campaign may spend sleeping, so a
+#: pathological fault schedule cannot stall a suite indefinitely.
+BACKOFF_TOTAL_CAP = 30.0
 
 
 @dataclass(frozen=True)
@@ -410,23 +397,14 @@ class RetryPolicy:
 
     ``deadline_seconds`` is the per-campaign execution deadline the
     supervision layer enforces (``None`` = unbounded, the historical
-    behaviour).  ``jitter`` > 0 switches the schedule to *decorrelated*
-    backoff (each delay drawn between ``backoff_base`` and three times
-    the previous delay) — but seeded: the draw is a deterministic
-    function of ``(jitter_seed, campaign key, attempt)``, so a rerun
-    retries on the identical schedule and recovery stays reproducible.
-    ``backoff_total_cap`` bounds the *cumulative* backoff one campaign
-    may spend sleeping, so a pathological fault schedule cannot stall
-    a suite indefinitely.
+    behaviour).  Retries run in the supervising process one campaign at
+    a time, so the plain exponential schedule cannot stampede.
     """
 
     max_retries: int = DEFAULT_MAX_RETRIES
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     deadline_seconds: float | None = None
-    jitter: float = 0.0
-    jitter_seed: int = 0xB0FF
-    backoff_total_cap: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -439,66 +417,26 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"
             )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-        if self.backoff_total_cap < 0:
-            raise ConfigurationError(
-                f"backoff_total_cap must be >= 0, got {self.backoff_total_cap}"
-            )
 
-    @classmethod
-    def from_env(
-        cls,
-        max_retries: int | None = None,
-        deadline_seconds: float | None = None,
-    ) -> "RetryPolicy":
-        """A policy with an explicit budget, or the environment's."""
-        if max_retries is None:
-            max_retries = max_retries_from_env()
-        return cls(max_retries=max_retries, deadline_seconds=deadline_seconds)
-
-    def delay(self, attempt: int, key: str = "") -> float:
+    def delay(self, attempt: int) -> float:
         """Backoff before retry *attempt* (0-based), capped.
 
-        With ``jitter == 0`` (the default) this is the classic
-        ``base * 2^attempt``.  With jitter the schedule is decorrelated
-        backoff — ``delay_a = uniform(base, 3 * delay_{a-1})`` — where
-        the "uniform" draw is a deterministic hash of
-        ``(jitter_seed, key, attempt)`` blended in by the jitter
-        fraction, so two campaigns (different *key*) desynchronize
-        while a rerun of the same campaign reproduces its schedule.
+        The classic exponential ``backoff_base * 2^attempt``.
         """
         if attempt < 0:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
-        if self.jitter <= 0.0:
-            return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
-        delay = self.backoff_base
-        for a in range(attempt + 1):
-            digest = derive_seed(self.jitter_seed, f"backoff/{key}/{a}")
-            fraction = (digest % _RESOLUTION) / _RESOLUTION
-            spread = max(3.0 * delay - self.backoff_base, 0.0)
-            drawn = self.backoff_base + fraction * spread
-            exponential = self.backoff_base * (2.0 ** a)
-            delay = min(
-                self.backoff_cap,
-                (1.0 - self.jitter) * exponential + self.jitter * drawn,
-            )
-        return delay
+        return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
 
-    def sleep(
-        self, attempt: int, key: str = "", already_slept: float = 0.0
-    ) -> float:
+    def sleep(self, attempt: int, already_slept: float = 0.0) -> float:
         """Sleep out the backoff for retry *attempt*; returns seconds slept.
 
         The delay is clipped so one campaign's cumulative backoff
         (``already_slept`` plus this sleep) never exceeds
-        ``backoff_total_cap``; callers thread the running total through.
+        :data:`BACKOFF_TOTAL_CAP`; callers thread the running total
+        through.
         """
-        delay = self.delay(attempt, key)
-        budget = max(self.backoff_total_cap - already_slept, 0.0)
-        delay = min(delay, budget)
+        budget = max(BACKOFF_TOTAL_CAP - already_slept, 0.0)
+        delay = min(self.delay(attempt), budget)
         if delay > 0:
             time.sleep(delay)
         return delay

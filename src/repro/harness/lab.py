@@ -22,8 +22,7 @@ from repro.core.observations import Observation, ObservationSet
 from repro.core.park import MachinePark
 from repro.core.supervise import ShutdownHandler
 from repro.errors import CampaignExecutionError, ConfigurationError, ModelError
-from repro.faults import FailureReport, RetryPolicy
-from repro.journal import JournalState, SuiteJournal
+from repro.faults import DEFAULT_MAX_RETRIES, FailureReport, RetryPolicy
 from repro.machine.system import XeonE5440
 from repro.store import CampaignKey, CampaignStore
 from repro.uarch.predictors.gas import gas_hybrid_family
@@ -124,25 +123,23 @@ class Laboratory:
     of machine config, machine seed, benchmark, and layout index).
 
     Fault tolerance: every campaign runs under the park's retry budget
-    (``max_retries``, default ``REPRO_MAX_RETRIES`` or 2) with
-    exponential backoff; transient failures — flaky counter reads that
-    outlast the read-level re-reads, crashed workers, corrupt cache
-    files — are retried, and because retries re-run the same pure
-    function, recovered campaigns stay bit-identical.  All incidents
-    accumulate in ``failure_report``; a lazily requested campaign that
-    exhausts its budget raises
-    :class:`~repro.errors.CampaignExecutionError`.  ``fail_fast``
-    aborts suite prefetches at the first such failure instead of
-    continuing with the remaining campaigns.
+    (``max_retries``, default 2) with exponential backoff; transient
+    failures — flaky counter reads that outlast the read-level
+    re-reads, crashed workers, corrupt cache files — are retried, and
+    because retries re-run the same pure function, recovered campaigns
+    stay bit-identical.  All incidents accumulate in
+    ``failure_report``; a lazily requested campaign that exhausts its
+    budget raises :class:`~repro.errors.CampaignExecutionError`.
+    ``fail_fast`` aborts suite prefetches at the first such failure
+    instead of continuing with the remaining campaigns.
 
     Supervision: ``deadline_seconds`` bounds every campaign execution
     (hung campaigns are killed, recorded as *timed_out*, and re-run
-    under the retry budget); with a ``cache_dir`` the lab keeps a
-    crash-safe :class:`~repro.journal.SuiteJournal` beside the store,
-    committing each campaign only after its store save, and
-    ``resume=True`` replays it (into ``resumed``) so an interrupted
-    suite re-measures exactly the missing slices via the store's prefix
-    step.  A :class:`~repro.core.supervise.ShutdownHandler` passed as
+    under the retry budget).  The store is the one record of progress:
+    a laboratory on the ``cache_dir`` of an interrupted run serves what
+    that run saved and, through the store's prefix step, measures
+    exactly the missing campaigns.  A
+    :class:`~repro.core.supervise.ShutdownHandler` passed as
     ``shutdown`` is polled between prefetched campaigns: once a drain
     is requested, in-flight campaigns finish and nothing new starts.
     """
@@ -153,42 +150,22 @@ class Laboratory:
         machine_seed: int = 1,
         cache_dir: str | Path | None = None,
         workers: int = 0,
-        max_retries: int | None = None,
+        max_retries: int = DEFAULT_MAX_RETRIES,
         fail_fast: bool = False,
         deadline_seconds: float | None = None,
-        resume: bool = False,
         shutdown: ShutdownHandler | None = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if resume and cache_dir is None:
-            raise ConfigurationError(
-                "resume requires a cache_dir: the suite journal and the "
-                "campaign store live there"
-            )
         self.scale = scale if scale is not None else scale_from_env()
         self.machine_seed = machine_seed
         self.workers = workers
-        self.retry_policy = RetryPolicy.from_env(max_retries, deadline_seconds)
+        self.retry_policy = RetryPolicy(
+            max_retries=max_retries, deadline_seconds=deadline_seconds
+        )
         self.fail_fast = fail_fast
         self.shutdown = shutdown
         self.failure_report = FailureReport()
-        self.journal = (
-            None
-            if cache_dir is None
-            else SuiteJournal(Path(cache_dir) / "suite-journal.json")
-        )
-        #: Replayed journal state when resuming (None otherwise); the
-        #: store's prefix machinery remains the data truth — the journal
-        #: only reports what the interrupted run was doing.
-        self.resumed: JournalState | None = None
-        if self.journal is not None:
-            if resume:
-                self.resumed = self.journal.replay()
-            else:
-                # A fresh (non-resumed) suite starts with a clean
-                # journal; the campaign store is untouched either way.
-                self.journal.clear()
         self.machine = XeonE5440(seed=machine_seed)
         self.interferometer = Interferometer(
             self.machine, trace_events=self.scale.trace_events
@@ -267,11 +244,10 @@ class Laboratory:
         as a hit; otherwise its stored prefix (possibly empty) sets the
         start index of a single :meth:`MachinePark.observe_suite` call,
         which measures only the missing suffixes — serially or over
-        ``workers`` processes, under the retry budget, the deadline,
-        the journal and *shutdown*.  Each measured campaign is saved to
-        the store (a miss), cached and logged as soon as it completes,
-        and only then journaled as committed.  A campaign that exhausts
-        its budget stays uncached; its incidents are in
+        ``workers`` processes, under the retry budget, the deadline and
+        *shutdown*.  Each measured campaign is saved to the store (a
+        miss), cached and logged as soon as it completes.  A campaign
+        that exhausts its budget stays uncached; its incidents are in
         ``failure_report``.
         """
         memory = self._heap_observations if heap else self._observations
@@ -323,7 +299,6 @@ class Laboratory:
             retry_policy=self.retry_policy,
             report=self.failure_report,
             fail_fast=fail_fast,
-            journal=self.journal,
             shutdown=shutdown,
             sink=keep,
         )

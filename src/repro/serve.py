@@ -164,8 +164,8 @@ class CampaignService:
         self._backlog = backlog
         self._metrics = ServiceMetrics()
         # Campaigns are coarse work units; the lock serializes executor
-        # threads through the laboratory so its memoization, store, and
-        # journal see one campaign at a time (ASYNC003's discipline).
+        # threads through the laboratory so its memoization and store
+        # see one campaign at a time (ASYNC003's discipline).
         self._measure_lock = threading.Lock()
         self._executor = None
         self._queue: asyncio.Queue | None = None

@@ -242,17 +242,6 @@ class TestActivePlan:
             with faults.plan_scope(travelling):
                 assert faults.active_plan() is travelling
 
-    def test_max_retries_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-        assert faults.max_retries_from_env() == 5
-        assert RetryPolicy.from_env().max_retries == 5
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
-        with pytest.raises(ConfigurationError):
-            faults.max_retries_from_env()
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "-1")
-        with pytest.raises(ConfigurationError):
-            faults.max_retries_from_env()
-
     def test_backoff_schedule(self):
         policy = RetryPolicy(max_retries=4, backoff_base=0.1, backoff_cap=0.3)
         assert policy.delay(0) == pytest.approx(0.1)
@@ -260,56 +249,13 @@ class TestActivePlan:
         assert policy.delay(2) == pytest.approx(0.3)  # capped
         assert policy.delay(10) == pytest.approx(0.3)
 
-
-class TestSeededJitter:
-    def test_zero_jitter_preserves_legacy_schedule(self):
-        policy = RetryPolicy(max_retries=4, backoff_base=0.1, backoff_cap=0.3)
-        # The key is ignored without jitter: same exact exponential.
-        assert policy.delay(1, key="456.hmmer") == pytest.approx(0.2)
-
-    def test_jittered_schedule_is_deterministic(self):
-        a = RetryPolicy(jitter=0.5)
-        b = RetryPolicy(jitter=0.5)
-        schedule = [a.delay(i, key="456.hmmer") for i in range(5)]
-        assert schedule == [b.delay(i, key="456.hmmer") for i in range(5)]
-
-    def test_different_campaigns_desynchronize(self):
-        policy = RetryPolicy(jitter=1.0)
-        xs = [policy.delay(i, key="456.hmmer") for i in range(6)]
-        ys = [policy.delay(i, key="470.lbm") for i in range(6)]
-        assert xs != ys
-
-    def test_jittered_delays_stay_bounded(self):
-        policy = RetryPolicy(jitter=1.0, backoff_base=0.05, backoff_cap=2.0)
-        for attempt in range(12):
-            delay = policy.delay(attempt, key="456.hmmer")
-            assert policy.backoff_base <= delay <= policy.backoff_cap
-
-    def test_jitter_seed_changes_the_schedule(self):
-        a = RetryPolicy(jitter=1.0, jitter_seed=1)
-        b = RetryPolicy(jitter=1.0, jitter_seed=2)
-        assert [a.delay(i, key="x") for i in range(6)] != [
-            b.delay(i, key="x") for i in range(6)
-        ]
-
-    def test_jitter_validated(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_total_cap=-1.0)
-
-    def test_total_backoff_cap_clips_cumulative_sleep(self):
-        policy = RetryPolicy(
-            backoff_base=10.0, backoff_cap=10.0, backoff_total_cap=0.0
-        )
-        assert policy.sleep(0, key="x") == 0.0
-        partial = RetryPolicy(
-            backoff_base=10.0, backoff_cap=10.0, backoff_total_cap=0.02
-        )
-        assert partial.sleep(0, key="x") == pytest.approx(0.02)
-        assert partial.sleep(0, key="x", already_slept=0.02) == 0.0
+    def test_total_backoff_cap_clips_cumulative_sleep(self, monkeypatch):
+        policy = RetryPolicy(backoff_base=10.0, backoff_cap=10.0)
+        monkeypatch.setattr(faults, "BACKOFF_TOTAL_CAP", 0.0)
+        assert policy.sleep(0) == 0.0
+        monkeypatch.setattr(faults, "BACKOFF_TOTAL_CAP", 0.02)
+        assert policy.sleep(0) == pytest.approx(0.02)
+        assert policy.sleep(0, already_slept=0.02) == 0.0
 
 
 class TestReadValidation:
@@ -534,7 +480,8 @@ class TestCampaignSupervision:
         with faults.injected(plan):
             with pytest.raises(SuiteExecutionError) as err:
                 park.observe_suite(
-                    ["456.hmmer", "470.lbm"], n_layouts=2, max_retries=0
+                    ["456.hmmer", "470.lbm"], n_layouts=2,
+                    retry_policy=RetryPolicy(max_retries=0),
                 )
         report = err.value.report
         assert [i.benchmark for i in report.failed] == ["470.lbm"]
@@ -545,8 +492,8 @@ class TestCampaignSupervision:
         report = FailureReport()
         with faults.injected(plan):
             results = park.observe_suite(
-                ["456.hmmer", "470.lbm"], n_layouts=2, max_retries=0,
-                report=report,
+                ["456.hmmer", "470.lbm"], n_layouts=2,
+                retry_policy=RetryPolicy(max_retries=0), report=report,
             )
         assert set(results) == {"456.hmmer"}  # the casualty is absent, not fatal
         assert [i.benchmark for i in report.failed] == ["470.lbm"]
@@ -556,7 +503,8 @@ class TestCampaignSupervision:
         with faults.injected(plan):
             with pytest.raises(SuiteExecutionError):
                 park.observe_suite(
-                    ["456.hmmer"], n_layouts=2, max_retries=0, fail_fast=True
+                    ["456.hmmer"], n_layouts=2,
+                    retry_policy=RetryPolicy(max_retries=0), fail_fast=True,
                 )
 
     def test_incident_statuses_validated(self):

@@ -52,8 +52,10 @@ class TestCliMulti:
     def test_clean_run_after_a_failed_one_succeeds(self, capsys, monkeypatch):
         """A failed run's failure report does not outlive its run."""
         monkeypatch.setenv("REPRO_SCALE", "ci")
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
-        assert main(["headline", "--fault-plan", "seed=1,garbled_read=1.0"]) == 1
+        assert main([
+            "headline", "--max-retries", "0",
+            "--fault-plan", "seed=1,garbled_read=1.0",
+        ]) == 1
         capsys.readouterr()
         assert main(["headline"]) == 0
 

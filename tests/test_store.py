@@ -279,6 +279,26 @@ class TestEscalationWithStore:
         assert stored is not None
         assert len(stored) == result.samples_used
 
+    def test_escalation_store_accounting(self, tmp_path, machine):
+        """A stored prefix that escalation extends is one miss, not a hit."""
+        interferometer = Interferometer(machine, trace_events=2500)
+        benchmark = get_benchmark("429.mcf")  # significant only at 12
+
+        def escalate(max_samples):
+            store = CampaignStore(tmp_path)
+            SampleEscalation(
+                interferometer, batch=4, max_samples=max_samples, store=store
+            ).run(benchmark)
+            stats = store.stats
+            return (
+                stats.hits, stats.misses,
+                stats.layouts_loaded, stats.layouts_measured,
+            )
+
+        assert escalate(4) == (0, 1, 0, 4)  # cold store
+        assert escalate(12) == (0, 1, 4, 8)  # extends the stored prefix
+        assert escalate(12) == (1, 0, 12, 0)  # served entirely from store
+
 
 class TestStoreStatsThreadSafety:
     """The serving layer mutates one store's stats from executor threads

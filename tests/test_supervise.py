@@ -1,15 +1,14 @@
-"""Supervised execution: deadlines, circuit breaker, journal, shutdown.
+"""Supervised execution: deadlines, circuit breaker, shutdown.
 
 The supervision layer decides *when and where* a campaign runs, never
 *what* it measures, so every killed-and-retried, degraded, drained, or
 resumed campaign must reproduce the exact bits a fault-free run would
 have produced.  These tests assert that equality literally — including
-across a ``kill -9`` and a ``--resume``.
+across a ``kill -9`` and a plain rerun on the same campaign store.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -37,7 +36,6 @@ from repro.errors import (
 )
 from repro.faults import FailureReport, FaultPlan, RetryPolicy
 from repro.harness.lab import Laboratory
-from repro.journal import JournalEntry, SuiteJournal
 from repro.store import CampaignStore
 
 from tests.test_faults import TINY, assert_bit_identical, park  # noqa: F401
@@ -230,85 +228,6 @@ class TestShutdownWatchdogInterleaving:
         assert_bit_identical(baseline["470.lbm"], results["470.lbm"])
 
 
-class TestSuiteJournal:
-    def test_round_trip_and_replay(self, tmp_path):
-        journal = SuiteJournal(tmp_path / "suite-journal.json")
-        journal.record_begin("456.hmmer", False, 0, 4)
-        journal.record_commit("456.hmmer", False, 4)
-        journal.record_begin("470.lbm", False, 2, 4)
-
-        fresh = SuiteJournal(journal.path)  # re-read from disk
-        state = fresh.replay()
-        assert state.committed_layouts("456.hmmer") == 4
-        assert not state.interrupted("456.hmmer")
-        assert state.committed_layouts("470.lbm") == 0
-        assert state.interrupted("470.lbm")
-        assert state.interrupted_campaigns == [("470.lbm", False)]
-        assert "1 campaign(s) committed" in state.summary()
-        assert "1 interrupted" in state.summary()
-
-    def test_heap_and_code_campaigns_are_distinct(self, tmp_path):
-        journal = SuiteJournal(tmp_path / "j.json")
-        journal.record_begin("403.gcc", True, 0, 4)
-        journal.record_commit("403.gcc", True, 4)
-        state = journal.replay()
-        assert state.committed_layouts("403.gcc", heap=True) == 4
-        assert state.committed_layouts("403.gcc", heap=False) == 0
-
-    def test_envelope_is_checksummed_and_stable(self, tmp_path):
-        journal = SuiteJournal(tmp_path / "j.json")
-        journal.record_begin("456.hmmer", False, 0, 4)
-        payload = json.loads(journal.path.read_text())
-        assert payload["format_version"] == 1
-        assert "checksum" in payload
-        # Byte stability: keys are sorted, no timestamps anywhere, so
-        # identical histories serialize to identical bytes.
-        journal_b = SuiteJournal(tmp_path / "k.json")
-        journal_b.record_begin("456.hmmer", False, 0, 4)
-        assert journal_b.path.read_text() == journal.path.read_text()
-
-    def test_corrupt_journal_quarantined_and_treated_as_empty(self, tmp_path):
-        journal = SuiteJournal(tmp_path / "j.json")
-        journal.record_commit("456.hmmer", False, 4)
-        journal.path.write_text(journal.path.read_text()[:25])
-
-        fresh = SuiteJournal(journal.path)
-        state = fresh.replay()
-        assert state.committed_layouts("456.hmmer") == 0  # never trusted
-        assert not journal.path.exists()
-        assert sorted(tmp_path.glob("j.json.corrupt-*"))
-        # The journal stays usable after quarantine.
-        fresh.record_commit("470.lbm", False, 4)
-        assert fresh.replay().committed_layouts("470.lbm") == 4
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "j.json"
-        path.write_text(json.dumps(
-            {"format_version": 99, "checksum": "x", "entries": []}
-        ))
-        assert SuiteJournal(path).replay().begun == {}
-        assert sorted(tmp_path.glob("j.json.corrupt-*"))
-
-    def test_clear(self, tmp_path):
-        journal = SuiteJournal(tmp_path / "j.json")
-        journal.record_begin("456.hmmer", False, 0, 4)
-        journal.clear()
-        assert not journal.path.exists()
-        assert SuiteJournal(journal.path).replay().begun == {}
-
-    def test_entry_validation(self):
-        with pytest.raises(ConfigurationError):
-            JournalEntry(
-                event="abort", benchmark="x", heap=False,
-                start_index=0, n_layouts=1,
-            )
-        with pytest.raises(ConfigurationError):
-            JournalEntry(
-                event="begin", benchmark="x", heap=False,
-                start_index=5, n_layouts=4,
-            )
-
-
 class TestHangRecovery:
     """Injected hangs are killed by the supervisor and recovered
     bit-identically, in both the serial and the pool path."""
@@ -319,13 +238,14 @@ class TestHangRecovery:
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         start = telemetry.tick_seconds()
         with faults.injected(plan):
             results = park.observe_suite(
                 ["456.hmmer", "470.lbm"], n_layouts=3,
                 retry_policy=policy, report=report,
-                deadline_seconds=DEADLINE,
             )
         elapsed = telemetry.tick_seconds() - start
         assert report.ok
@@ -342,12 +262,13 @@ class TestHangRecovery:
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         with faults.injected(plan):
             results = park.observe_suite(
                 ["456.hmmer", "470.lbm"], n_layouts=3, workers=2,
                 retry_policy=policy, report=report,
-                deadline_seconds=DEADLINE,
             )
         assert report.ok
         assert report.breaker_tripped is None
@@ -376,11 +297,12 @@ class TestHangRecovery:
         # deadline and no retries the campaign fails structurally.
         plan = FaultPlan(seed=1, worker_hang=1.0, hang_seconds=HANG)
         report = FailureReport()
-        policy = RetryPolicy(max_retries=0, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=0, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
         with faults.injected(plan):
             results = park.observe_suite(
-                ["470.lbm"], n_layouts=3, retry_policy=policy,
-                report=report, deadline_seconds=DEADLINE,
+                ["470.lbm"], n_layouts=3, retry_policy=policy, report=report
             )
         assert results == {}
         assert not report.ok
@@ -389,18 +311,20 @@ class TestHangRecovery:
 
 
 class TestCircuitBreakerIntegration:
-    def test_breaker_trips_and_degrades_remainder(self, park):
+    def test_breaker_trips_and_degrades_remainder(self, park, monkeypatch):
         baseline = park.observe_suite(["456.hmmer", "470.lbm"], n_layouts=3)
         plan = FaultPlan(
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
+        monkeypatch.setattr(park_module, "DEFAULT_BREAKER_THRESHOLD", 1)
         with faults.injected(plan):
             results = park.observe_suite(
                 ["456.hmmer", "470.lbm"], n_layouts=3, workers=2,
                 retry_policy=policy, report=report,
-                deadline_seconds=DEADLINE, breaker_threshold=1,
             )
         assert report.breaker_tripped is not None
         assert "serial" in report.breaker_tripped
@@ -411,17 +335,18 @@ class TestCircuitBreakerIntegration:
         for name in baseline:
             assert_bit_identical(baseline[name], results[name])
 
-    def test_serial_path_never_trips(self, park):
+    def test_serial_path_never_trips(self, park, monkeypatch):
         plan = FaultPlan(
             seed=1, hang_benchmarks=("470.lbm",), hang_seconds=HANG
         )
         report = FailureReport()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
+        policy = RetryPolicy(
+            max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
+        monkeypatch.setattr(park_module, "DEFAULT_BREAKER_THRESHOLD", 1)
         with faults.injected(plan):
             park.observe_suite(
-                ["470.lbm"], n_layouts=3, retry_policy=policy,
-                report=report, deadline_seconds=DEADLINE,
-                breaker_threshold=1,
+                ["470.lbm"], n_layouts=3, retry_policy=policy, report=report
             )
         assert report.breaker_tripped is None
 
@@ -488,51 +413,23 @@ class TestLaboratorySupervision:
         statuses = [i.status for i in lab.failure_report.incidents]
         assert statuses == ["timed_out", "recovered"]
 
-    def test_journal_commits_only_after_the_store_save(
-        self, tmp_path, monkeypatch
-    ):
-        """A campaign whose store save fails is never journaled as
-        committed, with worker processes as without them."""
+    @pytest.mark.parametrize("workers", [2, 0])
+    def test_failed_save_stores_nothing(self, tmp_path, monkeypatch, workers):
+        """A campaign whose store save fails leaves no store file and no
+        cached campaign, with worker processes as without them."""
 
-        def full_disk(store, key, observations):
+        def full_disk(fd):
             raise OSError("injected: no space left on device")
 
-        monkeypatch.setattr(CampaignStore, "save", full_disk)
+        monkeypatch.setattr(os, "fsync", full_disk)
         lab = Laboratory(
-            scale=TINY, machine_seed=7, cache_dir=tmp_path, workers=2
+            scale=TINY, machine_seed=7, cache_dir=tmp_path, workers=workers
         )
         with pytest.raises(OSError, match="no space left"):
             lab.prefetch(["456.hmmer"])
-        state = SuiteJournal(tmp_path / "suite-journal.json").replay()
-        assert state.interrupted("456.hmmer")
-        assert state.committed_layouts("456.hmmer") == 0
-
-    def test_resume_requires_cache_dir(self):
-        with pytest.raises(ConfigurationError, match="cache_dir"):
-            Laboratory(scale=TINY, resume=True)
-
-    def test_fresh_lab_clears_stale_journal(self, tmp_path):
-        stale = SuiteJournal(tmp_path / "suite-journal.json")
-        stale.record_begin("456.hmmer", False, 0, 4)
-        lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
-        assert lab.resumed is None
-        assert not stale.path.exists()
-
-    def test_resumed_lab_replays_journal(self, tmp_path):
-        stale = SuiteJournal(tmp_path / "suite-journal.json")
-        stale.record_begin("456.hmmer", False, 0, 4)
-        lab = Laboratory(
-            scale=TINY, machine_seed=7, cache_dir=tmp_path, resume=True
-        )
-        assert lab.resumed is not None
-        assert lab.resumed.interrupted("456.hmmer")
-
-    def test_serial_suite_is_journaled(self, tmp_path):
-        lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
-        lab.observations("470.lbm")
-        state = SuiteJournal(tmp_path / "suite-journal.json").replay()
-        assert state.committed_layouts("470.lbm") == TINY.n_layouts
-        assert not state.interrupted("470.lbm")
+        assert sorted(tmp_path.iterdir()) == []
+        assert "456.hmmer" not in lab._observations
+        assert lab.campaign_log == []
 
 
 _KILL_DRIVER = textwrap.dedent(
@@ -551,9 +448,9 @@ _KILL_DRIVER = textwrap.dedent(
 
 
 class TestKillResumeAcceptance:
-    """The issue's acceptance scenario: ``kill -9`` mid-suite, then a
-    ``--resume`` rerun — bit-identical to an uninterrupted run, with
-    only the missing slices re-measured."""
+    """``kill -9`` mid-suite, then a plain rerun on the same campaign
+    store — bit-identical to an uninterrupted run, with only the
+    missing campaigns re-measured."""
 
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path):
         names = ["456.hmmer", "445.gobmk", "470.lbm"]
@@ -575,14 +472,10 @@ class TestKillResumeAcceptance:
         )
         try:
             # SIGKILL as soon as the first campaign file lands: the
-            # second campaign is then mid-flight (begun, not committed).
+            # second campaign is then mid-flight (measured, not saved).
             deadline = telemetry.tick_seconds() + 120.0
             while telemetry.tick_seconds() < deadline:
-                stored = [
-                    p for p in sorted(cache.glob("*.json"))
-                    if p.name != "suite-journal.json"
-                ]
-                if stored or proc.poll() is not None:
+                if sorted(cache.glob("*.json")) or proc.poll() is not None:
                     break
                 time.sleep(0.02)
             assert proc.poll() is None, "driver finished before the kill"
@@ -590,21 +483,24 @@ class TestKillResumeAcceptance:
         finally:
             proc.wait()
 
-        journal = SuiteJournal(cache / "suite-journal.json")
-        state = journal.replay()
-        committed = [n for n in names if state.committed_layouts(n) > 0]
-        assert committed, "nothing committed before the kill"
+        # The campaigns done before the kill are the complete ones in
+        # the store's files.
+        resumed = Laboratory(scale=TINY, machine_seed=7, cache_dir=cache)
+        store = CampaignStore(cache)
+        committed = [
+            name for name in names
+            if len(store.load_prefix(
+                resumed._campaign_key(name, heap=False), TINY.n_layouts
+            )) == TINY.n_layouts
+        ]
+        assert committed, "nothing stored before the kill"
         assert len(committed) < len(names), "everything finished pre-kill"
 
-        resumed = Laboratory(
-            scale=TINY, machine_seed=7, cache_dir=cache, resume=True
-        )
-        assert resumed.resumed is not None
         resumed.prefetch(names)
         results = {name: resumed.observations(name) for name in names}
         for name in names:
             assert_bit_identical(baseline[name], results[name])
-        # Only the missing slices were re-measured: everything the
+        # Only the missing campaigns were re-measured: everything the
         # interrupted run persisted was served from the store.
         total = len(names) * TINY.n_layouts
         measured = resumed.store.stats.layouts_measured
@@ -619,11 +515,35 @@ class TestCliSupervision:
         assert main(["headline", "--deadline", "0"]) == 2
         assert "--deadline" in capsys.readouterr().err
 
-    def test_resume_without_cache_dir_is_usage_error(self, capsys):
-        from repro.cli import main
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--cache-dir", "{store}"], "rerun with the same --cache-dir"),
+            (["--no-cache"], "nothing was persisted"),
+        ],
+        ids=["store", "no-store"],
+    )
+    def test_drained_run_exits_partial(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        """A signal during the run drains it: exit 1, and the message
+        says what was kept."""
+        from repro import cli
 
-        assert main(["headline", "--resume", "--no-cache"]) == 2
-        assert "--resume" in capsys.readouterr().err
+        class SignalledOnEntry(ShutdownHandler):
+            def __enter__(self):
+                super().__enter__()
+                self.request("SIGTERM")
+                return self
+
+        monkeypatch.setattr(cli, "ShutdownHandler", SignalledOnEntry)
+        argv = ["headline", "--scale", "ci"] + [
+            flag.format(store=tmp_path / "store") for flag in flags
+        ]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "graceful shutdown (SIGTERM)" in err
+        assert message in err
 
     def test_help_documents_supervision(self, capsys):
         from repro.cli import main
@@ -632,5 +552,5 @@ class TestCliSupervision:
             main(["--help"])
         text = capsys.readouterr().out
         assert "--deadline" in text
-        assert "--resume" in text
+        assert "same --cache-dir" in text
         assert "graceful shutdown" in text
