@@ -7,11 +7,17 @@ whom* across module boundaries.  This module builds that view:
 * :class:`Program` — every parsed module, its functions, classes, and
   import table, indexed so a dotted name (``repro.rng.RandomStream``)
   or a call expression can be resolved to its definition.
-* :meth:`Program.scopes` — the one scope decomposition every
-  analysis walks: each module's top level, its functions and its
-  methods, in sorted order.
+* :meth:`Program.scopes` — the **scope table** every analysis reads:
+  one :class:`Scope` per module top level, function and method, in
+  sorted order, built once per program.  Each record carries the
+  scope's assignment map (:func:`collect_assignments`) and the
+  resolution of every call in its body, so no analysis rebuilds
+  either.
 * :class:`CallGraph` — resolved call edges (static and dynamic), with
   a deterministic text rendering behind ``repro-cli lint --graph``.
+* :func:`reachable` — the one reachability closure; the call graph,
+  the context model and the hot-path model each supply their own
+  successor function.
 
 Resolution is deliberately conservative and static:
 
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class ImportTable(ast.NodeVisitor):
@@ -240,6 +246,73 @@ class ModuleInfo:
 MODULE_SCOPE = "<module>"
 
 
+def collect_assignments(roots: Iterable[ast.AST]) -> dict[str, list[ast.expr]]:
+    """Name -> every expression bound to it anywhere under *roots*.
+
+    Plain, annotated and augmented assignments, ``for`` and
+    comprehension targets, and ``with ... as`` bindings.
+    Flow-insensitive: every binding of a name is a reaching definition.
+    """
+    assignments: dict[str, list[ast.expr]] = {}
+
+    def record(target: ast.expr, value: ast.expr) -> None:
+        if isinstance(target, ast.Name):
+            assignments.setdefault(target.id, []).append(value)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                # Tuple unpacking: every bound name inherits the
+                # right-hand side's fact (over-approximation).
+                record(element, value)
+
+    for root in roots:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    record(target, node.value)
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                record(node.target, node.value)
+            elif isinstance(node, ast.AugAssign):
+                record(node.target, node.value)
+            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                record(node.target, node.iter)
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                record(node.optional_vars, node.context_expr)
+    return assignments
+
+
+@dataclass
+class Scope:
+    """One scope-table record: a module top level, function or method.
+
+    Every analysis reads these facts instead of recomputing them.
+    """
+
+    module: ModuleInfo
+    qualname: str
+    fn: FunctionInfo | None  # None for the module top level
+    body: list[ast.stmt]
+    #: Name -> every expression bound to it in the body.
+    assignments: dict[str, list[ast.expr]]
+    #: Every call in the body (nested defs included) -> its
+    #: ``(targets, dynamic)`` resolution (see :meth:`Program._resolve_call`).
+    calls: dict[ast.Call, tuple[list[FunctionInfo], bool]]
+
+
+def reachable(
+    roots: Iterable[str], successors: Callable[[str], Iterable[str]]
+) -> set[str]:
+    """Every qualname reachable from *roots* along *successors*."""
+    seen: set[str] = set()
+    stack = list(roots)
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        stack.extend(successors(current))
+    return seen
+
+
 class Program:
     """Symbol table over every module in one lint run."""
 
@@ -249,6 +322,8 @@ class Program:
         self.functions: dict[str, FunctionInfo] = {}  # qualname ->
         self.classes: dict[str, ClassInfo] = {}
         self.methods_by_name: dict[str, list[FunctionInfo]] = {}
+        self._scopes: list[Scope] = []
+        self._scope_of: dict[ast.AST, Scope] = {}
 
     # -- construction --------------------------------------------------
 
@@ -256,10 +331,12 @@ class Program:
     def build(
         cls, parsed: Iterable[tuple[str, ast.Module, Sequence[str]]]
     ) -> "Program":
-        """Index ``(rel, tree, lines)`` triples into a program."""
+        """Index ``(rel, tree, lines)`` triples into a program and build
+        its scope table."""
         program = cls()
         for rel, tree, lines in parsed:
             program._add_module(rel, tree, list(lines))
+        program._build_scope_table()
         return program
 
     def _add_module(self, rel: str, tree: ast.Module, lines: list[str]) -> None:
@@ -321,12 +398,10 @@ class Program:
                 if isinstance(sub, ast.stmt):
                     self._index_statement(module, sub)
 
-    # -- scopes --------------------------------------------------------
+    # -- the scope table -----------------------------------------------
 
-    def scopes(
-        self,
-    ) -> Iterator[tuple[ModuleInfo, str, FunctionInfo | None, list[ast.stmt]]]:
-        """``(module, qualname, function, body)`` for every scope.
+    def scopes(self) -> list[Scope]:
+        """The scope table: one :class:`Scope` per scope.
 
         Modules in path order; within one, the top level (qualname
         ``<modname>.<module>``, function ``None``), then functions, then
@@ -334,6 +409,13 @@ class Program:
         their own: they are walked within their outermost enclosing
         function (an over-approximation that keeps reachability sound).
         """
+        return self._scopes
+
+    def scope_of(self, fn: FunctionInfo) -> Scope:
+        """The scope-table record of one function or method."""
+        return self._scope_of[fn.node]
+
+    def _build_scope_table(self) -> None:
         for rel in sorted(self.modules):
             module = self.modules[rel]
             top_level = [
@@ -343,15 +425,35 @@ class Program:
                     stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
                 )
             ]
-            yield module, f"{module.modname}.{MODULE_SCOPE}", None, top_level
-            for name in sorted(module.functions):
-                fn = module.functions[name]
-                yield module, fn.qualname, fn, list(fn.node.body)
+            self._add_scope(
+                module, f"{module.modname}.{MODULE_SCOPE}", None, top_level
+            )
+            functions = [module.functions[n] for n in sorted(module.functions)]
             for class_name in sorted(module.classes):
-                cls_info = module.classes[class_name]
-                for method_name in sorted(cls_info.methods):
-                    method = cls_info.methods[method_name]
-                    yield module, method.qualname, method, list(method.node.body)
+                methods = module.classes[class_name].methods
+                functions.extend(methods[n] for n in sorted(methods))
+            for fn in functions:
+                self._add_scope(module, fn.qualname, fn, list(fn.node.body))
+
+    def _add_scope(
+        self,
+        module: ModuleInfo,
+        qualname: str,
+        fn: FunctionInfo | None,
+        body: list[ast.stmt],
+    ) -> None:
+        """Record one scope: its assignment map and the resolution of
+        every call in its body, each computed here and nowhere else."""
+        calls = {
+            node: self._resolve_call(module, fn, node)
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+        }
+        scope = Scope(module, qualname, fn, body, collect_assignments(body), calls)
+        self._scopes.append(scope)
+        if fn is not None:
+            self._scope_of[fn.node] = scope
 
     # -- resolution ----------------------------------------------------
 
@@ -404,7 +506,7 @@ class Program:
                 return method
         return None
 
-    def resolve_call(
+    def _resolve_call(
         self,
         module: ModuleInfo,
         caller: FunctionInfo | None,
@@ -469,17 +571,11 @@ class CallGraph:
         self.program = program
         self.edges: dict[str, set[str]] = {}
         self.dynamic_edges: dict[str, set[str]] = {}
-        for module, scope_qual, scope_fn, body in program.scopes():
-            for stmt in body:
-                for call in ast.walk(stmt):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    targets, dynamic = program.resolve_call(
-                        module, scope_fn, call
-                    )
-                    bucket = self.dynamic_edges if dynamic else self.edges
-                    for target in targets:
-                        bucket.setdefault(scope_qual, set()).add(target.qualname)
+        for scope in program.scopes():
+            for targets, dynamic in scope.calls.values():
+                bucket = self.dynamic_edges if dynamic else self.edges
+                for target in targets:
+                    bucket.setdefault(scope.qualname, set()).add(target.qualname)
 
     # -- queries -------------------------------------------------------
 
@@ -487,19 +583,14 @@ class CallGraph:
         self, roots: Iterable[str], include_dynamic: bool = True
     ) -> set[str]:
         """Qualnames reachable from *roots* along resolved edges."""
-        seen: set[str] = set()
-        stack = list(roots)
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for succ in self.edges.get(current, ()):
-                stack.append(succ)
+
+        def successors(qualname: str) -> list[str]:
+            succ = list(self.edges.get(qualname, ()))
             if include_dynamic:
-                for succ in self.dynamic_edges.get(current, ()):
-                    stack.append(succ)
-        return seen
+                succ.extend(self.dynamic_edges.get(qualname, ()))
+            return succ
+
+        return reachable(roots, successors)
 
     def render(self) -> str:
         """Deterministic text dump (``repro-cli lint --graph``)."""

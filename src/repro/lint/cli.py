@@ -5,7 +5,7 @@ Usage::
     python -m repro.lint src tests examples     # lint, fail on findings
     python -m repro.lint src --json             # machine-readable report
     python -m repro.lint src --sarif out.sarif  # code-scanning report
-    python -m repro.lint src --rule SEED001     # one rule (repeatable)
+    python -m repro.lint src --rules SEED001    # only these (comma-separated)
     python -m repro.lint src --graph            # dump the call graph
     python -m repro.lint src tests --baseline   # ignore grandfathered
     python -m repro.lint src tests --write-baseline   # (re)grandfather
@@ -98,13 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this rule (repeatable; merged with --rules)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="describe every rule and exit"
     )
     parser.add_argument(
@@ -138,11 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    requested: list[str] = []
-    if args.rules is not None:
-        requested.extend(r.strip() for r in args.rules.split(",") if r.strip())
-    if args.rule:
-        requested.extend(r.strip() for r in args.rule if r.strip())
+    requested = [r.strip() for r in (args.rules or "").split(",") if r.strip()]
     try:
         rules = get_rules(sorted(set(requested))) if requested else None
     except LintUsageError as exc:

@@ -16,18 +16,23 @@ contexts can execute it*.  This module is the one model that answers:
   of the callable, and whether a coroutine *call* in that slot counts
   (``asyncio.run(main())``) or only a callable does
   (``Thread(target=work)``).
-* **One callable resolver**: ``functools.partial`` unwrapping, nested
-  ``def``\\ s (kept as context *regions*: the symbol table does not
-  index them, so their resolvable calls seed reachability directly),
-  the import table, ``self.``/``cls.`` methods, locals holding a single
-  visible construction (``handler = ShutdownHandler()``), and typed
-  ``self.a.b`` chains inferred from ``__init__`` evidence.
-* **One reachability** over static call edges plus the typed edges
-  that resolver adds.  Dynamic (method-name-match) edges are excluded:
-  an over-approximated context would manufacture false cross-context
-  findings, and the rules inherit the lint subsystem's
-  UNKNOWN-never-flags contract — an unresolvable callable contributes
-  no context at all.
+* **One callable resolver** on top of the program's scope table
+  (:meth:`repro.lint.callgraph.Program.scopes`), which has already
+  resolved every call through the import table and ``self.``/``cls.``
+  methods.  For a call the table leaves unresolved or dynamic, the
+  model adds its typed-receiver fallback: locals holding a single
+  visible construction (``handler = ShutdownHandler()``, read from the
+  record's assignment map) and typed ``self.a.b`` chains inferred from
+  ``__init__`` evidence.  Callables handed to an entry point also
+  unwrap ``functools.partial`` and nested ``def``\\ s (kept as
+  context *regions*: the symbol table does not index them, so their
+  resolvable calls seed reachability directly).
+* **One reachability** (:func:`repro.lint.callgraph.reachable`) over
+  static call edges plus the typed edges that fallback adds.  Dynamic
+  (method-name-match) edges are excluded: an over-approximated context
+  would manufacture false cross-context findings, and the rules
+  inherit the lint subsystem's UNKNOWN-never-flags contract — an
+  unresolvable callable contributes no context at all.
 * :meth:`ContextModel.contexts_of` over ``{thread, signal, loop,
   executor}``; the empty set means "main context only, as far as the
   analysis can prove".  The model also computes which functions block
@@ -49,8 +54,14 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.lint.callgraph import ClassInfo, FunctionInfo, ModuleInfo, Program
-from repro.lint.dataflow import FunctionDataflow
+from repro.lint.callgraph import (
+    ClassInfo,
+    FunctionInfo,
+    ModuleInfo,
+    Program,
+    Scope,
+    reachable,
+)
 
 if TYPE_CHECKING:
     from repro.lint.rules.base import ProgramContext
@@ -339,25 +350,13 @@ class BlockingReason:
 
 def context_model(ctx: ProgramContext) -> ContextModel:
     """The per-run context model every CONC and ASYNC rule shares."""
-    return ctx.shared(
-        "context-model", lambda: ContextModel(ctx.program, ctx.dataflow)
-    )
+    return ctx.shared("context-model", lambda: ContextModel(ctx.program))
 
 
 class ContextModel:
-    """Which execution contexts can execute each function, program-wide.
+    """Which execution contexts can execute each function, program-wide."""
 
-    *dataflow* supplies a function's def-use facts (a lint run shares
-    one per function across every rule that needs them).
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        dataflow: Callable[[FunctionInfo], FunctionDataflow] = lambda fn: (
-            FunctionDataflow(fn.node)
-        ),
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
         #: (class qualname, attr) -> ClassInfo, from __init__ evidence.
         self.attr_types = self._infer_attr_types()
@@ -370,25 +369,23 @@ class ContextModel:
         self.regions: list[NestedRegion] = []
         #: context -> qualnames called from that context's regions.
         self._region_roots: dict[str, set[str]] = {c: set() for c in CONTEXTS}
-        for module, qualname, scope_fn, body in program.scopes():
-            flow = dataflow(scope_fn) if scope_fn is not None else None
-            self._scan_scope(module, qualname, scope_fn, flow, body)
+        for scope in program.scopes():
+            self._scan_scope(scope)
         self._reachable = {
-            context: self._reach(context) for context in CONTEXTS
+            context: reachable(
+                [e.qualname for e in self.entries if e.context == context]
+                + list(self._region_roots[context]),
+                lambda q: self.edges.get(q, ()),
+            )
+            for context in CONTEXTS
         }
         self.blocking: dict[str, BlockingReason] = self._compute_blocking()
 
     # -- one pass per scope --------------------------------------------
 
-    def _scan_scope(
-        self,
-        module: ModuleInfo,
-        qualname: str,
-        scope_fn: FunctionInfo | None,
-        flow: FunctionDataflow | None,
-        body: list[ast.stmt],
-    ) -> None:
-        """Resolve every call of one scope; record edges and entries."""
+    def _scan_scope(self, scope: Scope) -> None:
+        """Record one scope's edges and entries from its resolved calls."""
+        module, body = scope.module, scope.body
         nested = {
             n.name: n
             for stmt in body
@@ -396,86 +393,75 @@ class ContextModel:
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         pools = _thread_pool_names(module, body)
-        targets_of: dict[int, list[FunctionInfo]] = {}
+        resolved: dict[ast.Call, list[FunctionInfo]] = {}
         regions: list[NestedRegion] = []
-        for stmt in body:
-            for call in ast.walk(stmt):
-                if not isinstance(call, ast.Call):
-                    continue
-                # Deferred bodies seed reachability too (the closure is
-                # invoked downstream in the same logical task), just not
-                # the blocking analysis.
-                targets = self.resolve_call(module, scope_fn, flow, call)
-                targets_of[id(call)] = targets
-                for target in targets:
-                    self.edges.setdefault(qualname, set()).add(target.qualname)
-                shape = _entry_shape(module, pools, call)
-                if shape is None:
-                    continue
-                for expr in _callable_args(shape, call):
-                    fns, nested_def = self._resolve_callable(
-                        module, scope_fn, flow, nested, expr, shape.coroutine_call
+        # Deferred bodies seed reachability too (the closure is invoked
+        # downstream in the same logical task), just not the blocking
+        # analysis.
+        for call in scope.calls:
+            targets = resolved[call] = self._targets(scope, call)
+            for target in targets:
+                self.edges.setdefault(scope.qualname, set()).add(target.qualname)
+            shape = _entry_shape(module, pools, call)
+            if shape is None:
+                continue
+            for expr in _callable_args(shape, call):
+                fns, nested_def = self._resolve_callable(
+                    scope, nested, expr, shape.coroutine_call
+                )
+                self.entries.extend(
+                    EntryPoint(shape.context, fn.qualname, module.rel, call.lineno)
+                    for fn in fns
+                )
+                if nested_def is not None:
+                    regions.append(
+                        NestedRegion(shape.context, module, scope.fn, nested_def)
                     )
-                    self.entries.extend(
-                        EntryPoint(shape.context, fn.qualname, module.rel, call.lineno)
-                        for fn in fns
-                    )
-                    if nested_def is not None:
-                        regions.append(
-                            NestedRegion(shape.context, module, scope_fn, nested_def)
-                        )
         # A region's resolvable calls seed its context's reachability.
         for region in regions:
             for stmt in region.node.body:
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Call):
                         self._region_roots[region.context].update(
-                            t.qualname for t in targets_of[id(node)]
+                            t.qualname for t in resolved[node]
                         )
         self.regions.extend(regions)
-        self.resolved_calls[qualname] = [
-            (call, targets_of[id(call)]) for call in direct_calls(body)
+        self.resolved_calls[scope.qualname] = [
+            (call, resolved[call]) for call in direct_calls(body)
         ]
 
     # -- resolution ----------------------------------------------------
 
-    def resolve_call(
-        self,
-        module: ModuleInfo,
-        scope_fn: FunctionInfo | None,
-        flow: FunctionDataflow | None,
-        call: ast.Call,
-    ) -> list[FunctionInfo]:
+    def _targets(self, scope: Scope, call: ast.Call) -> list[FunctionInfo]:
         """Static targets of one call; the typed receiver as fallback."""
-        targets, dynamic = self.program.resolve_call(module, scope_fn, call)
+        targets, dynamic = scope.calls[call]
         if targets and not dynamic:
             return targets
         if isinstance(call.func, ast.Attribute):
-            method = self._method_of(module, scope_fn, flow, call.func)
+            method = self._method_of(scope, call.func)
             if method is not None:
                 return [method]
         return []
 
     def _resolve_callable(
         self,
-        module: ModuleInfo,
-        scope_fn: FunctionInfo | None,
-        flow: FunctionDataflow | None,
+        scope: Scope,
         nested: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
         expr: ast.expr,
         coroutine_call: bool,
     ) -> tuple[list[FunctionInfo], ast.FunctionDef | ast.AsyncFunctionDef | None]:
         """Resolve a callable (or coroutine call) to ``(functions, nested_def)``."""
+        module = scope.module
         if isinstance(expr, ast.Call):
             dotted = module.imports.resolve(expr.func)
             if dotted in ("functools.partial", "partial") and expr.args:
                 return self._resolve_callable(
-                    module, scope_fn, flow, nested, expr.args[0], coroutine_call
+                    scope, nested, expr.args[0], coroutine_call
                 )
             if coroutine_call:
                 # ``asyncio.run(server.serve_until_shutdown())``: the
                 # local-instance fallback sees ``server``'s construction.
-                return self.resolve_call(module, scope_fn, flow, expr), None
+                return self._targets(scope, expr), None
             return [], None
         if isinstance(expr, ast.Name):
             if expr.id in nested:
@@ -491,27 +477,21 @@ class ContextModel:
             if dotted is not None:
                 hit = self.program.resolve_dotted(dotted)
                 return ([hit] if isinstance(hit, FunctionInfo) else []), None
-            method = self._method_of(module, scope_fn, flow, expr)
+            method = self._method_of(scope, expr)
             return ([method] if method is not None else []), None
         return [], None
 
-    def _method_of(
-        self,
-        module: ModuleInfo,
-        scope_fn: FunctionInfo | None,
-        flow: FunctionDataflow | None,
-        expr: ast.Attribute,
-    ) -> FunctionInfo | None:
+    def _method_of(self, scope: Scope, expr: ast.Attribute) -> FunctionInfo | None:
         """The method ``receiver.attr`` names, when the receiver's class
         is provable: ``self``/``cls``, a single-construction local, or a
         typed ``self.a.b`` chain."""
         receiver = expr.value
         if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
-            owner = _enclosing_class(module, scope_fn)
+            owner = _enclosing_class(scope)
         elif isinstance(receiver, ast.Name):
-            owner = _local_instance_class(self.program, module, flow, receiver.id)
+            owner = _local_instance_class(self.program, scope, receiver.id)
         else:
-            owner = self._attr_chain_class(module, scope_fn, receiver)
+            owner = self._attr_chain_class(scope, receiver)
         if owner is None:
             return None
         return self.program.resolve_method(owner, expr.attr)
@@ -611,9 +591,7 @@ class ContextModel:
                 return arms[0]
         return None
 
-    def _attr_chain_class(
-        self, module: ModuleInfo, scope_fn: FunctionInfo | None, expr: ast.expr
-    ) -> ClassInfo | None:
+    def _attr_chain_class(self, scope: Scope, expr: ast.expr) -> ClassInfo | None:
         """Static type of ``self.a.b.c`` through the inferred attr map."""
         chain: list[str] = []
         node = expr
@@ -622,28 +600,14 @@ class ContextModel:
             node = node.value
         if not (isinstance(node, ast.Name) and node.id == "self"):
             return None
-        current = _enclosing_class(module, scope_fn)
+        current = _enclosing_class(scope)
         for attr in reversed(chain):
             if current is None:
                 return None
             current = self.attr_types.get((current.qualname, attr))
         return current
 
-    # -- reachability --------------------------------------------------
-
-    def _reach(self, context: str) -> set[str]:
-        """Closure over static plus typed edges from one context's
-        entries and the calls of its nested-def regions."""
-        stack = [e.qualname for e in self.entries if e.context == context]
-        stack.extend(self._region_roots[context])
-        seen: set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.edges.get(current, ()))
-        return seen
+    # -- queries -------------------------------------------------------
 
     def contexts_of(
         self, qualname: str, family: tuple[str, ...] = CONTEXTS
@@ -780,27 +744,22 @@ def _thread_pool_names(module: ModuleInfo, body: list[ast.stmt]) -> set[str]:
     return names
 
 
-def _enclosing_class(
-    module: ModuleInfo, scope_fn: FunctionInfo | None
-) -> ClassInfo | None:
-    if scope_fn is None or scope_fn.class_name is None:
+def _enclosing_class(scope: Scope) -> ClassInfo | None:
+    if scope.fn is None or scope.fn.class_name is None:
         return None
-    return module.classes.get(scope_fn.class_name)
+    return scope.module.classes.get(scope.fn.class_name)
 
 
 def _local_instance_class(
-    program: Program,
-    module: ModuleInfo,
-    flow: FunctionDataflow | None,
-    name: str,
+    program: Program, scope: Scope, name: str
 ) -> ClassInfo | None:
-    """Class of a local provably holding one instantiation, else None."""
-    if flow is None:
+    """Class of a function local provably holding one instantiation."""
+    if scope.fn is None:
         return None
-    values = flow.assignments.get(name, [])
+    values = scope.assignments.get(name, [])
     if len(values) != 1 or not isinstance(values[0], ast.Call):
         return None
-    return program.instantiated_class(module, values[0])
+    return program.instantiated_class(scope.module, values[0])
 
 
 # -- shared state: the CONC002/ASYNC003 pass ---------------------------

@@ -16,10 +16,11 @@ A hazard is only reported when the analysis can *prove* the seed was
 dropped, shadowed, or replaced by a constant — the rules trade recall
 for a zero-false-positive contract on idiomatic code.
 
-The module also holds the scope facts every abstract interpreter in
-the lint package shares: :func:`collect_assignments` (the one
-assignment map) and :class:`ScopeFlow` (the one cycle-guarded name
-rule: seeds first, then the join over reaching definitions).  Taint
+Every analysis here reads one record of the program's scope table
+(:meth:`repro.lint.callgraph.Program.scopes`): the scope's assignment
+map is built there, once per lint run, and never again.  This module
+adds :class:`ScopeFlow`, the one cycle-guarded name rule over that
+map (seeds first, then the join over reaching definitions).  Taint
 here, units (:mod:`repro.lint.unitflow`) and dtypes
 (:mod:`repro.lint.dtypeflow`) differ only in their seeds, their
 ``join`` and their transfer functions.
@@ -31,9 +32,9 @@ import ast
 import enum
 import functools
 import re
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
-from repro.lint.callgraph import param_names
+from repro.lint.callgraph import Scope, param_names
 
 _V = TypeVar("_V")
 
@@ -92,55 +93,21 @@ def last_name(expr: ast.expr) -> str | None:
     return None
 
 
-def collect_assignments(roots: Iterable[ast.AST]) -> dict[str, list[ast.expr]]:
-    """Name -> every expression bound to it anywhere under *roots*.
-
-    The one assignment map the scope interpreters share (taint here,
-    units in :mod:`repro.lint.unitflow`, dtypes in
-    :mod:`repro.lint.dtypeflow`, loop shapes in
-    :mod:`repro.lint.perfflow`): plain, annotated and augmented
-    assignments, ``for`` and comprehension targets, and ``with ... as``
-    bindings.  Flow-insensitive: every binding of a name is a reaching
-    definition.
-    """
-    assignments: dict[str, list[ast.expr]] = {}
-
-    def record(target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            assignments.setdefault(target.id, []).append(value)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                # Tuple unpacking: every bound name inherits the
-                # right-hand side's fact (over-approximation).
-                record(element, value)
-
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    record(target, node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                record(node.target, node.value)
-            elif isinstance(node, ast.AugAssign):
-                record(node.target, node.value)
-            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
-                record(node.target, node.iter)
-            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-                record(node.optional_vars, node.context_expr)
-    return assignments
-
-
 class ScopeFlow:
     """The name rule the scope interpreters share.
 
-    A subclass supplies ``assignments`` (from :func:`collect_assignments`)
-    and, per lattice, its seeds, its ``join`` and its transfer function
-    ``evaluate(expr, visiting)``; :meth:`joined` is the cycle-guarded
+    Built over one :class:`~repro.lint.callgraph.Scope` record, whose
+    assignment map it reads; a subclass supplies, per lattice, its
+    seeds, its ``join`` and its transfer function
+    ``evaluate(expr, visiting)``.  :meth:`joined` is the cycle-guarded
     join over a name's reaching definitions that taint, units and
     dtypes all use once their seeds have had their say.
     """
 
-    assignments: dict[str, list[ast.expr]]
+    def __init__(self, scope: Scope) -> None:
+        self.scope = scope
+        #: name -> every expression assigned to it in this scope.
+        self.assignments = scope.assignments
 
     def joined(
         self,
@@ -165,13 +132,12 @@ class ScopeFlow:
 
 
 class FunctionDataflow(ScopeFlow):
-    """Local def-use facts for one function body."""
+    """Local def-use facts for one function's scope-table record."""
 
-    def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self.node = node
-        self.params: list[str] = param_names(node)
-        #: name -> every expression assigned to it in this body.
-        self.assignments = collect_assignments([node])
+    def __init__(self, scope: Scope) -> None:
+        super().__init__(scope)
+        self.node = scope.fn.node
+        self.params: list[str] = param_names(self.node)
 
     # -- parameter usage -----------------------------------------------
 

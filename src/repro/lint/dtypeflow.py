@@ -26,12 +26,12 @@ deliberately tiny lexicon of wide-value names (``pcs``, ``addresses``,
 ``targets``, ``tags``: 64-bit address material by the trace-format
 contract in docs/FORMATS.md).
 
-Name lookups use the scope facts shared with the taint and unit
-interpreters: :func:`repro.lint.dataflow.collect_assignments` is the
-assignment map and :class:`repro.lint.dataflow.ScopeFlow` the
-cycle-guarded join over it, so only the seeds, :func:`join` and the
-transfer functions here are dtype-specific.  :func:`kernel_scopes`
-builds one :class:`DtypeScope` per scope per lint run.
+Name lookups read the assignment map of one record of the program's
+scope table (:meth:`repro.lint.callgraph.Program.scopes`), joined by
+the cycle-guarded rule of :class:`repro.lint.dataflow.ScopeFlow`, so
+only the seeds, :func:`join` and the transfer functions here are
+dtype-specific.  :func:`kernel_scopes` maps each scope qualname to
+its :class:`DtypeScope`, built once per lint run.
 """
 
 from __future__ import annotations
@@ -43,13 +43,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.lint.callgraph import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Program,
-)
-from repro.lint.dataflow import ScopeFlow, collect_assignments
+from repro.lint.callgraph import ClassInfo, ModuleInfo, Program, Scope
+from repro.lint.dataflow import ScopeFlow
 
 if TYPE_CHECKING:
     from repro.lint.rules.base import ProgramContext
@@ -365,30 +360,24 @@ _ACCUMULATORS = {"numpy.cumsum", "numpy.add.accumulate"}
 class DtypeScope(ScopeFlow):
     """Dtype/range inference over one function body or module top level.
 
-    The shared scope facts of :mod:`repro.lint.dataflow` (assignment
-    map and cycle-guarded name join) with :class:`ArrayInfo` as the
-    lattice: seeds are wide-name parameters and the ``self.<field>``
-    knowledge :func:`class_field_infos` supplies from ``__init__``
-    constructor calls.
+    One scope-table record's assignment map under the shared name
+    join, with :class:`ArrayInfo` as the lattice: seeds are wide-name
+    parameters and the ``self.<field>`` knowledge
+    :func:`class_field_infos` supplies from ``__init__`` constructor
+    calls.
     """
 
     def __init__(
-        self,
-        program: Program,
-        module: ModuleInfo,
-        function: FunctionInfo | None,
-        body: list[ast.stmt],
-        field_infos: dict[str, ArrayInfo] | None = None,
+        self, scope: Scope, field_infos: dict[str, ArrayInfo] | None = None
     ) -> None:
-        self.program = program
-        self.module = module
-        self.function = function
-        self.body = body
+        super().__init__(scope)
+        self.module = scope.module
+        self.function = scope.fn
+        self.body = scope.body
         self.field_infos = field_infos or {}
-        self.assignments = collect_assignments(body)
         self.params: set[str] = set()
-        if function is not None:
-            self.params = set(function.params())
+        if scope.fn is not None:
+            self.params = set(scope.fn.params())
 
     # -- queries -------------------------------------------------------
 
@@ -601,9 +590,7 @@ class DtypeScope(ScopeFlow):
         return resolved if resolved is not DType.UNKNOWN else DType.UNKNOWN
 
 
-def class_field_infos(
-    program: Program, module: ModuleInfo, cls: ClassInfo
-) -> dict[str, ArrayInfo]:
+def class_field_infos(program: Program, cls: ClassInfo) -> dict[str, ArrayInfo]:
     """Carried-state dtypes: ``self.x = np.zeros(..., dtype=...)`` in
     ``__init__`` (and other methods), flow-insensitively joined."""
     infos: dict[str, ArrayInfo] = {}
@@ -612,9 +599,7 @@ def class_field_infos(
     method_names.sort(key=lambda n: (n != "__init__", n))
     for name in method_names:
         method = cls.methods[name]
-        scope = DtypeScope(
-            program, module, method, list(method.node.body), infos
-        )
+        scope = DtypeScope(program.scope_of(method), infos)
         for stmt in ast.walk(method.node):
             if not isinstance(stmt, ast.Assign):
                 continue
@@ -640,33 +625,29 @@ def class_field_infos(
     }
 
 
-def kernel_scopes(
-    ctx: ProgramContext,
-) -> list[
-    tuple[ModuleInfo, str, FunctionInfo | None, list[ast.stmt], DtypeScope]
-]:
-    """Every :meth:`~repro.lint.callgraph.Program.scopes` entry with its
-    :class:`DtypeScope`, built once per lint run.
+def kernel_scopes(ctx: ProgramContext) -> dict[str, DtypeScope]:
+    """Scope qualname -> :class:`DtypeScope`, one per scope-table
+    record, built once per lint run.
 
     Methods see their class's carried-state field knowledge.  VEC001,
-    VEC002 and PERF003 all read this one list.
+    VEC002 and PERF003 all read this one map.
     """
 
-    def build() -> list:
+    def build() -> dict[str, DtypeScope]:
         program = ctx.program
         fields: dict[tuple[str, str], dict[str, ArrayInfo]] = {}
-        scopes = []
-        for module, qualname, fn, body in program.scopes():
+        scopes = {}
+        for scope in program.scopes():
+            fn = scope.fn
             field_infos = None
             if fn is not None and fn.class_name is not None:
-                key = (module.rel, fn.class_name)
+                key = (scope.module.rel, fn.class_name)
                 if key not in fields:
                     fields[key] = class_field_infos(
-                        program, module, module.classes[fn.class_name]
+                        program, scope.module.classes[fn.class_name]
                     )
                 field_infos = fields[key]
-            scope = DtypeScope(program, module, fn, body, field_infos)
-            scopes.append((module, qualname, fn, body, scope))
+            scopes[scope.qualname] = DtypeScope(scope, field_infos)
         return scopes
 
     return ctx.shared("kernel-dtype-scopes", build)

@@ -24,6 +24,12 @@ differential oracle.  This module makes the contract checkable:
   (``zeros``/``concatenate``/``append``/``astype``/``copy``/…)
   recorded per loop so PERF002 can flag churn inside hot loops.
 
+The model reads the program's scope table
+(:meth:`repro.lint.callgraph.Program.scopes`) rather than rebuilding
+it: each record's call resolutions give the hot-scope edges, its
+assignment map traces a loop iterable back to stream material, and
+:func:`repro.lint.callgraph.reachable` computes the closure.
+
 Honest limits (see METHODOLOGY §15): the classification is lexical
 and static.  Trip counts are invisible, so a "hot loop" may execute
 once; virtual dispatch is over-approximated by method-name matching,
@@ -41,8 +47,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.lint.callgraph import FunctionInfo, ModuleInfo, Program
-from repro.lint.dataflow import collect_assignments
+from repro.lint.callgraph import (
+    FunctionInfo,
+    ModuleInfo,
+    Program,
+    Scope,
+    reachable,
+)
 
 #: Engine entry points: reachability roots of the hot scope.
 ENTRY_NAMES = frozenset(
@@ -128,21 +139,6 @@ class HotLoop:
     assignments: list[ast.stmt] = field(default_factory=list)
 
 
-@dataclass
-class _Scope:
-    """Collected facts about one function/module scope."""
-
-    module: ModuleInfo
-    fn: FunctionInfo | None
-    qualname: str
-    body: list[ast.stmt]
-    #: Name -> value exprs assigned anywhere in the scope.
-    assigns: dict[str, list[ast.expr]]
-    #: callee qualnames of calls *outside* any scalar guard.
-    vector_callees: set[str] = field(default_factory=set)
-    loops: list[HotLoop] = field(default_factory=list)
-
-
 class HotPathModel:
     """Whole-program hot-scope + loop-shape model for the PERF rules.
 
@@ -156,11 +152,14 @@ class HotPathModel:
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.scopes: dict[str, _Scope] = {}
-        for module, qualname, fn, body in program.scopes():
-            scope = _Scope(module, fn, qualname, body, collect_assignments(body))
-            self._collect(scope)
-            self.scopes[qualname] = scope
+        #: scope qualname -> callee qualnames of calls *outside* any
+        #: scalar guard, and the scope's classified loops.
+        self.callees: dict[str, set[str]] = {}
+        self.loops: dict[str, list[HotLoop]] = {}
+        for scope in program.scopes():
+            self.callees[scope.qualname] = set()
+            self.loops[scope.qualname] = []
+            self._scan(scope, scope.body, in_scalar=False, loop=None)
         self.entries: tuple[str, ...] = tuple(
             sorted(
                 info.qualname
@@ -168,17 +167,18 @@ class HotPathModel:
                 if info.name in ENTRY_NAMES
             )
         )
-        self.hot: frozenset[str] = self._reach(self.entries)
+        self.hot: frozenset[str] = frozenset(
+            reachable(
+                (q for q in self.entries if q in self.callees),
+                lambda q: (c for c in self.callees[q] if c in self.callees),
+            )
+        )
 
     # -- construction --------------------------------------------------
 
-    def _collect(self, scope: _Scope) -> None:
-        """Fill a scope's calls/loops/assignments, tracking guards."""
-        self._scan(scope, scope.body, in_scalar=False, loop=None)
-
     def _scan(
         self,
-        scope: _Scope,
+        scope: Scope,
         stmts: list[ast.stmt],
         in_scalar: bool,
         loop: HotLoop | None,
@@ -202,7 +202,7 @@ class HotPathModel:
                     node=stmt,
                     in_scalar_guard=in_scalar,
                 )
-                scope.loops.append(inner)
+                self.loops[scope.qualname].append(inner)
                 if isinstance(stmt, ast.While):
                     self._scan_expr(scope, stmt.test, in_scalar, inner)
                 else:
@@ -237,7 +237,7 @@ class HotPathModel:
 
     def _scan_expr(
         self,
-        scope: _Scope,
+        scope: Scope,
         expr: ast.expr,
         in_scalar: bool,
         loop: HotLoop | None,
@@ -249,9 +249,7 @@ class HotPathModel:
                 loop.allocations.append(node)
             if in_scalar:
                 continue
-            targets, _dynamic = self.program.resolve_call(
-                scope.module, scope.fn, node
-            )
+            targets, _dynamic = scope.calls[node]
             names = {t.qualname for t in targets}
             if isinstance(node.func, ast.Attribute):
                 # Virtual dispatch: a self.method() call resolves
@@ -263,10 +261,10 @@ class HotPathModel:
                         node.func.attr, []
                     )
                 )
-            scope.vector_callees.update(names)
+            self.callees[scope.qualname].update(names)
 
     def _per_event(
-        self, scope: _Scope, expr: ast.expr, seen: set[str]
+        self, scope: Scope, expr: ast.expr, seen: set[str]
     ) -> bool:
         """Whether *expr* denotes per-event stream material."""
         if isinstance(expr, ast.Call):
@@ -291,21 +289,9 @@ class HotPathModel:
                 return True
             return any(
                 self._per_event(scope, value, seen)
-                for value in scope.assigns.get(expr.id, [])
+                for value in scope.assignments.get(expr.id, [])
             )
         return False
-
-    def _reach(self, roots: tuple[str, ...]) -> frozenset[str]:
-        seen: set[str] = set()
-        frontier = [q for q in roots if q in self.scopes]
-        seen.update(frontier)
-        while frontier:
-            scope = self.scopes[frontier.pop()]
-            for callee in scope.vector_callees:
-                if callee not in seen and callee in self.scopes:
-                    seen.add(callee)
-                    frontier.append(callee)
-        return frozenset(seen)
 
     # -- queries -------------------------------------------------------
 
@@ -316,8 +302,7 @@ class HotPathModel:
     def hot_loops(self) -> Iterator[HotLoop]:
         """Loops in hot scopes, outside any scalar-engine guard."""
         for qualname in sorted(self.hot):
-            scope = self.scopes[qualname]
-            for loop in scope.loops:
+            for loop in self.loops[qualname]:
                 if not loop.in_scalar_guard:
                     yield loop
 

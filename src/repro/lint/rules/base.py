@@ -23,7 +23,6 @@ from repro.errors import LintUsageError
 # Re-exported from the package leaf so rule modules (and tests) can
 # keep importing it from here without creating an import cycle.
 from repro.lint.callgraph import FunctionInfo, ImportTable  # noqa: F401
-from repro.lint.dataflow import FunctionDataflow
 
 #: Severity levels, in increasing order of seriousness.
 SEVERITIES = ("warning", "error")
@@ -199,9 +198,10 @@ class ProgramContext:
 
     ``program`` and ``callgraph`` are built once by the engine and
     shared by every program rule; both come from
-    :mod:`repro.lint.callgraph`.  Derived models (the context model,
-    the unit and dtype scopes, the hot-path model, each function's
-    def-use facts) are built on first use through :meth:`shared` and
+    :mod:`repro.lint.callgraph`.  The program's scope table holds each
+    scope's assignment map and call resolutions; the models derived
+    from it (the context model, the unit and dtype scopes, the
+    hot-path model) are built on first use through :meth:`shared` and
     reused by every rule in the invocation, so running the full rule
     set costs one construction of each model rather than one per rule.
     """
@@ -215,14 +215,6 @@ class ProgramContext:
         if key not in self._shared:
             self._shared[key] = build()
         return self._shared[key]
-
-    def dataflow(self, fn: FunctionInfo) -> FunctionDataflow:
-        """The def-use facts of one function, built once per run."""
-        flows = self.shared("function-dataflow", dict)
-        flow = flows.get(id(fn.node))
-        if flow is None:
-            flow = flows[id(fn.node)] = FunctionDataflow(fn.node)
-        return flow
 
 
 _REGISTRY: dict[str, Rule] = {}

@@ -94,7 +94,7 @@ class WorkerBoundaryRule(ProgramRule):
             if module is None:
                 continue
             yield from self._check_function(
-                program, info, module, ctx.dataflow(info)
+                program, info, module, FunctionDataflow(program.scope_of(info))
             )
 
     # -- pool discovery ------------------------------------------------

@@ -46,20 +46,6 @@ from repro.lint.rules.base import (
 from repro.lint.rules.perf001_hot_loop import hot_path_model, in_scope
 
 
-def dtype_scope_map(ctx: ProgramContext) -> dict[str, DtypeScope]:
-    """Shared qualname -> :class:`DtypeScope` map for the perf pack.
-
-    Layered on the :func:`kernel_scopes` list the VEC rules share, so
-    the dtypeflow interpretation pass runs once per lint run no matter
-    how many rules consume it.
-    """
-
-    return ctx.shared(
-        "perf-dtype-scopes",
-        lambda: {qualname: scope for _m, qualname, _f, _b, scope in kernel_scopes(ctx)},
-    )
-
-
 @register
 class DtypeChurnRule(ProgramRule):
     """A loop-carried promote/cast-back cycle wastes two passes per trip."""
@@ -84,7 +70,7 @@ class DtypeChurnRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         model = hot_path_model(ctx)
-        scopes = dtype_scope_map(ctx)
+        scopes = kernel_scopes(ctx)
         for loop in model.hot_loops():
             if not in_scope(loop.module.rel) or loop.chunked:
                 continue

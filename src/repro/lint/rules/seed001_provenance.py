@@ -105,11 +105,11 @@ class SeedProvenanceRule(ProgramRule):
             module = program.modules.get(info.rel)
             if module is None:
                 continue
-            flow = ctx.dataflow(info)
+            flow = FunctionDataflow(program.scope_of(info))
             yield from self._check_dropped(info, flow, module)
             yield from self._check_shadowed(info, flow, module)
             yield from self._check_constructions(info, flow, module)
-            yield from self._check_call_threading(program, info, flow, module)
+            yield from self._check_call_threading(info, flow, module)
 
     # -- dropped -------------------------------------------------------
 
@@ -187,19 +187,12 @@ class SeedProvenanceRule(ProgramRule):
     # -- call-site threading -------------------------------------------
 
     def _check_call_threading(
-        self,
-        program: Program,
-        info: FunctionInfo,
-        flow: FunctionDataflow,
-        module: ModuleInfo,
+        self, info: FunctionInfo, flow: FunctionDataflow, module: ModuleInfo
     ) -> Iterator[Finding]:
         caller_seeds = flow.seed_params()
         if not caller_seeds:
             return
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            targets, dynamic = program.resolve_call(module, info, node)
+        for node, (targets, dynamic) in flow.scope.calls.items():
             if dynamic or len(targets) != 1:
                 continue  # dynamic or ambiguous: unknown, never guessed
             callee = targets[0]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import FunctionInfo, ModuleInfo, Program
+from repro.lint.callgraph import ModuleInfo
 from repro.lint.rules.base import (
     Finding,
     ProgramContext,
@@ -91,16 +91,14 @@ class StatisticalContractRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body, scope in unit_scopes(ctx):
-            nodes = [node for stmt in body for node in ast.walk(stmt)]
+        for scope in unit_scopes(ctx):
+            module = scope.module
+            nodes = [node for stmt in scope.body for node in ast.walk(stmt)]
             for node in nodes:
                 if isinstance(node, ast.Call):
                     yield from self._check_fit_axes(module, node)
                     yield from self._check_fit_simple(module, scope, node)
-                    yield from self._check_predict(
-                        program, module, function, scope, node
-                    )
+                    yield from self._check_predict(module, scope, node)
             yield from self._check_screen(module, nodes)
 
     # -- swapped axes at from_observations(...) ------------------------
@@ -180,21 +178,14 @@ class StatisticalContractRule(ProgramRule):
 
     # -- swapped axes at predict time ----------------------------------
 
-    def _check_predict(
-        self,
-        program: Program,
-        module: ModuleInfo,
-        function: FunctionInfo | None,
-        scope: UnitScope,
-        call: ast.Call,
-    ):
+    def _check_predict(self, module: ModuleInfo, scope: UnitScope, call: ast.Call):
         func = call.func
         if not (
             isinstance(func, ast.Attribute)
             and func.attr in ("predict", "predict_many")
         ):
             return
-        targets, _dynamic = program.resolve_call(module, function, call)
+        targets, _dynamic = scope.scope.calls[call]
         if not targets:
             return
         if not all(t.class_name in _MODEL_CLASSES for t in targets):

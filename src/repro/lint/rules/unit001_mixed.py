@@ -50,10 +50,10 @@ class MixedUnitArithmeticRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        for module, function, body, scope in unit_scopes(ctx):
-            for stmt in body:
+        for scope in unit_scopes(ctx):
+            for stmt in scope.body:
                 for node in ast.walk(stmt):
-                    yield from self._check_node(module, scope, node)
+                    yield from self._check_node(scope.module, scope, node)
 
     def _check_node(self, module, scope: UnitScope, node: ast.AST):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):

@@ -63,10 +63,11 @@ class MalformedRatioRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        for module, function, body, scope in unit_scopes(ctx):
+        for scope in unit_scopes(ctx):
+            module = scope.module
             if is_units_module(module.rel):
                 continue  # the one sanctioned definition site
-            nodes = [node for stmt in body for node in ast.walk(stmt)]
+            nodes = [node for stmt in scope.body for node in ast.walk(stmt)]
             flagged: set[int] = set()
             for node in nodes:
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):

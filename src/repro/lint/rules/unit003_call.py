@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import ClassInfo, FunctionInfo, ModuleInfo, Program
+from repro.lint.callgraph import ClassInfo, ModuleInfo, Program
 from repro.lint.dataflow import argument_for_param
 from repro.lint.rules.base import (
     Finding,
@@ -78,12 +78,13 @@ class CallBoundaryUnitRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         program: Program = ctx.program  # type: ignore[assignment]
-        for module, function, body, scope in unit_scopes(ctx):
-            for stmt in body:
+        for scope in unit_scopes(ctx):
+            module = scope.module
+            for stmt in scope.body:
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Call):
                         yield from self._check_arguments(
-                            program, module, function, scope, node
+                            program, module, scope, node
                         )
                         yield from self._check_dataclass(
                             program, module, scope, node
@@ -97,11 +98,10 @@ class CallBoundaryUnitRule(ProgramRule):
         self,
         program: Program,
         module: ModuleInfo,
-        function: FunctionInfo | None,
         scope: UnitScope,
         call: ast.Call,
     ):
-        targets, dynamic = program.resolve_call(module, function, call)
+        targets, dynamic = scope.scope.calls[call]
         if dynamic or len(targets) != 1:
             return  # ambiguity is unknown, never guessed
         callee = targets[0]

@@ -73,10 +73,11 @@ class NarrowingCastRule(ProgramRule):
     )
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
-        for module, _qualname, _fn, body, scope in kernel_scopes(ctx):
+        for scope in kernel_scopes(ctx).values():
+            module = scope.module
             if not in_scope(module.rel):
                 continue
-            for stmt in body:
+            for stmt in scope.body:
                 for node in ast.walk(stmt):
                     yield from self._check_node(module, scope, node)
 

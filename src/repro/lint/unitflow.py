@@ -19,13 +19,14 @@ parameter/field/return annotations naming the :mod:`repro.units`
 NewTypes, the identifier lexicon (``mean_mpki``, ``n_cycles``), metric
 string keys (``series("mpki")``, ``d["cpi"]``), ``Counter`` enum
 members, the sanctioned constructors (``units.mpki(...)``), and the
-return annotations of statically resolved callees.  Propagation runs
-through the scope facts shared with the taint and dtype interpreters
-(:func:`repro.lint.dataflow.collect_assignments` and the
-cycle-guarded name join of :class:`repro.lint.dataflow.ScopeFlow`) and
-through call-argument bindings.  :func:`unit_scopes` builds one
-:class:`UnitScope` per scope per lint run for every rule that reads
-units.
+return annotations of statically resolved callees.  Each
+:class:`UnitScope` reads one record of the program's scope table
+(:meth:`repro.lint.callgraph.Program.scopes`): names propagate
+through the record's assignment map under the cycle-guarded join of
+:class:`repro.lint.dataflow.ScopeFlow`, and callee return units come
+from the record's call resolutions.  Neither is rebuilt here.
+:func:`unit_scopes` builds one :class:`UnitScope` per record per lint
+run for every rule that reads units.
 
 The arithmetic maps (:func:`add_units`, :func:`mul_units`,
 :func:`div_units`) encode the paper's quantity algebra: cycles divided
@@ -42,12 +43,8 @@ import enum
 import re
 from typing import TYPE_CHECKING
 
-from repro.lint.callgraph import (
-    FunctionInfo,
-    ModuleInfo,
-    Program,
-)
-from repro.lint.dataflow import ScopeFlow, collect_assignments, last_name
+from repro.lint.callgraph import ModuleInfo, Program, Scope
+from repro.lint.dataflow import ScopeFlow, last_name
 
 if TYPE_CHECKING:
     from repro.lint.rules.base import ProgramContext
@@ -253,34 +250,28 @@ def _counter_member_unit(expr: ast.expr, module: ModuleInfo) -> UnitValue:
 class UnitScope(ScopeFlow):
     """Unit inference over one function body or module top level.
 
-    The shared scope facts of :mod:`repro.lint.dataflow` (assignment
-    map and cycle-guarded name join) with units as the lattice: seeds
-    are parameter and local annotations plus the identifier lexicon,
-    and the program symbol table resolves callee return annotations.
-    All queries go through :meth:`unit_of`.
+    One scope-table record (assignment map and call resolutions) under
+    the shared name join, with units as the lattice: seeds are
+    parameter and local annotations plus the identifier lexicon, and
+    the record's call resolutions give callee return annotations.  All
+    queries go through :meth:`unit_of`.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        module: ModuleInfo,
-        function: FunctionInfo | None,
-        body: list[ast.stmt],
-    ) -> None:
+    def __init__(self, program: Program, scope: Scope) -> None:
+        super().__init__(scope)
         self.program = program
-        self.module = module
-        self.function = function
-        self.body = body
+        self.module = module = scope.module
+        self.function = scope.fn
+        self.body = scope.body
         self.param_units: dict[str, UnitValue] = {}
         self.annotated: dict[str, UnitValue] = {}
-        self.assignments = collect_assignments(body)
-        if function is not None:
-            args = function.node.args
+        if scope.fn is not None:
+            args = scope.fn.node.args
             for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 unit = annotation_unit(arg.annotation, module)
                 if unit is not UnitValue.UNKNOWN:
                     self.param_units[arg.arg] = unit
-        for stmt in body:
+        for stmt in scope.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.AnnAssign) and isinstance(
                     node.target, ast.Name
@@ -391,9 +382,7 @@ class UnitScope(ScopeFlow):
         return self._unit_of_resolved_return(call)
 
     def _unit_of_resolved_return(self, call: ast.Call) -> UnitValue:
-        targets, dynamic = self.program.resolve_call(
-            self.module, self.function, call
-        )
+        targets, dynamic = self.scope.calls[call]
         if not targets:
             return UnitValue.UNKNOWN
         units = []
@@ -414,20 +403,16 @@ class UnitScope(ScopeFlow):
         return UnitValue.UNKNOWN
 
 
-def unit_scopes(
-    ctx: ProgramContext,
-) -> list[tuple[ModuleInfo, FunctionInfo | None, list[ast.stmt], UnitScope]]:
-    """Every scope with its :class:`UnitScope`, built once per lint run.
+def unit_scopes(ctx: ProgramContext) -> list[UnitScope]:
+    """One :class:`UnitScope` per scope-table record, built once per
+    lint run.
 
     UNIT001–UNIT003 and STAT001 all read this one list.
     """
     program = ctx.program
     return ctx.shared(
         "unit-scopes",
-        lambda: [
-            (module, fn, body, UnitScope(program, module, fn, body))
-            for module, _qualname, fn, body in program.scopes()
-        ],
+        lambda: [UnitScope(program, scope) for scope in program.scopes()],
     )
 
 

@@ -618,7 +618,7 @@ class TestCliSurface:
             ), rule_id
 
     def test_unknown_rule_catalogue_includes_async_ids(self):
-        code, _, err = run_cli("--rule", "NOPE001", ".")
+        code, _, err = run_cli("--rules", "NOPE001", ".")
         assert code != 0
         for rule_id in ASYNC_IDS:
             assert rule_id in err
@@ -631,7 +631,7 @@ class TestCliSurface:
             "    time.sleep(0.1)\n"
         )
         root = write_tree(tmp_path, {REL: source})
-        code, out, _ = run_cli("--rule", "ASYNC001", "--json", str(root))
+        code, out, _ = run_cli("--rules", "ASYNC001", "--json", str(root))
         assert code == 1
         payload = json.loads(out)
         assert payload["rule_set"] == ["ASYNC001"]

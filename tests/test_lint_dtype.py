@@ -79,10 +79,9 @@ def infer(source: str, expr: str) -> ArrayInfo:
     tree = ast.parse(source)
     annotate_parents(tree)
     program = Program.build([(rel, tree, source.splitlines())])
-    module = program.modules[rel]
-    fn = module.functions.get("kernel")
-    body = fn.node.body if fn is not None else tree.body
-    scope = DtypeScope(program, module, fn, body, {})
+    fn = program.modules[rel].functions.get("kernel")
+    record = program.scope_of(fn) if fn is not None else program.scopes()[0]
+    scope = DtypeScope(record, {})
     return scope.info_of(ast.parse(expr, mode="eval").body)
 
 

@@ -466,7 +466,7 @@ class TestBimodeMutation:
 
 
 # ----------------------------------------------------------------------
-# CLI surface: --list-rules tier, --rule selection, SARIF indices.
+# CLI surface: --list-rules tier, --rules selection, SARIF indices.
 # ----------------------------------------------------------------------
 
 
@@ -487,7 +487,7 @@ class TestCliSurface:
             "        return count\n"
         )
         root = write_tree(tmp_path, {REL: structure(kernel)})
-        code, out, _ = run_cli("--rule", "PERF001", "--json", str(root))
+        code, out, _ = run_cli("--rules", "PERF001", "--json", str(root))
         assert code == 1
         payload = json.loads(out)
         assert payload["rule_set"] == ["PERF001"]

@@ -3,7 +3,7 @@
 Covers the project symbol table and call graph
 (:mod:`repro.lint.callgraph`), the seed-taint dataflow core
 (:mod:`repro.lint.dataflow`), the CLI surface added for
-interprocedural linting (``--graph``, repeatable ``--rule``), baseline
+interprocedural linting (``--graph``, ``--rules``), baseline
 rule-set staleness detection, and a hypothesis-driven corpus of
 generated seeded/unseeded call chains asserting SEED001's contract:
 no false negatives on severed chains, no false positives on threaded
@@ -15,12 +15,14 @@ from __future__ import annotations
 import ast
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.errors import LintUsageError
 from repro.lint import Baseline, LintEngine
+from repro.lint import callgraph
 from repro.lint.callgraph import CallGraph, Program, module_name
 from repro.lint.cli import main as lint_main
 from repro.lint.dataflow import (
@@ -33,6 +35,9 @@ from repro.lint.dataflow import (
 from repro.lint.rules import get_rules
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
 def build_program(sources: dict[str, str]) -> Program:
     """Index ``{rel: source}`` into a Program without touching disk."""
     parsed = []
@@ -42,13 +47,9 @@ def build_program(sources: dict[str, str]) -> Program:
 
 
 def flow_of(source: str) -> FunctionDataflow:
-    """Dataflow over the first function in *source*."""
-    tree = ast.parse(source)
-    node = next(
-        n for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    )
-    return FunctionDataflow(node)
+    """Dataflow over function ``f`` in *source*."""
+    program = build_program({"src/repro/core/mod.py": source})
+    return FunctionDataflow(program.scope_of(program.functions["repro.core.mod.f"]))
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +158,35 @@ class TestCallResolution:
         )
 
 
+class TestScopeTable:
+    def test_lint_run_builds_each_map_and_resolves_each_call_once(
+        self, monkeypatch
+    ):
+        """Every analysis reads the scope table; none rebuilds its facts."""
+        maps: Counter = Counter()
+        resolutions: Counter = Counter()
+        build_map = callgraph.collect_assignments
+        resolve = Program._resolve_call
+
+        def counting_build(body):
+            # A scope is its statements; an empty top level is its list.
+            maps[tuple(map(id, body)) or id(body)] += 1
+            return build_map(body)
+
+        def counting_resolve(self, module, caller, call):
+            resolutions[id(call)] += 1
+            return resolve(self, module, caller, call)
+
+        monkeypatch.setattr(callgraph, "collect_assignments", counting_build)
+        monkeypatch.setattr(Program, "_resolve_call", counting_resolve)
+        result = LintEngine().run(
+            [REPO_ROOT / "src/repro/core", REPO_ROOT / "src/repro/uarch"]
+        )
+        assert result.clean
+        assert maps and max(maps.values()) == 1
+        assert resolutions and max(resolutions.values()) == 1
+
+
 # ----------------------------------------------------------------------
 # Seed-taint dataflow.
 # ----------------------------------------------------------------------
@@ -246,7 +276,7 @@ class TestArgumentBinding:
 
 
 # ----------------------------------------------------------------------
-# CLI: --graph, --rule, baseline staleness, --json rule_set.
+# CLI: --graph, --rules, baseline staleness, --json rule_set.
 # ----------------------------------------------------------------------
 
 
@@ -296,7 +326,7 @@ class TestCliSurface:
         _, second, _ = run_cli("--graph", str(root))
         assert first == second
 
-    def test_repeatable_rule_flag_filters(self, tmp_path):
+    def test_rules_flag_filters(self, tmp_path):
         root = write_tree(tmp_path, {
             "src/repro/machine/mod.py":
                 "import random\n"
@@ -304,26 +334,24 @@ class TestCliSurface:
                 "    return random.random()\n",
         })
         # DET001 only: the dropped seed is SEED001's to report.
-        code, out, _ = run_cli("--rule", "DET001", str(root))
+        code, out, _ = run_cli("--rules", "DET001", str(root))
         assert code == 1
         assert "DET001" in out and "SEED001" not in out
-        # Merged with --rules, both fire.
-        code, out, _ = run_cli(
-            "--rules", "DET001", "--rule", "SEED001", str(root)
-        )
+        # Both selected, both fire.
+        code, out, _ = run_cli("--rules", "DET001,SEED001", str(root))
         assert code == 1
         assert "DET001" in out and "SEED001" in out
 
     def test_json_rule_set_reflects_rule_filter(self, tmp_path):
         root = write_tree(tmp_path, {"src/repro/machine/mod.py": "x = 1\n"})
-        code, out, _ = run_cli("--rule", "SEED001", "--json", str(root))
+        code, out, _ = run_cli("--rules", "SEED001", "--json", str(root))
         assert code == 0
         payload = json.loads(out)
         assert payload["version"] == 3
         assert payload["rule_set"] == ["SEED001"]
 
     def test_unknown_rule_flag_is_usage_error(self, tmp_path):
-        code, _, err = run_cli("--rule", "NOPE999", str(tmp_path))
+        code, _, err = run_cli("--rules", "NOPE999", str(tmp_path))
         assert code == 2
         assert "unknown rule" in err
 

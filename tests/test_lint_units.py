@@ -6,7 +6,7 @@ flagging state), the inference seeds of :mod:`repro.lint.unitflow`,
 a true-positive/true-negative fixture corpus per rule, the mutation
 check the issue demands (deleting the kilo conversion from a copy of
 ``observations.py`` must produce a UNIT002 finding at the exact line),
-and the CLI satellites (unknown ``--rule`` ids exit 2 with the valid
+and the CLI satellites (unknown ``--rules`` ids exit 2 with the valid
 ids listed; ``--sarif`` emits well-formed SARIF 2.1.0).
 """
 
@@ -82,7 +82,7 @@ def scope_and_return(source: str, func: str = "f"):
     program = build_program({"src/repro/core/mod.py": source})
     module = program.modules["src/repro/core/mod.py"]
     info = module.functions[func]
-    scope = UnitScope(program, module, info, list(info.node.body))
+    scope = UnitScope(program, program.scope_of(info))
     ret = next(
         node for node in ast.walk(info.node) if isinstance(node, ast.Return)
     )
@@ -528,7 +528,7 @@ class TestMutationCheck:
 
 class TestCliSatellites:
     def test_unknown_rule_exits_2_and_lists_valid_ids(self, tmp_path):
-        code, _, err = run_cli("--rule", "UNIT999", str(tmp_path))
+        code, _, err = run_cli("--rules", "UNIT999", str(tmp_path))
         assert code == 2
         assert "unknown rule 'UNIT999'" in err
         assert "valid rule ids" in err
