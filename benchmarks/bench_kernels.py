@@ -13,7 +13,8 @@ Workloads:
 * direction predictors and the BTB over the concatenated per-layout
   branch streams of 445.gobmk (one stream per reordered executable,
   ``REPRO_SCALE`` layouts); the gskew row times its fused ``scan``
-  loop against the oracle;
+  loop against the oracle, and the TAGE and L-TAGE rows their
+  array-hashed state-machine loop;
 * the L1I cache and a skewed cache of the same geometry (again a fused
   ``scan`` loop) over the concatenated ifetch streams, the L1D over the
   data streams, and the L2 over each layout's L1I+L1D miss stream in
@@ -69,6 +70,8 @@ from repro.uarch.predictors.gskew import GskewPredictor
 from repro.uarch.predictors.hybrid import HybridPredictor
 from repro.uarch.predictors.indirect import IttageLitePredictor, LastTargetPredictor
 from repro.uarch.predictors.pas import PAsPredictor
+from repro.uarch.predictors.perceptron import PerceptronPredictor
+from repro.uarch.predictors.tage import LTagePredictor, TagePredictor
 from repro.uarch.predictors.tournament import TournamentPredictor
 from repro.workloads.suite import get_benchmark
 
@@ -261,6 +264,9 @@ def main() -> int:
             history_bits=config.history_bits,
             chooser_entries=config.chooser_entries,
         ),
+        "perceptron-1024x12": lambda: PerceptronPredictor(1024, history_bits=12),
+        "tage": lambda: TagePredictor(),
+        "ltage-xeon": lambda: LTagePredictor(),
     }
 
     rows = []

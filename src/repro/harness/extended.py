@@ -33,8 +33,8 @@ from repro.uarch.predictors.perceptron import PerceptronPredictor
 from repro.uarch.predictors.tage import TagePredictor
 from repro.uarch.predictors.tournament import TournamentPredictor
 
-#: Benchmarks used for the extended study (kept small: the perceptron
-#: and TAGE are the slowest simulations in the repository).
+#: Benchmarks used for the extended study: three, so the study stays
+#: quick with every predictor simulated on every layout of each.
 STUDY_BENCHMARKS = ("400.perlbench", "445.gobmk", "462.libquantum")
 
 

@@ -11,7 +11,7 @@ in the academic literature" (§7.2.2) — plus the perfect predictor.
 Every predictor exposes :meth:`~base.BranchPredictor.simulate`, which
 consumes a bound address stream and outcome stream and returns the
 misprediction count; concrete classes supply the per-event oracle
-and, where an array formulation exists, a vector ``scan``.
+and the vector ``scan``.
 """
 
 from repro.uarch.predictors.agree import AgreePredictor

@@ -25,7 +25,7 @@ class BranchPredictor(Structure):
     the inherited :meth:`~repro.uarch.vector.Structure.simulate` over
     ``(addresses, outcomes)``: a miss is a misprediction, the oracle
     :meth:`step` is the negation of :meth:`predict_and_update`, and
-    predictors with an array formulation add a ``scan`` kernel.
+    every predictor supplies the vector ``scan`` kernel.
     """
 
     #: Human-readable predictor name (e.g. ``"GAs-8KB"``).

@@ -9,7 +9,11 @@ very different aliasing behaviour from 2-bit counter tables.
 
 from __future__ import annotations
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from repro.errors import ConfigurationError
+from repro.uarch import vector
 from repro.uarch.predictors.base import BranchPredictor, require_power_of_two
 
 
@@ -42,7 +46,8 @@ class PerceptronPredictor(BranchPredictor):
     def storage_bits(self) -> int:
         return 8 * (self.history_bits + 1) * self.entries
 
-    # The oracle is the production path (see TagePredictor.step).
+    # The oracle: defining step keeps the scalar engine at one call per
+    # event (see TagePredictor.step).
     def step(self, pc: int, outcome: int) -> bool:
         idx = (pc >> 2) & (self.entries - 1)
         weights = self._weights[idx]
@@ -63,3 +68,45 @@ class PerceptronPredictor(BranchPredictor):
         history.insert(0, target)
         return prediction != outcome
 
+    def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        # A weight row is touched only by its own entry's events, and the
+        # bipolar history is a function of the outcome stream alone, so
+        # round r applies every entry's r-th event at once: dot product,
+        # threshold test and clipped update, as in counter_scan's rounds.
+        bits = self.history_bits
+        limit = self.weight_limit
+        weights = np.array(self._weights, dtype=np.int32)
+        n = int(addresses.size)
+        misses = np.empty(n, dtype=bool)
+        for start, stop in vector.iter_chunks(n):
+            targets = outcomes[start:stop].astype(np.int8) * 2 - 1
+            past = np.concatenate(
+                [np.array(self._history[::-1], dtype=np.int8), targets]
+            )
+            self._history = past[: -bits - 1 : -1].tolist()
+            # Row e: the bias input, then history[i] = target i+1 back.
+            inputs = np.ones((stop - start, bits + 1), dtype=np.int8)
+            inputs[:, 1:] = sliding_window_view(past[:-1], bits)[:, ::-1]
+            index = (addresses[start:stop] >> 2) & (self.entries - 1)
+            groups = vector.IndexGroups(index, self.entries)
+            by_rank, bounds = groups.rounds()
+            events = groups.order[by_rank]
+            entry = groups.entry[by_rank]
+            inputs = inputs[events]
+            targets = targets[events]
+            taken = targets > 0
+            missed = np.empty(events.size, dtype=bool)
+            for r in range(len(bounds) - 1):
+                sl = slice(bounds[r], bounds[r + 1])
+                g = entry[sl]
+                x = inputs[sl]
+                w = weights[g]
+                total = np.einsum("ij,ij->i", w, x)
+                wrong = (total >= 0) != taken[sl]
+                missed[sl] = wrong
+                train = wrong | (np.abs(total) <= self.threshold)
+                trained = w[train] + targets[sl][train, None] * x[train]
+                weights[g[train]] = np.minimum(np.maximum(trained, -limit), limit)
+            misses[start:stop][events] = missed
+        self._weights = weights.tolist()
+        return misses

@@ -28,6 +28,8 @@ recurrence, handled by one of four segmented scans:
   tournament BHTs): the same recurrence, segmented by table entry.
 * :func:`last_value_scan` / :func:`sticky_install_scan` — last-target
   tables and set-once bias bits.
+* :func:`folded_histories` — TAGE's folded global histories, each an
+  XOR of delayed trailing windows of the outcome stream.
 
 LRU state (caches, BTB) follows from Mattson stack distance: an access
 hits an A-way true-LRU set iff fewer than A distinct tags touched that
@@ -40,15 +42,16 @@ All kernels carry state across :data:`CHUNK_EVENTS`-sized chunks so
 memory stays bounded on long traces.
 
 Every structure plugs its kernel into one contract, :class:`Structure`:
-it supplies ``reset``, the per-event oracle ``step`` and optionally the
-vector ``scan``; the inherited ``simulate``/``simulate_mask`` own
-validation, reset, engine dispatch and counting.
+it supplies ``reset``, the per-event oracle ``step`` and the vector
+``scan``; the inherited ``simulate``/``simulate_mask`` own validation,
+reset, engine dispatch and counting.  The only per-event loop here is
+the oracle's, run when ``engine == "scalar"``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -86,16 +89,13 @@ class Structure(ABC):
     * :meth:`reset` — restore the power-on state;
     * :meth:`step` — the per-event oracle: consume one event (one
       element of every stream) and return True on a miss;
-    * :attr:`scan` — optionally, the vector kernel:
-      ``scan(addresses, *streams)`` returns the whole miss mask (one
-      bool per event) and leaves the post-trace state.
+    * :meth:`scan` — the vector kernel: ``scan(addresses, *streams)``
+      returns the whole miss mask (one bool per event) and leaves the
+      post-trace state.
 
     :meth:`simulate_mask` and :meth:`simulate` own everything else, so
     the two engines can differ only inside ``scan``.
     """
-
-    #: The vector kernel, or None for a structure with only the oracle.
-    scan: Callable[..., np.ndarray] | None = None
 
     @abstractmethod
     def reset(self) -> None:
@@ -105,30 +105,32 @@ class Structure(ABC):
     def step(self, *event: int) -> bool:
         """Simulate one event; return True on a miss."""
 
+    @abstractmethod
+    def scan(self, addresses: np.ndarray, *streams: np.ndarray) -> np.ndarray:
+        """Simulate the whole trace; return the per-event miss mask."""
+
     def simulate_mask(
         self, addresses: np.ndarray, *streams: np.ndarray, engine: str = "vector"
     ) -> np.ndarray:
         """Reset, stream the trace through, return the per-event miss mask.
 
         *engine* selects the implementation, never the result:
-        ``"vector"`` runs :attr:`scan` when the structure has one;
-        ``"scalar"``, and every structure without a kernel, runs
-        :meth:`step` once per event.  Both leave identical masks and
-        post-trace state (enforced by the differential test suite).
+        ``"vector"`` runs :meth:`scan`; ``"scalar"`` runs :meth:`step`
+        once per event.  Both leave identical masks and post-trace
+        state (enforced by the differential test suite).
         """
         require_engine(engine)
         self.reset()
-        if engine == "vector" and self.scan is not None:
-            return self.scan(addresses, *streams)
-        step = self.step
-        misses = [False] * int(addresses.size)
-        # repro: allow-PERF001 the per-event oracle: the scalar engine's reference loop, and the production path of the structures without an array formulation — TAGE's tagged-provider allocation and the perceptron's dot-product threshold training update state along the event chain (ROADMAP item 2 weighs their conversion)
-        for i, event in enumerate(
-            zip(addresses.tolist(), *[stream.tolist() for stream in streams])
-        ):
-            if step(*event):
-                misses[i] = True
-        return np.array(misses, dtype=bool)
+        if engine == "scalar":
+            step = self.step
+            misses = [False] * int(addresses.size)
+            for i, event in enumerate(
+                zip(addresses.tolist(), *[stream.tolist() for stream in streams])
+            ):
+                if step(*event):
+                    misses[i] = True
+            return np.array(misses, dtype=bool)
+        return self.scan(addresses, *streams)
 
     def simulate(
         self,
@@ -150,8 +152,12 @@ class Structure(ABC):
         return int(np.count_nonzero(mask[warmup:]))
 
 
-def iter_chunks(n: int, chunk: int = CHUNK_EVENTS) -> Iterator[tuple[int, int]]:
-    """Yield ``(start, stop)`` slices covering ``range(n)``."""
+def iter_chunks(n: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(start, stop)`` slices covering ``range(n)``.
+
+    Slices hold :data:`CHUNK_EVENTS` events, read at call time.
+    """
+    chunk = CHUNK_EVENTS
     for start in range(0, n, chunk):
         yield start, min(start + chunk, n)
 
@@ -208,6 +214,35 @@ def shifted_histories(
     return hist, carry_out
 
 
+def folded_histories(
+    stream: np.ndarray, start: int, lengths: tuple[int, ...], bits: int
+) -> np.ndarray:
+    """Per-event folded global histories (TAGE's compressed registers).
+
+    *stream* holds outcome bits, oldest first; ``stream[:start]`` is the
+    carried history, with ``start >= max(lengths)``.  Row ``t`` holds,
+    before each event ``start + i`` for ``i`` in ``0 .. stream.size -
+    start`` (the last column is the post-trace register)::
+
+        XOR_{j < lengths[t]} stream[start + i - 1 - j] << (j mod bits)
+
+    which is what the incremental fold (shift in, XOR the evicted bit
+    out, wrap bit *bits* to bit 0) holds.  Each row is the XOR of
+    ``ceil(length / bits)`` delayed *bits*-wide trailing windows, all
+    slices of one :func:`_trailing_packed` pass.
+    """
+    window = _trailing_packed(np.append(stream, 0), bits, 1)
+    stop = int(stream.size) + 1
+    out = np.zeros((len(lengths), stop - start), dtype=np.int64)
+    for row, length in zip(out, lengths):
+        for k in range(0, length, bits):
+            part = window[start - k : stop - k]
+            if length - k < bits:
+                part = part & ((1 << (length - k)) - 1)
+            row ^= part
+    return out
+
+
 class IndexGroups:
     """Sorted grouping of one table-index stream.
 
@@ -247,6 +282,19 @@ class IndexGroups:
                 np.where(self.seg_first, arange, 0)
             )
         return self._position
+
+    def rounds(self) -> tuple[np.ndarray, list[int]]:
+        """Sorted positions grouped by rank within their segment.
+
+        Round ``r`` is ``by_rank[bounds[r]:bounds[r + 1]]``: the
+        ``r``-th event of every segment.  Entries are distinct within a
+        round, so one gather/scatter per round has no conflicts.
+        """
+        position = self.position
+        depth = int(position.max())
+        by_rank = _stable_order(position, depth + 1)
+        bounds = np.searchsorted(position[by_rank], np.arange(depth + 2))
+        return by_rank, bounds.tolist()
 
 
 #: Longest per-entry run chain handled by the round-based strategy in
@@ -357,12 +405,9 @@ def counter_scan(
         # the r-th event of every segment at once; entries are distinct
         # within a round, so the table gather/scatter has no conflicts.
         pre = np.empty(n, dtype=table.dtype)
-        by_pos = _stable_order(groups.position, event_depth + 1)
-        bounds = np.searchsorted(
-            groups.position[by_pos], np.arange(event_depth + 2)
-        )
+        by_pos, bounds = groups.rounds()
         for r in range(event_depth + 1):
-            sl = by_pos[int(bounds[r]) : int(bounds[r + 1])]
+            sl = by_pos[bounds[r] : bounds[r + 1]]
             g = entry[sl]
             x = table[g]
             pre[sl] = x

@@ -5,10 +5,11 @@ A hypothesis property pins the hot-scope reachability's monotonicity
 fixture tests demonstrate each rule's true positives and true
 negatives — including the scalar-guard and chunk-dispatch exemptions
 that make the engine contract expressible without suppressions — and
-the mutation check the issue demands proves that re-introducing a
-per-event ``scan`` loop into ``bimode.py`` produces PERF001 at the
-exact mutated line while the sanctioned oracle loop of
-``Structure.simulate_mask`` in ``vector.py`` stays suppressed, not flagged.
+the mutation checks prove that re-introducing a per-event ``scan``
+loop into ``bimode.py``, or deleting the justified suppression from
+TAGE's state-machine loop, produces PERF001 at the exact loop line,
+while the oracle loop of ``Structure.simulate_mask`` in ``vector.py``
+is seen by the model and exempt because it sits in the scalar guard.
 """
 
 from __future__ import annotations
@@ -435,14 +436,35 @@ def _shipped(*rels: str) -> dict[str, str]:
     return {rel: (REPO_ROOT / rel).read_text() for rel in rels}
 
 
+def _model(files: dict[str, str]) -> HotPathModel:
+    parsed = []
+    for rel, source in sorted(files.items()):
+        tree = ast.parse(source)
+        annotate_parents(tree)
+        parsed.append((rel, tree, source.splitlines()))
+    return HotPathModel(Program.build(parsed))
+
+
 class TestBimodeMutation:
     def test_shipped_predictor_sources_are_clean(self, tmp_path):
-        files = _shipped(*_CONTRACT_SOURCES, "src/repro/uarch/predictors/bimode.py")
+        files = _shipped(
+            *_CONTRACT_SOURCES,
+            "src/repro/uarch/predictors/bimode.py",
+            "src/repro/uarch/predictors/perceptron.py",
+            "src/repro/uarch/predictors/tage.py",
+        )
         payload = findings_json(tmp_path, files, rules="PERF001")
         assert payload["findings"] == []
-        # The shared oracle loop is suppressed with a justification,
-        # not invisible to the rule.
-        assert payload["summary"]["suppressed"] >= 1
+        # TAGE's state-machine loop is the one justified suppression.
+        assert payload["summary"]["suppressed"] == 1
+        # The oracle loop is visible to the rule and classified as the
+        # scalar engine's: hot scope, per-event shape, inside the guard.
+        model = _model(files)
+        oracle = next(q for q in model.loops if q.endswith("Structure.simulate_mask"))
+        assert model.is_hot(oracle)
+        [loop] = model.loops[oracle]
+        assert loop.per_event and loop.in_scalar_guard
+        assert loop not in list(model.hot_loops())
 
     def test_reintroduced_event_loop_flags_at_exact_line(self, tmp_path):
         bimode_src = (
@@ -463,6 +485,24 @@ class TestBimodeMutation:
         assert finding["path"].endswith("src/repro/uarch/predictors/bimode.py")
         assert finding["line"] == expected_line
         assert "MutatedBiMode.scan is hot" in finding["message"]
+
+    def test_tage_event_loop_flags_without_its_suppression(self, tmp_path):
+        rel = "src/repro/uarch/predictors/tage.py"
+        lines = (REPO_ROOT / rel).read_text().splitlines(keepends=True)
+        [marker] = [
+            i for i, line in enumerate(lines) if "repro: allow-PERF001" in line
+        ]
+        del lines[marker]
+        # The loop statement now sits on the comment's old line.
+        assert lines[marker].lstrip().startswith("for e, ")
+        files = _shipped(*_CONTRACT_SOURCES)
+        files[rel] = "".join(lines)
+        payload = findings_json(tmp_path, files, rules="PERF001")
+        findings = payload["findings"]
+        assert [f["rule"] for f in findings] == ["PERF001"]
+        assert findings[0]["path"].endswith(rel)
+        assert findings[0]["line"] == marker + 1
+        assert "TagePredictor._scan_chunk is hot" in findings[0]["message"]
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ counts — and, where the structure keeps tables, bit-identical post-run
 state — to the per-event scalar loops (``engine="scalar"``).  These
 tests enforce that contract over hypothesis-chosen traces, including
 the warmup edge cases (0, the full trace, past the end), empty
-streams, all-not-taken traces, and indirect traces with no indirect
-branches at all.
+streams, all-not-taken traces, indirect traces with no indirect
+branches at all, and state carried across kernel chunk boundaries.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.uarch.predictors.static import (
     AlwaysNotTakenPredictor,
     AlwaysTakenPredictor,
 )
-from repro.uarch.predictors.tage import TagePredictor
+from repro.uarch.predictors.tage import LTagePredictor, TagePredictor
 from repro.uarch.predictors.tournament import TournamentPredictor
 
 from tests.conftest import make_tiny_spec
@@ -68,6 +68,7 @@ PREDICTOR_FACTORIES = {
     "bimode": lambda: BiModePredictor(entries=256, history_bits=6, choice_entries=64),
     "perceptron": lambda: PerceptronPredictor(entries=64, history_bits=10),
     "tage": lambda: TagePredictor(table_bits=6, bimodal_bits=8),
+    "ltage": lambda: LTagePredictor(table_bits=6, bimodal_bits=8, loop_entries=16),
     "always-taken": AlwaysTakenPredictor,
     "always-not-taken": AlwaysNotTakenPredictor,
     "perfect": PerfectPredictor,
@@ -93,12 +94,19 @@ STRUCTURE_FACTORIES = {
 _WARMUP_KINDS = ("zero", "third", "all", "past-end")
 
 
-def _comparable_state(predictor) -> dict | None:
-    """Predictor state when it is made of plain lists/ints, else None."""
-    state = vars(predictor)
-    if all(isinstance(v, (list, int, str, bool)) for v in state.values()):
-        return state
-    return None
+def _plain(value):
+    """*value* as plain lists and ints, slotted helper objects unpacked."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if hasattr(value, "__slots__"):
+        return {slot: getattr(value, slot) for slot in value.__slots__}
+    assert isinstance(value, (int, str)), type(value)
+    return value
+
+
+def _comparable_state(predictor) -> dict:
+    """Every attribute of *predictor*, compared by value."""
+    return {key: _plain(value) for key, value in vars(predictor).items()}
 
 
 def _make_trace(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +140,27 @@ def test_predictor_engines_bit_identical(name, seed, n, warmup_kind):
     count_s = scalar.simulate(addresses, outcomes, warmup=warmup, engine="scalar")
     count_v = vectored.simulate(addresses, outcomes, warmup=warmup, engine="vector")
     assert count_s == count_v
-    state = _comparable_state(scalar)
-    if state is not None:
-        assert state == _comparable_state(vectored)
+    assert _comparable_state(scalar) == _comparable_state(vectored)
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=1, max_value=300),
+    chunk=st.sampled_from([1, 7, 64]),
+)
+@settings(max_examples=6, deadline=None)
+def test_scan_carries_state_across_chunks(name, seed, n, chunk):
+    """Small kernel chunks: masks and state still match the oracle."""
+    addresses, outcomes = _make_trace(seed, n)
+    scalar = PREDICTOR_FACTORIES[name]()
+    vectored = PREDICTOR_FACTORIES[name]()
+    mask_s = scalar.simulate_mask(addresses, outcomes, engine="scalar")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vector, "CHUNK_EVENTS", chunk)
+        mask_v = vectored.simulate_mask(addresses, outcomes, engine="vector")
+    assert np.array_equal(mask_s, mask_v)
+    assert _comparable_state(scalar) == _comparable_state(vectored)
 
 
 def _cache_addresses(seed: int, n: int) -> np.ndarray:
