@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="inject deterministic faults for testing: a canned profile "
         "('flaky', 'chaos', 'hung') or 'field=value,...' pairs, e.g. "
-        "'seed=7,flaky_read=0.1,torn_write=0.05' "
+        "'seed=7,worker_crash=0.1,torn_write=0.05' "
         "(overrides $REPRO_FAULT_PLAN; 'none' disables)",
     )
     parser.add_argument(

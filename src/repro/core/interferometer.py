@@ -100,7 +100,6 @@ class Interferometer:
             events=PAPER_EVENTS,
             runs_per_group=self.runs_per_group,
             core=self.core_for(benchmark.name),
-            benchmark=benchmark.name,
         )
         return Observation(
             layout_index=index,

@@ -204,7 +204,8 @@ class MachinePark:
 
         Fault tolerance: each campaign is retried up to *retry_policy*'s
         ``max_retries`` (``RetryPolicy()`` when none is passed) on
-        transient failures (exponential backoff); a campaign whose pool
+        transient failures — a deadline expiry, a crashed worker —
+        with exponential backoff; a campaign whose pool
         worker crashes or dies is re-run serially in this process
         (graceful degradation, parallel → serial) instead of aborting
         the suite.  Because a retry re-runs the

@@ -43,14 +43,6 @@ class MeasurementError(ReproError):
     """A performance-counter measurement request was invalid."""
 
 
-class TransientMeasurementError(MeasurementError, TransientError):
-    """A counter read failed or returned garbage; re-reading should fix it."""
-
-
-class MeasurementTimeout(MeasurementError, TransientError):
-    """A counter read stalled past its deadline."""
-
-
 class WorkerCrashError(TransientError):
     """A campaign worker process died mid-measurement."""
 

@@ -3,27 +3,26 @@
 The paper's method is built to survive noisy measurement: counter reads
 jitter, so the protocol takes medians over repeated runs and regression
 absorbs what remains (§5.5).  This module extends that stance from
-*noise* to *failure*: an injectable, seeded :class:`FaultPlan` can make
-counter reads raise, return garbled values, or stall; make campaign
-workers crash; and tear store files mid-write — while the supervision
-layer (read-level re-reads, campaign-level retries with exponential
-backoff, parallel→serial degradation, cache quarantine) keeps every
-recovered result **bit-identical** to a fault-free run, because each
-measurement is a pure function of (machine seed, benchmark, layout
-index).
+*noise* to the failures a host can produce: an injectable, seeded
+:class:`FaultPlan` can make campaign workers crash or hang and tear
+store files mid-write — while the supervision layer (campaign-level
+retries with exponential backoff, deadlines, parallel→serial
+degradation, cache quarantine) keeps every recovered result
+**bit-identical** to a fault-free run, because each measurement is a
+pure function of (machine seed, benchmark, layout index).
 
 Usage::
 
     from repro import faults
     from repro.faults import FaultPlan
 
-    with faults.injected(FaultPlan(seed=7, flaky_read=0.1)):
-        observations = interferometer.observe(benchmark, n_layouts=40)
-    # observations are bit-identical to a fault-free campaign
+    with faults.injected(FaultPlan(seed=7, worker_crash=0.1)):
+        observations = park.observe_suite(benchmarks, workers=2)
+    # observations are bit-identical to a fault-free suite
 
 The environment variable ``REPRO_FAULT_PLAN`` installs a plan for the
 whole process (e.g. ``REPRO_FAULT_PLAN=flaky`` for the canned flaky
-profile, or an explicit ``"seed=7,flaky_read=0.1,torn_write=0.05"``);
+profile, or an explicit ``"seed=7,worker_crash=0.1,torn_write=0.05"``);
 the CLI flag ``--fault-plan`` overrides it.  With no plan installed
 every hook is a ``None`` check — zero cost on the measurement path.
 
@@ -53,21 +52,16 @@ DEFAULT_MAX_RETRIES = 2
 
 #: Canned fault profiles selectable by name (CLI ``--fault-plan`` and
 #: the ``REPRO_FAULT_PLAN`` environment variable).  ``flaky`` is the CI
-#: smoke profile: ~10% of counter reads fail transiently, which the
-#: read-level re-read layer absorbs without any campaign retries.
+#: smoke profile: ~10% of store writes tear (quarantined and re-measured
+#: on the next load) and ~10% of benchmarks crash their pool worker
+#: (re-run serially).
 CANNED_PLANS: dict[str, str] = {
-    "flaky": "seed=0xF1A7,flaky_read=0.10",
-    "chaos": (
-        "seed=0xC405,flaky_read=0.10,garbled_read=0.05,stalled_read=0.02,"
-        "torn_write=0.10,worker_crash=0.25"
-    ),
+    "flaky": "seed=0xF1A7,torn_write=0.10,worker_crash=0.10",
+    "chaos": "seed=0xC405,torn_write=0.25,worker_crash=0.25",
     "hung": "seed=0x4A46,worker_hang=0.30,hang_seconds=20",
 }
 
 _RATE_FIELDS = (
-    "flaky_read",
-    "garbled_read",
-    "stalled_read",
     "torn_write",
     "worker_crash",
     "worker_hang",
@@ -83,15 +77,6 @@ class FaultPlan:
     seed:
         Root of every fault decision; two plans with equal fields
         produce identical fault schedules.
-    flaky_read:
-        Probability a counter read raises
-        :class:`~repro.errors.TransientMeasurementError`.
-    garbled_read:
-        Probability a counter read returns detectably impossible values
-        (rejected by validation, then re-read).
-    stalled_read:
-        Probability a counter read stalls past its deadline
-        (:class:`~repro.errors.MeasurementTimeout`).
     torn_write:
         Probability a campaign store write is truncated half-way, as if
         the process died mid-write.
@@ -120,9 +105,6 @@ class FaultPlan:
         :class:`~repro.errors.WorkerCrashError`.
     only_benchmarks:
         When non-empty, faults apply only to these benchmarks.
-    stall_seconds:
-        Real wall-clock stall before a stalled read times out (0 keeps
-        tests fast; the timeout is raised either way).
     hang_seconds:
         How long an injected hang blocks before giving up and resuming
         normally.  A stand-in for "forever" that keeps un-deadlined
@@ -133,9 +115,6 @@ class FaultPlan:
     """
 
     seed: int = 0xF417
-    flaky_read: float = 0.0
-    garbled_read: float = 0.0
-    stalled_read: float = 0.0
     torn_write: float = 0.0
     worker_crash: float = 0.0
     worker_hang: float = 0.0
@@ -143,7 +122,6 @@ class FaultPlan:
     hang_benchmarks: tuple[str, ...] = ()
     hard_crash: bool = False
     only_benchmarks: tuple[str, ...] = ()
-    stall_seconds: float = 0.0
     hang_seconds: float = 30.0
     #: Per-process occurrence counters; deliberately excluded from
     #: comparison and pickling so workers start a fresh schedule.
@@ -156,10 +134,6 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"fault rate {name} must be in [0, 1], got {rate}"
                 )
-        if self.stall_seconds < 0:
-            raise ConfigurationError(
-                f"stall_seconds must be >= 0, got {self.stall_seconds}"
-            )
         if self.hang_seconds < 0:
             raise ConfigurationError(
                 f"hang_seconds must be >= 0, got {self.hang_seconds}"
@@ -188,21 +162,6 @@ class FaultPlan:
         if not self.only_benchmarks or benchmark is None:
             return True
         return benchmark in self.only_benchmarks
-
-    def read_fault(self, key: str, benchmark: str | None = None) -> str | None:
-        """The fault (if any) afflicting one counter read.
-
-        Returns ``"stall"``, ``"flaky"``, ``"garble"``, or ``None``.
-        """
-        if not self.applies_to(benchmark):
-            return None
-        if self._decide("read/stall", key, self.stalled_read):
-            return "stall"
-        if self._decide("read/flaky", key, self.flaky_read):
-            return "flaky"
-        if self._decide("read/garble", key, self.garbled_read):
-            return "garble"
-        return None
 
     def torn_payload(
         self, payload: str, key: str, benchmark: str | None = None
@@ -251,11 +210,14 @@ class FaultPlan:
     def from_spec(cls, spec: str) -> "FaultPlan | None":
         """Parse a plan from a spec string.
 
-        Accepts a canned profile name (``flaky``, ``chaos``), the
-        literal ``none``/``off``/empty (→ ``None``), or comma-separated
-        ``field=value`` pairs, e.g.
-        ``"seed=7,flaky_read=0.1,crash_benchmarks=456.hmmer+470.lbm"``.
-        Benchmark lists use ``+`` as the separator.
+        Accepts a canned profile name (``flaky``, ``chaos``, ``hung``),
+        the literal ``none``/``off``/empty (→ ``None``), or
+        comma-separated ``field=value`` pairs, e.g.
+        ``"seed=7,torn_write=0.1,crash_benchmarks=456.hmmer+470.lbm"``.
+        Benchmark lists use ``+`` as the separator and may name only
+        suite or MASE benchmarks; ``hard_crash`` takes 1/0, true/false,
+        yes/no or on/off.  Anything else raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         spec = spec.strip()
         if not spec or spec.lower() in ("none", "off"):
@@ -273,21 +235,23 @@ class FaultPlan:
                     f"fault plan entry {part!r} is not of the form field=value"
                 )
             if name == "hard_crash":
-                kwargs[name] = value.lower() in ("1", "true", "yes", "on")
+                flag = _BOOLEANS.get(value.lower())
+                if flag is None:
+                    raise ConfigurationError(
+                        f"bad value for fault plan field {name!r}: {value!r} "
+                        f"(use one of {', '.join(_BOOLEANS)})"
+                    )
+                kwargs[name] = flag
                 continue
             if name in ("crash_benchmarks", "hang_benchmarks", "only_benchmarks"):
-                kwargs[name] = tuple(v for v in value.split("+") if v)
+                kwargs[name] = _benchmark_list(name, value)
                 continue
-            if (
-                name != "seed"
-                and name not in _RATE_FIELDS
-                and name not in ("stall_seconds", "hang_seconds")
-            ):
+            if name not in ("seed", *_RATE_FIELDS, "hang_seconds"):
                 raise ConfigurationError(
                     f"unknown fault plan field {name!r}; known fields: "
-                    f"seed, {', '.join(_RATE_FIELDS)}, stall_seconds, "
-                    f"hang_seconds, hard_crash, crash_benchmarks, "
-                    f"hang_benchmarks, only_benchmarks"
+                    f"seed, {', '.join(_RATE_FIELDS)}, hang_seconds, "
+                    f"hard_crash, crash_benchmarks, hang_benchmarks, "
+                    f"only_benchmarks"
                 )
             # ConfigurationError is itself a ValueError, so the numeric
             # conversions sit alone in this try to avoid re-wrapping the
@@ -302,6 +266,33 @@ class FaultPlan:
                     f"bad value for fault plan field {name!r}: {value!r}"
                 ) from exc
         return cls(**kwargs)  # type: ignore[arg-type]
+
+
+#: The spellings ``hard_crash`` accepts in a spec string.
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _benchmark_list(name: str, value: str) -> tuple[str, ...]:
+    """Parse a ``+``-separated benchmark list, rejecting unknown names.
+
+    A misspelt name would parse and then never match a campaign, so a
+    plan meant to crash or hang one benchmark would silently do nothing.
+    """
+    # Imported here: the workloads package pulls in numpy, which a spec
+    # naming no benchmark never needs.
+    from repro.workloads.params import MASE_EXTRA, PERSONALITIES
+
+    names = tuple(v for v in value.split("+") if v)
+    unknown = [n for n in names if n not in PERSONALITIES and n not in MASE_EXTRA]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown benchmark(s) {', '.join(unknown)} in fault plan field "
+            f"{name!r}; known: {', '.join(sorted(PERSONALITIES) + sorted(MASE_EXTRA))}"
+        )
+    return names
 
 
 # ----------------------------------------------------------------------

@@ -124,10 +124,10 @@ class Laboratory:
 
     Fault tolerance: every campaign runs under the park's retry budget
     (``max_retries``, default 2) with exponential backoff; transient
-    failures — flaky counter reads that outlast the read-level
-    re-reads, crashed workers, corrupt cache files — are retried, and
-    because retries re-run the same pure function, recovered campaigns
-    stay bit-identical.  All incidents accumulate in
+    failures — crashed or hung workers — are retried, corrupt cache
+    files are quarantined and re-measured, and because both re-run the
+    same pure function, recovered campaigns stay bit-identical.  All
+    incidents accumulate in
     ``failure_report``; a lazily requested campaign that exhausts its
     budget raises :class:`~repro.errors.CampaignExecutionError`.
     ``fail_fast`` aborts suite prefetches at the first such failure

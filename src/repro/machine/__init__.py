@@ -12,13 +12,12 @@ events per run, median-of-five runs per counter group.
 
 from repro.machine.config import XeonE5440Config
 from repro.machine.counters import Counter
-from repro.machine.pmc import CounterGroupPlan, PerfEx, measure_executable
+from repro.machine.pmc import CounterGroupPlan, measure_executable
 from repro.machine.system import XeonE5440
 
 __all__ = [
     "Counter",
     "CounterGroupPlan",
-    "PerfEx",
     "XeonE5440",
     "XeonE5440Config",
     "measure_executable",

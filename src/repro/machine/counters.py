@@ -10,9 +10,6 @@ elapsed cycles.  We additionally expose retired branches, L1D misses
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping
-
-from repro.errors import TransientMeasurementError
 
 
 class Counter(str, Enum):
@@ -58,32 +55,6 @@ class Counter(str, Enum):
         if self is Counter.BRANCHES:
             return "branches"
         return "misses"
-
-
-def validate_reading(reading: Mapping["Counter", int]) -> None:
-    """Sanity-check one raw counter reading before the median filter.
-
-    Real PMC harnesses reject obviously impossible samples — a
-    nonpositive cycle or instruction count, or a negative event count,
-    indicates a torn or misprogrammed read, not measurement noise.
-    Raises :class:`~repro.errors.TransientMeasurementError`, which the
-    reading session answers with a deterministic re-read.
-    """
-    cycles = reading.get(Counter.CYCLES)
-    if cycles is None or cycles <= 0:
-        raise TransientMeasurementError(
-            f"implausible cycle count {cycles!r} in counter reading"
-        )
-    instructions = reading.get(Counter.INSTRUCTIONS)
-    if instructions is None or instructions <= 0:
-        raise TransientMeasurementError(
-            f"implausible instruction count {instructions!r} in counter reading"
-        )
-    for event, count in reading.items():
-        if count < 0:
-            raise TransientMeasurementError(
-                f"negative count {count} for event {event.value}"
-            )
 
 
 #: The programmable events the paper's three two-event groups cover,

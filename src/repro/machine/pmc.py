@@ -13,24 +13,14 @@ a :class:`Measurement` with the merged counters and derived statistics
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro import faults, units
-from repro.errors import (
-    MeasurementError,
-    MeasurementTimeout,
-    TransientError,
-    TransientMeasurementError,
-)
-from repro.machine.counters import PAPER_EVENTS, Counter, validate_reading
+from repro import units
+from repro.errors import MeasurementError
+from repro.machine.counters import PAPER_EVENTS, Counter
 from repro.machine.system import XeonE5440
 from repro.toolchain.executable import Executable
-
-#: Re-reads a :class:`CounterSession` attempts before giving up on one
-#: counter read and escalating to the campaign-level supervisor.
-DEFAULT_READ_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -128,102 +118,22 @@ class Measurement:
 
 
 class CounterSession:
-    """Validated, self-healing counter reads for one measurement context.
+    """Counter reads for one measurement context: one native run each."""
 
-    Wraps :meth:`XeonE5440.run_once` with (1) sanity validation of
-    every raw reading (:func:`~repro.machine.counters.validate_reading`)
-    and (2) bounded deterministic re-reads on transient failures —
-    flaky reads, garbled values, stalled reads.  Because a read is a
-    pure function of (machine seed, executable fingerprint, run key), a
-    successful re-read returns exactly the bits a fault-free read would
-    have, so recovery never perturbs results.
+    # perfbench/layers.py wraps read() to count retried_reads; both go with it.
+    retried_reads = 0
 
-    A read that stays transiently broken for ``max_read_retries + 1``
-    consecutive attempts escalates a
-    :class:`~repro.errors.TransientMeasurementError` to the
-    campaign-level supervisor.
-    """
-
-    def __init__(
-        self,
-        machine: XeonE5440,
-        core: int = 0,
-        max_read_retries: int = DEFAULT_READ_RETRIES,
-        benchmark: str | None = None,
-    ) -> None:
-        if max_read_retries < 0:
-            raise MeasurementError(
-                f"max_read_retries must be >= 0, got {max_read_retries}"
-            )
+    def __init__(self, machine: XeonE5440, core: int = 0) -> None:
         self.machine = machine
         self.core = core
-        self.max_read_retries = max_read_retries
-        self.benchmark = benchmark
-        #: Re-reads performed so far (observability for tests/reports).
-        self.retried_reads = 0
 
     def read(
         self, executable: Executable, events: Sequence[Counter], run_key: str
     ) -> Mapping[Counter, int]:
-        """One validated counter reading, re-read on transient faults."""
-        last: TransientError | None = None
-        for _ in range(self.max_read_retries + 1):
-            try:
-                return self._read_once(executable, events, run_key)
-            except TransientError as exc:
-                last = exc
-                self.retried_reads += 1
-        raise TransientMeasurementError(
-            f"counter read {run_key!r} of "
-            f"{self.benchmark or executable.fingerprint} still failing "
-            f"after {self.max_read_retries} re-reads: {last}"
-        ) from last
-
-    def _read_once(
-        self, executable: Executable, events: Sequence[Counter], run_key: str
-    ) -> Mapping[Counter, int]:
-        plan = faults.active_plan()
-        fault = None
-        if plan is not None:
-            fault = plan.read_fault(
-                f"{executable.fingerprint}/{run_key}", benchmark=self.benchmark
-            )
-            if fault == "flaky":
-                raise TransientMeasurementError(
-                    f"injected flaky counter read at {run_key!r}"
-                )
-            if fault == "stall":
-                if plan.stall_seconds > 0:
-                    time.sleep(plan.stall_seconds)
-                raise MeasurementTimeout(
-                    f"injected stalled counter read at {run_key!r}"
-                )
-        reading = self.machine.run_once(
+        """One counter reading: run *executable* once on this core."""
+        return self.machine.run_once(
             executable, events, core=self.core, run_key=run_key
         )
-        if fault == "garble":
-            # Detectably impossible values: validation rejects them and
-            # the next attempt re-reads the true bits.
-            reading = {event: -int(count) - 1 for event, count in reading.items()}
-        validate_reading(reading)
-        return reading
-
-
-class PerfEx:
-    """Thin perfex-command lookalike: one run, up to two events."""
-
-    def __init__(self, machine: XeonE5440) -> None:
-        self.machine = machine
-
-    def __call__(
-        self,
-        executable: Executable,
-        events: Sequence[Counter],
-        core: int = 0,
-        run_key: str = "r0",
-    ) -> Mapping[Counter, int]:
-        """Run once and return counter readings."""
-        return self.machine.run_once(executable, events, core=core, run_key=run_key)
 
 
 def measure_executable(
@@ -232,21 +142,16 @@ def measure_executable(
     events: Sequence[Counter] = PAPER_EVENTS,
     runs_per_group: int = 5,
     core: int = 0,
-    benchmark: str | None = None,
-    session: CounterSession | None = None,
 ) -> Measurement:
     """Collect all *events* for one executable using the paper's protocol.
 
     Events are packed into two-event groups; each group is run
     *runs_per_group* times and the run with the median cycle count is
-    kept.  The benchmark is pinned to *core* for every run.  All reads
-    go through a :class:`CounterSession`, so transiently failing or
-    garbled reads are validated and re-read bit-identically.
+    kept.  The benchmark is pinned to *core* for every run.
     """
     if runs_per_group < 1:
         raise MeasurementError(f"runs_per_group must be >= 1, got {runs_per_group}")
-    if session is None:
-        session = CounterSession(machine, core=core, benchmark=benchmark)
+    session = CounterSession(machine, core=core)
     plan = CounterGroupPlan.for_events(events)
     merged: dict[Counter, int] = {}
     for group_idx, group in enumerate(plan.groups):

@@ -3,39 +3,35 @@ bit-identically, and exhausted budgets yield structured reports, not
 tracebacks.
 
 The load-bearing invariant: every measurement is a pure function of
-(machine seed, benchmark, layout index), so a retried read, a retried
-campaign, a degraded (parallel->serial) campaign, and a re-measured
-quarantined cache entry all reproduce the exact bits a fault-free run
-would have produced.  These tests assert that equality literally.
+(machine seed, benchmark, layout index), so a retried campaign, a
+degraded (parallel->serial) campaign, and a re-measured quarantined
+cache entry all reproduce the exact bits a fault-free run would have
+produced.  These tests assert that equality literally.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import re
 
 import pytest
 
 from repro import faults
 from repro.core import park as park_module
-from repro.core.interferometer import Interferometer
 from repro.core.park import MachinePark
 from repro.errors import (
     CampaignExecutionError,
     ConfigurationError,
     CorruptCampaignError,
-    MeasurementTimeout,
     SuiteExecutionError,
     TransientError,
-    TransientMeasurementError,
 )
 from repro.faults import CANNED_PLANS, FailureReport, FaultPlan, RetryPolicy
 from repro.harness.lab import Laboratory, Scale
-from repro.machine.counters import Counter, validate_reading
-from repro.machine.pmc import CounterGroupPlan, CounterSession, PAPER_EVENTS
+from repro.machine.counters import Counter
 from repro.persistence import load_campaign
 from repro.store import CampaignKey, CampaignStore, config_digest
-from repro.workloads.suite import get_benchmark
 
 from tests.test_model import _synthetic_observations
 
@@ -48,6 +44,44 @@ TINY = Scale(
     mase_configs=5,
     ltage_layouts=4,
 )
+
+#: A hang long enough that any test deadline sees a genuine hang, short
+#: enough that abandoned watchdog threads cannot outlive the test run.
+HANG = 3.0
+DEADLINE = 0.4
+
+
+def hang_plan(*benchmarks: str) -> FaultPlan:
+    """A plan that hangs every execution of *benchmarks*' campaigns
+    (of every campaign when none is named)."""
+    return FaultPlan(
+        seed=3, worker_hang=1.0, only_benchmarks=benchmarks, hang_seconds=HANG
+    )
+
+
+#: Retry policy under which one hung execution fails its campaign.
+NO_RETRY_DEADLINE = RetryPolicy(
+    max_retries=0, backoff_base=0.0, deadline_seconds=DEADLINE
+)
+
+#: Lines of CLI output that carry host timings (as perfbench normalises).
+TIMING_LINE = re.compile(r"layouts/s|\([0-9.]+s\)")
+
+
+def rendered_results(stdout: str) -> str:
+    """The experiment results of a CLI run: timing lines, the run header
+    and the run summary (store counts, failure report) dropped."""
+    text = "".join(
+        line
+        for line in stdout.splitlines(keepends=True)
+        if not TIMING_LINE.search(line)
+    )
+    return "\n\n".join(
+        paragraph
+        for paragraph in text.split("\n\n")
+        if paragraph.strip()
+        and not paragraph.startswith(("scale:", "campaign", "failure report"))
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -89,8 +123,11 @@ def _store_key(seed=7, benchmark="456.hmmer"):
 class TestFaultPlanParsing:
     def test_canned_profiles(self):
         plan = FaultPlan.from_spec("flaky")
-        assert plan.flaky_read == pytest.approx(0.10)
-        assert FaultPlan.from_spec("chaos").worker_crash > 0
+        assert plan.torn_write == pytest.approx(0.10)
+        assert plan.worker_crash == pytest.approx(0.10)
+        chaos = FaultPlan.from_spec("chaos")
+        assert chaos.torn_write > plan.torn_write
+        assert chaos.worker_crash > plan.worker_crash
         hung = FaultPlan.from_spec("hung")
         assert hung.worker_hang > 0
         assert hung.hang_seconds == pytest.approx(20.0)
@@ -102,14 +139,34 @@ class TestFaultPlanParsing:
 
     def test_field_value_pairs(self):
         plan = FaultPlan.from_spec(
-            "seed=0x7,flaky_read=0.25,hard_crash=yes,"
-            "crash_benchmarks=456.hmmer+470.lbm,stall_seconds=0.5"
+            "seed=0x7,torn_write=0.25,hard_crash=yes,"
+            "crash_benchmarks=456.hmmer+470.lbm,only_benchmarks=252.eon"
         )
         assert plan.seed == 7
-        assert plan.flaky_read == pytest.approx(0.25)
+        assert plan.torn_write == pytest.approx(0.25)
         assert plan.hard_crash is True
         assert plan.crash_benchmarks == ("456.hmmer", "470.lbm")
-        assert plan.stall_seconds == pytest.approx(0.5)
+        assert plan.only_benchmarks == ("252.eon",)  # MASE-only names count
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("TRUE", True), ("on", True),
+         ("0", False), ("false", False), ("No", False), ("off", False)],
+    )
+    def test_hard_crash_spellings(self, value, expected):
+        assert FaultPlan.from_spec(f"hard_crash={value}").hard_crash is expected
+
+    def test_misspelt_boolean_rejected(self):
+        with pytest.raises(ConfigurationError, match="hard_crash"):
+            FaultPlan.from_spec("hard_crash=ture")
+
+    @pytest.mark.parametrize(
+        "field", ["crash_benchmarks", "hang_benchmarks", "only_benchmarks"]
+    )
+    def test_unknown_benchmark_rejected(self, field):
+        """A misspelt name would otherwise parse and never fire."""
+        with pytest.raises(ConfigurationError, match="400.perlbnch"):
+            FaultPlan.from_spec(f"{field}=470.lbm+400.perlbnch")
 
     def test_hang_fields_parsed(self):
         plan = FaultPlan.from_spec(
@@ -142,50 +199,65 @@ class TestFaultPlanParsing:
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigurationError, match="bad value"):
-            FaultPlan.from_spec("flaky_read=lots")
+            FaultPlan.from_spec("torn_write=lots")
 
     def test_missing_value_rejected(self):
         with pytest.raises(ConfigurationError, match="field=value"):
-            FaultPlan.from_spec("flaky_read")
+            FaultPlan.from_spec("torn_write")
 
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError, match="must be in"):
-            FaultPlan(flaky_read=1.5)
+            FaultPlan(worker_crash=1.5)
         with pytest.raises(ConfigurationError, match="must be in"):
             FaultPlan.from_spec("torn_write=-0.1")
 
 
+PAYLOAD = "{" + "x" * 62 + "}"
+
+
+def tears(plan: FaultPlan, key: str, benchmark: str | None = None) -> bool:
+    """One torn-write decision: whether *plan* tears this store write."""
+    return plan.torn_payload(PAYLOAD, key, benchmark=benchmark) != PAYLOAD
+
+
 class TestFaultPlanDecisions:
     def test_schedule_deterministic_across_instances(self):
-        a = FaultPlan(seed=11, flaky_read=0.5)
-        b = FaultPlan(seed=11, flaky_read=0.5)
-        draws_a = [a.read_fault("k") for _ in range(64)]
-        draws_b = [b.read_fault("k") for _ in range(64)]
+        a = FaultPlan(seed=11, torn_write=0.5)
+        b = FaultPlan(seed=11, torn_write=0.5)
+        draws_a = [tears(a, "k") for _ in range(64)]
+        draws_b = [tears(b, "k") for _ in range(64)]
         assert draws_a == draws_b
-        assert "flaky" in draws_a  # the rate actually fires
+        assert any(draws_a)  # the rate actually fires
 
     def test_different_seed_different_schedule(self):
-        a = [FaultPlan(seed=1, flaky_read=0.5).read_fault(f"k{i}") for i in range(64)]
-        b = [FaultPlan(seed=2, flaky_read=0.5).read_fault(f"k{i}") for i in range(64)]
+        a = [tears(FaultPlan(seed=1, torn_write=0.5), f"k{i}") for i in range(64)]
+        b = [tears(FaultPlan(seed=2, torn_write=0.5), f"k{i}") for i in range(64)]
         assert a != b
 
     def test_retry_draws_fresh_occurrence(self):
         """A retried operation is not doomed to refail: the occurrence
         number advances, so under a fractional rate some key eventually
         flips between consecutive draws."""
-        plan = FaultPlan(seed=3, flaky_read=0.5)
+        plan = FaultPlan(seed=3, torn_write=0.5)
         flips = sum(
-            plan.read_fault("same-key") != plan.read_fault("same-key")
+            tears(plan, "same-key") != tears(plan, "same-key")
             for _ in range(64)
         )
         assert flips > 0
 
     def test_only_benchmarks_gates_faults(self):
-        plan = FaultPlan(seed=1, flaky_read=1.0, only_benchmarks=("470.lbm",))
-        assert plan.read_fault("k", benchmark="456.hmmer") is None
-        assert plan.read_fault("k", benchmark="470.lbm") == "flaky"
+        plan = FaultPlan(
+            seed=1, torn_write=1.0, worker_crash=1.0, worker_hang=1.0,
+            only_benchmarks=("470.lbm",),
+        )
+        assert not tears(plan, "k", benchmark="456.hmmer")
+        assert not plan.crashes_worker("456.hmmer")
+        assert not plan.hangs_worker("456.hmmer")
+        assert tears(plan, "k", benchmark="470.lbm")
+        assert plan.crashes_worker("470.lbm")
+        assert plan.hangs_worker("470.lbm")
         # Unknown context is fair game.
-        assert plan.read_fault("k", benchmark=None) == "flaky"
+        assert tears(plan, "k", benchmark=None)
 
     def test_crash_benchmarks_forced_and_stable(self):
         plan = FaultPlan(seed=1, crash_benchmarks=("456.hmmer",))
@@ -199,16 +271,16 @@ class TestFaultPlanDecisions:
         assert any(first) and not all(first)
 
     def test_pickled_plan_starts_fresh_schedule(self):
-        plan = FaultPlan(seed=11, flaky_read=0.5)
+        plan = FaultPlan(seed=11, torn_write=0.5)
         for _ in range(8):
-            plan.read_fault("k")
+            tears(plan, "k")
         clone = pickle.loads(pickle.dumps(plan))
         assert clone._counts == {}
         assert clone == plan  # _counts excluded from comparison
 
-    def test_invalid_stall_seconds(self):
+    def test_invalid_hang_seconds(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan(stall_seconds=-1.0)
+            FaultPlan(hang_seconds=-1.0)
 
 
 class TestActivePlan:
@@ -217,7 +289,7 @@ class TestActivePlan:
         faults.clear()
         plan = faults.active_plan()
         assert plan is not None
-        assert plan.flaky_read == pytest.approx(0.10)
+        assert plan == FaultPlan.from_spec(CANNED_PLANS["flaky"])
 
     def test_no_env_no_plan(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
@@ -256,105 +328,6 @@ class TestActivePlan:
         monkeypatch.setattr(faults, "BACKOFF_TOTAL_CAP", 0.02)
         assert policy.sleep(0) == pytest.approx(0.02)
         assert policy.sleep(0, already_slept=0.02) == 0.0
-
-
-class TestReadValidation:
-    def test_validate_reading_accepts_plausible(self):
-        validate_reading(
-            {Counter.CYCLES: 100, Counter.INSTRUCTIONS: 80,
-             Counter.BRANCH_MISPREDICTS: 3}
-        )
-
-    @pytest.mark.parametrize(
-        "reading",
-        [
-            {Counter.INSTRUCTIONS: 80},  # missing cycles
-            {Counter.CYCLES: 0, Counter.INSTRUCTIONS: 80},
-            {Counter.CYCLES: 100},  # missing instructions
-            {Counter.CYCLES: 100, Counter.INSTRUCTIONS: -1},
-            {Counter.CYCLES: 100, Counter.INSTRUCTIONS: 80,
-             Counter.L2_MISSES: -4},
-        ],
-    )
-    def test_validate_reading_rejects_impossible(self, reading):
-        with pytest.raises(TransientMeasurementError):
-            validate_reading(reading)
-
-
-class TestReadLevelRecovery:
-    """CounterSession absorbs transient read faults bit-identically."""
-
-    @pytest.fixture(scope="class")
-    def executable(self, machine):
-        interferometer = Interferometer(machine, trace_events=2500)
-        return interferometer.build_executable(get_benchmark("456.hmmer"), 0)
-
-    @pytest.fixture(scope="class")
-    def group(self):
-        return CounterGroupPlan.for_events(PAPER_EVENTS).groups[0]
-
-    def test_flaky_reads_rereads_bit_identically(self, machine, executable, group):
-        clean = CounterSession(machine, benchmark="456.hmmer").read(
-            executable, group, run_key="g0/r0"
-        )
-        with faults.injected(FaultPlan(seed=11, flaky_read=0.5)):
-            session = CounterSession(machine, benchmark="456.hmmer")
-            faulty = [
-                session.read(executable, group, run_key="g0/r0")
-                for _ in range(8)
-            ]
-        assert session.retried_reads > 0  # faults actually fired
-        assert all(dict(r) == dict(clean) for r in faulty)
-
-    def test_garbled_reads_rejected_and_reread(self, machine, executable, group):
-        clean = CounterSession(machine, benchmark="456.hmmer").read(
-            executable, group, run_key="g0/r0"
-        )
-        with faults.injected(FaultPlan(seed=4, garbled_read=0.5)):
-            session = CounterSession(machine, benchmark="456.hmmer")
-            faulty = [
-                session.read(executable, group, run_key="g0/r0")
-                for _ in range(8)
-            ]
-        assert session.retried_reads > 0
-        assert all(dict(r) == dict(clean) for r in faulty)
-
-    def test_stalled_read_raises_timeout(self, machine, executable, group):
-        with faults.injected(FaultPlan(seed=2, stalled_read=1.0)):
-            session = CounterSession(
-                machine, max_read_retries=2, benchmark="456.hmmer"
-            )
-            with pytest.raises(TransientMeasurementError) as err:
-                session.read(executable, group, run_key="g0/r0")
-        assert isinstance(err.value.__cause__, MeasurementTimeout)
-
-    def test_exhausted_rereads_escalate(self, machine, executable, group):
-        with faults.injected(FaultPlan(seed=2, flaky_read=1.0)):
-            session = CounterSession(
-                machine, max_read_retries=3, benchmark="456.hmmer"
-            )
-            with pytest.raises(TransientMeasurementError, match="re-reads"):
-                session.read(executable, group, run_key="g0/r0")
-        assert session.retried_reads == 4  # initial + 3 re-reads, all failed
-
-    def test_negative_retry_budget_rejected(self, machine):
-        from repro.errors import MeasurementError
-
-        with pytest.raises(MeasurementError):
-            CounterSession(machine, max_read_retries=-1)
-
-    def test_campaign_under_flaky_plan_bit_identical(self, machine):
-        bench = get_benchmark("456.hmmer")
-        clean = Interferometer(machine, trace_events=2500).observe(
-            bench, n_layouts=2
-        )
-        with faults.injected(
-            FaultPlan(seed=17, flaky_read=0.15, garbled_read=0.05)
-        ):
-            faulty = Interferometer(machine, trace_events=2500).observe(
-                bench, n_layouts=2
-            )
-        assert_bit_identical(clean, faulty)
 
 
 class TestStoreHardening:
@@ -438,7 +411,7 @@ class TestCampaignSupervision:
 
         def flaky_once(spec):
             if next(failures):
-                raise TransientMeasurementError("injected campaign fault")
+                raise TransientError("injected campaign fault")
             return original(spec)
 
         monkeypatch.setattr(park_module, "_run_campaign", flaky_once)
@@ -450,8 +423,10 @@ class TestCampaignSupervision:
 
     def test_exhausted_budget_raises_structured_error(self):
         lab = Laboratory(scale=TINY, machine_seed=7, max_retries=1)
-        lab.retry_policy = RetryPolicy(max_retries=1, backoff_base=0.0)
-        with faults.injected(FaultPlan(seed=3, flaky_read=1.0)):
+        lab.retry_policy = RetryPolicy(
+            max_retries=1, backoff_base=0.0, deadline_seconds=DEADLINE
+        )
+        with faults.injected(hang_plan()):
             with pytest.raises(CampaignExecutionError) as err:
                 lab.observations("456.hmmer")
         assert err.value.benchmark == "456.hmmer"
@@ -468,43 +443,39 @@ class TestCampaignSupervision:
         lab = Laboratory(
             scale=TINY, machine_seed=7, fail_fast=True, workers=workers
         )
-        lab.retry_policy = RetryPolicy(max_retries=0, backoff_base=0.0)
-        plan = FaultPlan(seed=3, flaky_read=1.0, only_benchmarks=("456.hmmer",))
-        with faults.injected(plan):
+        lab.retry_policy = NO_RETRY_DEADLINE
+        with faults.injected(hang_plan("456.hmmer")):
             with pytest.raises(SuiteExecutionError) as err:
                 lab.prefetch(["456.hmmer", "470.lbm"])
         assert [i.benchmark for i in err.value.report.failed] == ["456.hmmer"]
 
     def test_suite_failure_names_every_campaign(self, park):
-        plan = FaultPlan(seed=1, flaky_read=1.0, only_benchmarks=("470.lbm",))
-        with faults.injected(plan):
+        with faults.injected(hang_plan("470.lbm")):
             with pytest.raises(SuiteExecutionError) as err:
                 park.observe_suite(
                     ["456.hmmer", "470.lbm"], n_layouts=2,
-                    retry_policy=RetryPolicy(max_retries=0),
+                    retry_policy=NO_RETRY_DEADLINE,
                 )
         report = err.value.report
         assert [i.benchmark for i in report.failed] == ["470.lbm"]
         assert "failed" in str(err.value)
 
     def test_suite_with_report_returns_survivors(self, park):
-        plan = FaultPlan(seed=1, flaky_read=1.0, only_benchmarks=("470.lbm",))
         report = FailureReport()
-        with faults.injected(plan):
+        with faults.injected(hang_plan("470.lbm")):
             results = park.observe_suite(
                 ["456.hmmer", "470.lbm"], n_layouts=2,
-                retry_policy=RetryPolicy(max_retries=0), report=report,
+                retry_policy=NO_RETRY_DEADLINE, report=report,
             )
         assert set(results) == {"456.hmmer"}  # the casualty is absent, not fatal
         assert [i.benchmark for i in report.failed] == ["470.lbm"]
 
     def test_fail_fast_aborts_immediately(self, park):
-        plan = FaultPlan(seed=1, flaky_read=1.0)
-        with faults.injected(plan):
+        with faults.injected(hang_plan()):
             with pytest.raises(SuiteExecutionError):
                 park.observe_suite(
                     ["456.hmmer"], n_layouts=2,
-                    retry_policy=RetryPolicy(max_retries=0), fail_fast=True,
+                    retry_policy=NO_RETRY_DEADLINE, fail_fast=True,
                 )
 
     def test_incident_statuses_validated(self):
@@ -585,10 +556,12 @@ class TestGracefulDegradation:
 
 
 class TestAcceptanceMatrix:
-    def test_flaky_reads_worker_crash_and_corrupt_cache(self, tmp_path):
-        """The issue's acceptance scenario: >=10% flaky counter reads, one
-        worker crash, and one corrupted cache file — observe_suite over 3
-        benchmarks completes, bit-identical to a fault-free run."""
+    def test_torn_writes_worker_crash_and_corrupt_cache(self, tmp_path):
+        """The acceptance scenario: torn store writes, one worker crash,
+        and one corrupted cache file — observe_suite over 3 benchmarks
+        completes bit-identical to a fault-free run, and a rerun on the
+        same store quarantines the torn writes and re-measures them
+        bit-identically."""
         names = ["456.hmmer", "445.gobmk", "470.lbm"]
         baseline_lab = Laboratory(scale=TINY, machine_seed=7)
         baseline = {name: baseline_lab.observations(name) for name in names}
@@ -596,14 +569,15 @@ class TestAcceptanceMatrix:
         # Seed the cache with one campaign, then corrupt it in place
         # (the others stay unstored so the park actually measures them).
         seeder = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
-        seeder.observations("470.lbm")
+        with faults.injected(None):
+            seeder.observations("470.lbm")
         victim = seeder.store.path_for(
             seeder._campaign_key("470.lbm", heap=False)
         )
         victim.write_text(victim.read_text()[:40])
 
         plan = FaultPlan(
-            seed=0xACCE, flaky_read=0.12, crash_benchmarks=("445.gobmk",)
+            seed=0xACCE, torn_write=0.5, crash_benchmarks=("445.gobmk",)
         )
         lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path, workers=2)
         with faults.injected(plan):
@@ -615,18 +589,29 @@ class TestAcceptanceMatrix:
         assert lab.store.stats.quarantined == 1
         assert lab.failure_report.ok
         assert [i.benchmark for i in lab.failure_report.degraded] == ["445.gobmk"]
-        # The re-measured campaign replaced the corrupt cache entry.
-        reloaded = lab.store.load(lab._campaign_key("470.lbm", heap=False))
-        assert reloaded is not None
-        assert_bit_identical(baseline["470.lbm"], reloaded)
+
+        # The rerun loads every campaign once: the torn writes are
+        # quarantined and re-measured, the rest are served from disk.
+        rerun = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
+        with faults.injected(None):
+            reloaded = {name: rerun.observations(name) for name in names}
+        stats = rerun.store.stats
+        assert stats.quarantined >= 1  # the plan actually tore a write
+        assert stats.quarantined + stats.hits == len(names)
+        assert len(sorted(tmp_path.glob("*.corrupt-*"))) == 1 + stats.quarantined
+        for name in names:
+            assert_bit_identical(baseline[name], reloaded[name])
 
 
 class TestCliFaults:
     def test_bad_fault_plan_is_usage_error(self, capsys):
         from repro.cli import main
 
-        assert main(["headline", "--fault-plan", "bogus=1"]) == 2
-        assert "--fault-plan" in capsys.readouterr().err
+        for spec in (
+            "bogus=1", "hard_crash=ture", "hang_benchmarks=400.perlbnch"
+        ):
+            assert main(["headline", "--fault-plan", spec]) == 2
+            assert "--fault-plan" in capsys.readouterr().err
 
     def test_negative_max_retries_is_usage_error(self, capsys):
         from repro.cli import main
@@ -644,10 +629,30 @@ class TestCliFaults:
         assert "exit codes" in out
         assert "partial failure" in out
 
-    def test_flaky_profile_absorbed_exit_zero(self, capsys):
+    def test_flaky_profile_absorbed_exit_zero(self, capsys, tmp_path):
+        """The canned flaky profile fires on a pooled, stored run: the
+        first run degrades the campaign whose worker crashes, the second
+        quarantines the writes the first one tore, and both exit 0 with
+        the results of a clean run."""
         from repro.cli import main
 
-        assert main(["headline", "--scale", "ci", "--fault-plan", "flaky"]) == 0
+        run = ["table1", "--scale", "ci", "--workers", "2"]
+        assert main(run + ["--no-cache", "--fault-plan", "none"]) == 0
+        clean = rendered_results(capsys.readouterr().out)
+        assert "Table 1" in clean
+
+        store = tmp_path / "store"
+        flaky = run + ["--cache-dir", str(store), "--fault-plan", "flaky"]
+        assert main(flaky) == 0
+        first = capsys.readouterr().out
+        assert "DEGRADED" in first
+        assert rendered_results(first) == clean
+
+        assert main(flaky) == 0
+        second = capsys.readouterr().out
+        assert re.search(r"campaign store: .* [1-9]\d* quarantined", second)
+        assert sorted(store.glob("*.corrupt-*"))
+        assert rendered_results(second) == clean
 
     def test_exhausted_budget_exits_one_with_report(self, capsys):
         from repro.cli import main
@@ -655,8 +660,9 @@ class TestCliFaults:
         code = main(
             [
                 "headline", "--scale", "ci", "--max-retries", "0",
-                "--fault-plan",
-                "seed=3,flaky_read=1.0,only_benchmarks=400.perlbench",
+                "--deadline", str(DEADLINE), "--fault-plan",
+                f"seed=3,worker_hang=1.0,only_benchmarks=400.perlbench,"
+                f"hang_seconds={HANG}",
             ]
         )
         captured = capsys.readouterr()

@@ -53,8 +53,9 @@ class TestCliMulti:
         """A failed run's failure report does not outlive its run."""
         monkeypatch.setenv("REPRO_SCALE", "ci")
         assert main([
-            "headline", "--max-retries", "0",
-            "--fault-plan", "seed=1,garbled_read=1.0",
+            "headline", "--max-retries", "0", "--deadline", "0.4",
+            "--fault-plan",
+            "seed=1,worker_hang=1.0,only_benchmarks=400.perlbench,hang_seconds=3",
         ]) == 1
         capsys.readouterr()
         assert main(["headline"]) == 0

@@ -9,7 +9,7 @@ from repro import units
 from repro.errors import MeasurementError
 from repro.machine.config import NoiseParameters, TimingParameters, XeonE5440Config
 from repro.machine.counters import PAPER_EVENTS, Counter
-from repro.machine.pmc import CounterGroupPlan, PerfEx, measure_executable
+from repro.machine.pmc import CounterGroupPlan, measure_executable
 from repro.machine.system import XeonE5440
 from repro.machine.timing import (
     core_frequency_offset,
@@ -225,10 +225,11 @@ class TestMeasurement:
         # The median-run error should beat the *average* single-run error.
         assert median_err <= np.mean(single_errs)
 
-    def test_perfex_wrapper(self, machine, exe):
-        perfex = PerfEx(machine)
-        reading = perfex(exe, [Counter.BRANCH_MISPREDICTS])
-        assert Counter.BRANCH_MISPREDICTS in reading
+    def test_run_once_reads_requested_events(self, machine, exe):
+        reading = machine.run_once(exe, [Counter.BRANCH_MISPREDICTS])
+        assert set(reading) == {
+            Counter.CYCLES, Counter.INSTRUCTIONS, Counter.BRANCH_MISPREDICTS,
+        }
 
     def test_bad_runs_per_group(self, machine, exe):
         with pytest.raises(MeasurementError):

@@ -4,8 +4,8 @@ The serving contract is the paper's purity argument carried across a
 socket: every observation is a pure function of (config, machine seed,
 benchmark, layout index), so a served campaign must be byte-identical
 to a direct :func:`~repro.persistence.dump_campaign` export of the
-same slice — including when a fault plan makes the measurement path
-retry.  The scheduling tests pin the loop-side invariants: identical
+same slice — including when a fault plan tears the store write it is
+later served from.  The scheduling tests pin the loop-side invariants: identical
 in-flight requests coalesce onto one measurement, a full admission
 queue rejects instead of buffering, and a drain finishes in-flight
 work before the workers stop.
@@ -127,9 +127,10 @@ class TestServedBitIdentity:
         assert served == reference
 
     def test_served_equals_direct_export_under_flaky_faults(self, tmp_path):
-        # The supervised measurement path retries transient read faults
-        # and reproduces the exact bits a fault-free run would have
-        # produced; serving through the executor must preserve that.
+        # A torn store write is quarantined on the next load and the
+        # campaign re-measured, reproducing the exact bits a fault-free
+        # run would have produced; serving through the executor must
+        # preserve that across the tear.
         clean_lab = Laboratory(scale=TEST_SCALE, machine_seed=7)
         reference = direct_payload(clean_lab, BENCH, 3)
 
@@ -141,9 +142,17 @@ class TestServedBitIdentity:
         flaky_lab = Laboratory(
             scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
         )
-        with faults.injected(FaultPlan.from_spec("flaky")):
+        with faults.injected(FaultPlan(seed=0xF1A7, torn_write=1.0)):
             served = asyncio.run(with_service(flaky_lab, body))
         assert served == reference
+
+        restarted_lab = Laboratory(
+            scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
+        )
+        with faults.injected(None):
+            reserved = asyncio.run(with_service(restarted_lab, body))
+        assert reserved == reference
+        assert restarted_lab.store.stats.quarantined == 1
 
     def test_store_backed_service_hits_across_processes(self, tmp_path):
         # A second service over the same store (a fresh lab, as after a

@@ -38,13 +38,13 @@ from repro.faults import FailureReport, FaultPlan, RetryPolicy
 from repro.harness.lab import Laboratory
 from repro.store import CampaignStore
 
-from tests.test_faults import TINY, assert_bit_identical, park  # noqa: F401
-
-
-#: A hang long enough that any test deadline sees a genuine hang, short
-#: enough that abandoned watchdog threads cannot outlive the test run.
-HANG = 3.0
-DEADLINE = 0.4
+from tests.test_faults import (  # noqa: F401
+    DEADLINE,
+    HANG,
+    TINY,
+    assert_bit_identical,
+    park,
+)
 
 
 class TestRunWithDeadline:
