@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""A production campaign: machine park, persistence, and reporting.
+"""A production campaign: four machines, persistence, and reporting.
 
-The paper's methodology at operational scale (§5.4-§5.7): a park of
-four identically configured machines, each benchmark pinned to one
-machine and one core, campaigns run in parallel, raw measurements
-archived, and the Table-1-style report built from the archive — so the
-expensive measurement step never has to be repeated for re-analysis.
+The paper's methodology at operational scale (§5.4-§5.7): four
+identically configured machines, each benchmark pinned to one machine
+and one core, campaigns run in parallel, raw measurements archived,
+and the Table-1-style report built from the archive — so the expensive
+measurement step never has to be repeated for re-analysis.
+
+A machine is a seed in a campaign's key: the four machines are four
+seeds sharing one configuration, and one ``observe_suite`` call runs
+every benchmark's campaign on its machine.
 
 Run:  python examples/full_campaign.py
 """
@@ -19,24 +23,45 @@ from repro import (
     load_observations,
     save_observations,
 )
-from repro.core.park import MachinePark
+from repro.core.park import observe_suite
+from repro.machine.config import XeonE5440Config
+from repro.rng import derive_seed
+from repro.store import CampaignKey
 
 BENCHMARKS = ("400.perlbench", "445.gobmk", "462.libquantum", "470.lbm")
 
+#: The four machines of §5.4, as machine identities.
+MACHINE_SEEDS = [derive_seed(1, f"machine/{k}") for k in range(4)]
+
+
+def machine_for(name: str) -> int:
+    """A benchmark always runs on the same machine."""
+    return derive_seed(0xD311, name) % len(MACHINE_SEEDS)
+
 
 def main() -> None:
-    park = MachinePark(n_machines=4, base_seed=1, trace_events=10000)
-    print(f"machine park: {park.n_machines} identical machines")
+    config = XeonE5440Config()
+    print(f"machine park: {len(MACHINE_SEEDS)} identical machines")
+    keys = []
     for name in BENCHMARKS:
-        print(f"  {name} -> machine {park.machine_for(name)}")
+        machine = machine_for(name)
+        print(f"  {name} -> machine {machine}")
+        keys.append(CampaignKey(
+            benchmark=name,
+            trace_events=10000,
+            runs_per_group=5,
+            machine_seed=MACHINE_SEEDS[machine],
+            config=config,
+            randomize_heap=False,
+        ))
 
     print("\nrunning campaigns (2 worker processes)...")
-    results = park.observe_suite(BENCHMARKS, n_layouts=16, workers=2)
+    results = observe_suite(keys, 16, workers=2)
 
     archive = Path(tempfile.mkdtemp(prefix="interferometry-"))
     print(f"archiving raw measurements to {archive}/")
-    for name, observations in results.items():
-        slug = name.replace(".", "_")
+    for key, observations in results.items():
+        slug = key.benchmark.replace(".", "_")
         save_observations(observations, archive / f"{slug}.json")
         export_observations_csv(observations, archive / f"{slug}.csv")
 

@@ -33,7 +33,7 @@ from repro.core.latency import (
     latency_adjusted_ranking,
     storage_latency_model,
 )
-from repro.core.park import MachinePark
+from repro.core.park import observe_suite
 from repro.core.model import PerformanceModel, PredictionResult
 from repro.core.observations import Observation, ObservationSet
 from repro.core.supervise import (
@@ -50,7 +50,6 @@ __all__ = [
     "CircuitBreaker",
     "EscalationResult",
     "Interferometer",
-    "MachinePark",
     "ShutdownHandler",
     "Observation",
     "ObservationSet",
@@ -63,6 +62,7 @@ __all__ = [
     "SampleEscalation",
     "latency_adjusted_ranking",
     "layout_seed",
+    "observe_suite",
     "run_cache_interferometry",
     "run_with_deadline",
     "storage_latency_model",

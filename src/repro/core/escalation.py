@@ -10,7 +10,7 @@ discard any data: we use the data from each reordering."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core.interferometer import Interferometer
 from repro.core.model import PerformanceModel
@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 from repro.workloads.suite import Benchmark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.store import CampaignStore
+    from repro.store import CampaignKey, CampaignStore
 
 
 def _resume_campaign(
@@ -27,23 +27,41 @@ def _resume_campaign(
     benchmark: Benchmark,
     store: "CampaignStore | None",
     max_samples: int,
-) -> tuple[ObservationSet, Callable[[ObservationSet], None] | None]:
-    """The cached campaign prefix (if any) and its incremental sink.
+) -> tuple[ObservationSet, "CampaignKey"]:
+    """The cached campaign prefix (if any) and the campaign's key.
 
-    With a store, escalation resumes from whatever was already measured
-    and persists every newly appended layout as soon as it completes;
+    With a store, escalation resumes from whatever was already measured;
     without one, it starts empty and keeps nothing.
     """
-    observations = ObservationSet(benchmark=benchmark.name)
-    if store is None:
-        return observations, None
     from repro.store import CampaignKey
 
     key = CampaignKey.for_interferometer(interferometer, benchmark.name)
-    stored = store.load(key)
+    observations = ObservationSet(benchmark=benchmark.name)
+    stored = None if store is None else store.load(key)
     if stored is not None:
         observations.extend(stored.observations[:max_samples])
-    return observations, store.sink(key)
+    return observations, key
+
+
+def _measure_more(
+    interferometer: Interferometer,
+    benchmark: Benchmark,
+    observations: ObservationSet,
+    n_more: int,
+    store: "CampaignStore | None",
+    key: "CampaignKey",
+) -> None:
+    """Append *n_more* fresh layouts to *observations*.
+
+    With a store, the growing campaign is saved after every appended
+    layout, so escalation never loses a completed measurement, even if
+    a later layout is interrupted.
+    """
+    start = len(observations)
+    for index in range(start, start + n_more):
+        observations.append(interferometer.observe_one(benchmark, index))
+        if store is not None:
+            store.save(key, observations)
 
 
 def _record_store_use(
@@ -128,7 +146,7 @@ class SampleEscalation:
 
     def run(self, benchmark: Benchmark) -> EscalationResult:
         """Escalate sampling for one benchmark; keep all data."""
-        observations, sink = _resume_campaign(
+        observations, key = _resume_campaign(
             self.interferometer, benchmark, self.store, self.max_samples
         )
         loaded = len(observations)
@@ -140,7 +158,10 @@ class SampleEscalation:
             p_values.append(p_value)
         while not significant and len(observations) < self.max_samples:
             n_more = min(self.batch, self.max_samples - len(observations))
-            self.interferometer.extend(benchmark, observations, n_more, sink=sink)
+            _measure_more(
+                self.interferometer, benchmark, observations, n_more,
+                self.store, key,
+            )
             p_value, significant = self._test_round(observations)
             p_values.append(p_value)
         _record_store_use(self.store, loaded, observations)
@@ -204,7 +225,7 @@ class PrecisionEscalation:
 
     def run(self, benchmark: Benchmark) -> PrecisionResult:
         """Sample until the PI at ``x0`` is tight enough, or give up."""
-        observations, sink = _resume_campaign(
+        observations, key = _resume_campaign(
             self.interferometer, benchmark, self.store, self.max_samples
         )
         loaded = len(observations)
@@ -216,7 +237,10 @@ class PrecisionEscalation:
             achieved = percent <= self.target_percent_half_width
         while not achieved and len(observations) < self.max_samples:
             n_more = min(self.batch, self.max_samples - len(observations))
-            self.interferometer.extend(benchmark, observations, n_more, sink=sink)
+            _measure_more(
+                self.interferometer, benchmark, observations, n_more,
+                self.store, key,
+            )
             percent = self._half_width_round(observations)
             half_widths.append(percent)
             if percent <= self.target_percent_half_width:

@@ -8,8 +8,6 @@ for the performance monitoring counter measurements" (§7.2).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.observations import Observation, ObservationSet
 from repro.errors import ConfigurationError
 from repro.machine.counters import PAPER_EVENTS
@@ -113,7 +111,6 @@ class Interferometer:
         benchmark: Benchmark,
         n_layouts: int = 100,
         start_index: int = 0,
-        progress: Callable[[int, int], None] | None = None,
     ) -> ObservationSet:
         """Measure *n_layouts* reorderings; return the observation set.
 
@@ -126,30 +123,4 @@ class Interferometer:
         observations = ObservationSet(benchmark=benchmark.name)
         for i in range(start_index, start_index + n_layouts):
             observations.append(self.observe_one(benchmark, i))
-            if progress is not None:
-                progress(i - start_index + 1, n_layouts)
-        return observations
-
-    def extend(
-        self,
-        benchmark: Benchmark,
-        observations: ObservationSet,
-        n_more: int,
-        sink: Callable[[ObservationSet], None] | None = None,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> ObservationSet:
-        """Append *n_more* fresh layouts to an existing observation set.
-
-        ``sink`` is called with the growing set after every appended
-        layout, so a campaign store can persist extensions incrementally
-        (§6.3 escalation never loses completed measurements, even if a
-        later layout is interrupted).
-        """
-        start = len(observations)
-        for i in range(start, start + n_more):
-            observations.append(self.observe_one(benchmark, i))
-            if sink is not None:
-                sink(observations)
-            if progress is not None:
-                progress(i - start + 1, n_more)
         return observations

@@ -9,15 +9,16 @@ store files mid-write — while the supervision layer (campaign-level
 retries with exponential backoff, deadlines, parallel→serial
 degradation, cache quarantine) keeps every recovered result
 **bit-identical** to a fault-free run, because each measurement is a
-pure function of (machine seed, benchmark, layout index).
+pure function of (campaign key, layout index).
 
 Usage::
 
     from repro import faults
+    from repro.core.park import observe_suite
     from repro.faults import FaultPlan
 
     with faults.injected(FaultPlan(seed=7, worker_crash=0.1)):
-        observations = park.observe_suite(benchmarks, workers=2)
+        observations = observe_suite(keys, 16, workers=2)
     # observations are bit-identical to a fault-free suite
 
 The environment variable ``REPRO_FAULT_PLAN`` installs a plan for the

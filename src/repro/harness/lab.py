@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -19,7 +19,7 @@ from repro.core.evaluate import PredictorEvaluation, PredictorEvaluator
 from repro.core.interferometer import Interferometer
 from repro.core.model import PerformanceModel
 from repro.core.observations import Observation, ObservationSet
-from repro.core.park import MachinePark
+from repro.core.park import observe_suite
 from repro.core.supervise import ShutdownHandler
 from repro.errors import CampaignExecutionError, ConfigurationError, ModelError
 from repro.faults import DEFAULT_MAX_RETRIES, FailureReport, RetryPolicy
@@ -110,19 +110,19 @@ class Laboratory:
     consume the same campaign (Fig. 1, Fig. 2, Fig. 6, Table 1, Figs.
     7-8) measure each layout exactly once per process — and, with a
     ``cache_dir``, exactly once across processes: campaigns are served
-    from the disk-backed :class:`~repro.store.CampaignStore` keyed by
-    (benchmark, scale, machine seed, heap flag, format version) before
-    anything is measured.
+    from the disk-backed :class:`~repro.store.CampaignStore` by their
+    :meth:`campaign_key` before anything is measured.
 
     Every campaign, lazy or prefetched, serial or parallel, takes one
     path: memory cache, one store-prefix step, then
-    :meth:`MachinePark.observe_suite` on a one-machine park carrying
-    this laboratory's machine seed and configuration.  ``workers``
-    sets that call's process-level fan-out (0 = in-process); results
-    are bit-identical either way (every observation is a pure function
-    of machine config, machine seed, benchmark, and layout index).
+    :func:`~repro.core.park.observe_suite` on the campaigns' keys,
+    which carry this laboratory's machine seed and configuration.
+    ``workers`` sets that call's process-level fan-out (0 =
+    in-process); results are bit-identical either way (every
+    observation is a pure function of its campaign key and layout
+    index).
 
-    Fault tolerance: every campaign runs under the park's retry budget
+    Fault tolerance: every campaign runs under the suite's retry budget
     (``max_retries``, default 2) with exponential backoff; transient
     failures — crashed or hung workers — are retried, corrupt cache
     files are quarantined and re-measured, and because both re-run the
@@ -170,17 +170,6 @@ class Laboratory:
         self.interferometer = Interferometer(
             self.machine, trace_events=self.scale.trace_events
         )
-        self.heap_interferometer = Interferometer(
-            self.machine, trace_events=self.scale.trace_events, randomize_heap=True
-        )
-        #: The one-machine park every campaign is measured on: it
-        #: carries this laboratory's machine seed and configuration.
-        self.park = MachinePark(
-            machine_seeds=[machine_seed],
-            config=self.machine.config,
-            trace_events=self.scale.trace_events,
-            runs_per_group=self.interferometer.runs_per_group,
-        )
         self.store = None if cache_dir is None else CampaignStore(cache_dir)
         self.suite = spec2006()
         self.mase_suite = mase_suite()
@@ -206,15 +195,17 @@ class Laboratory:
         return self.suite.get(name) or get_benchmark(name)
 
     # ------------------------------------------------------------------
-    # Campaign plumbing: memory cache -> store prefix -> machine park.
+    # Campaign plumbing: memory cache -> store prefix -> observe_suite.
     # ------------------------------------------------------------------
 
-    def _interferometer_for(self, heap: bool) -> Interferometer:
-        return self.heap_interferometer if heap else self.interferometer
+    def campaign_key(self, name: str, heap: bool) -> CampaignKey:
+        """The key of one benchmark's campaign on this lab's machine.
 
-    def _campaign_key(self, name: str, heap: bool) -> CampaignKey:
-        """The store key of one benchmark's campaign at this lab's scale."""
-        return CampaignKey.for_interferometer(self._interferometer_for(heap), name)
+        *heap* selects the code+heap randomization campaign (§1.3)
+        instead of the code-reordering one.
+        """
+        key = CampaignKey.for_interferometer(self.interferometer, name)
+        return replace(key, randomize_heap=heap)
 
     def _record(
         self, name: str, heap: bool, measured: int, seconds: float
@@ -242,7 +233,7 @@ class Laboratory:
         Campaigns already in memory are skipped.  Each other campaign
         takes one store-prefix step: a fully stored campaign is served
         as a hit; otherwise its stored prefix (possibly empty) sets the
-        start index of a single :meth:`MachinePark.observe_suite` call,
+        start index of a single :func:`~repro.core.park.observe_suite` call,
         which measures only the missing suffixes — serially or over
         ``workers`` processes, under the retry budget, the deadline and
         *shutdown*.  Each measured campaign is saved to the store (a
@@ -253,18 +244,17 @@ class Laboratory:
         memory = self._heap_observations if heap else self._observations
         with self._memory_lock:
             missing = [n for n in dict.fromkeys(names) if n not in memory]
-        prefixes: dict[str, ObservationSet] = {}
+        prefixes: dict[CampaignKey, ObservationSet] = {}
         for name in missing:
             start = telemetry.tick_seconds()
+            key = self.campaign_key(name, heap)
             prefix = (
                 ObservationSet(benchmark=name)
                 if self.store is None
-                else self.store.load_prefix(
-                    self._campaign_key(name, heap), self.scale.n_layouts
-                )
+                else self.store.load_prefix(key, self.scale.n_layouts)
             )
             if len(prefix) < self.scale.n_layouts:
-                prefixes[name] = prefix
+                prefixes[key] = prefix
                 continue
             with self._memory_lock:
                 memory[name] = prefix
@@ -273,29 +263,28 @@ class Laboratory:
             return
         last = telemetry.tick_seconds()
 
-        def keep(name: str, suffix: Sequence[Observation]) -> None:
+        def keep(key: CampaignKey, suffix: Sequence[Observation]) -> None:
             nonlocal last
-            prefix = prefixes[name]
-            result = ObservationSet(benchmark=name)
+            prefix = prefixes[key]
+            result = ObservationSet(benchmark=key.benchmark)
             result.extend(prefix.observations)
             result.extend(suffix)
             if self.store is not None:
-                self.store.save(self._campaign_key(name, heap), result)
+                self.store.save(key, result)
                 self.store.stats.record_miss(
                     loaded=len(prefix), measured=len(suffix)
                 )
             with self._memory_lock:
-                memory[name] = result
+                memory[key.benchmark] = result
             now = telemetry.tick_seconds()
-            self._record(name, heap, len(suffix), now - last)
+            self._record(key.benchmark, heap, len(suffix), now - last)
             last = now
 
-        self.park.observe_suite(
+        observe_suite(
             list(prefixes),
-            n_layouts=self.scale.n_layouts,
-            randomize_heap=heap,
+            self.scale.n_layouts,
             workers=self.workers,
-            start_indices={name: len(p) for name, p in prefixes.items()},
+            start_indices={key: len(p) for key, p in prefixes.items()},
             retry_policy=self.retry_policy,
             report=self.failure_report,
             fail_fast=fail_fast,
@@ -349,9 +338,9 @@ class Laboratory:
         The suite form of the one campaign path (default: the whole
         suite).  Campaigns already in memory or fully present in the
         disk store are loaded in place; the rest are measured by one
-        :meth:`MachinePark.observe_suite` call over this laboratory's
-        ``workers`` (in-process when 0), on a single-machine park
-        carrying this laboratory's machine seed and configuration.
+        :func:`~repro.core.park.observe_suite` call over this
+        laboratory's ``workers`` (in-process when 0), on keys carrying
+        this laboratory's machine seed and configuration.
         Partially stored campaigns are resumed: only the missing layout
         suffix is measured.  Once a ``shutdown`` drain is requested no
         new campaign starts.  A campaign that exhausts its budget is

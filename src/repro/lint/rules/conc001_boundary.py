@@ -1,4 +1,4 @@
-"""CONC001 — what may cross the MachinePark process boundary.
+"""CONC001 — what may cross the ``observe_suite`` process boundary.
 
 Parallel campaigns are bit-identical to serial ones only because the
 worker receives a *value*: a frozen spec it rebuilds its whole world

@@ -4,7 +4,7 @@ The PR 2 fault-tolerance machinery retries :class:`TransientError`,
 degrades parallel campaigns to serial, and renders a structured
 failure report — but only for exceptions it can classify, i.e. the
 :mod:`repro.errors` tree.  A stray ``ValueError`` raised three calls
-below ``MachinePark.observe_suite`` bypasses the whole budget and
+below ``repro.core.park.observe_suite`` bypasses the whole budget and
 surfaces as a raw traceback, exactly the failure mode the retry layer
 exists to prevent.
 

@@ -105,7 +105,7 @@ class ObservationPurityRule(ProgramRule):
             qualname
             for qualname, info in program.functions.items()
             if info.class_name == "Interferometer"
-            and info.name in ("observe", "observe_one", "extend")
+            and info.name in ("observe", "observe_one")
         ]
         if not roots:
             return  # no observation path in the scanned set

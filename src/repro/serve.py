@@ -59,7 +59,6 @@ from repro.errors import (
 )
 from repro.harness.lab import Laboratory, scale_from_env
 from repro.persistence import dump_campaign
-from repro.store import CampaignKey
 
 _EXIT_OK = 0
 _EXIT_PARTIAL = 1
@@ -279,18 +278,16 @@ class CampaignService:
     def _measure_payload(self, request: CampaignRequest) -> str:
         """Executor side: serve from store/lab, render the envelope.
 
-        Every observation is a pure function of (config, machine seed,
-        benchmark, layout index), so this payload is byte-identical to
-        a direct ``dump_campaign`` export of the same slice.
+        Every observation is a pure function of its campaign key and
+        layout index, so this payload is byte-identical to a direct
+        ``dump_campaign`` export of the same slice.
         """
         with self._measure_lock:
             if request.heap:
                 full = self._lab.heap_observations(request.benchmark)
-                interferometer = self._lab.heap_interferometer
             else:
                 full = self._lab.observations(request.benchmark)
-                interferometer = self._lab.interferometer
-        key = CampaignKey.for_interferometer(interferometer, request.benchmark)
+        key = self._lab.campaign_key(request.benchmark, request.heap)
         subset = ObservationSet(benchmark=request.benchmark)
         subset.extend(full.observations[: request.n_layouts])
         return dump_campaign(subset, provenance=key.provenance)

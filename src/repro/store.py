@@ -9,7 +9,7 @@ determines a campaign's bits:
 * benchmark name,
 * canonical trace length (the scale's ``trace_events``),
 * counter protocol (``runs_per_group``),
-* machine identity (seed) and machine configuration (digest),
+* machine identity (seed) and machine configuration,
 * heap-randomization flag,
 * persistence format version.
 
@@ -34,7 +34,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro import faults
 from repro.core.observations import ObservationSet
@@ -61,13 +61,20 @@ def config_digest(config: "XeonE5440Config") -> str:
 
 @dataclass(frozen=True)
 class CampaignKey:
-    """Everything that determines a campaign's measured bits."""
+    """One campaign: everything that determines its measured bits.
+
+    Every observation is a pure function of a key and a layout index,
+    so the key is all a worker needs to rebuild the machine and the
+    interferometer that measure the campaign, and all the store needs
+    to address it.  Keys are frozen and hashable: they cross the worker
+    boundary by value and index suite results.
+    """
 
     benchmark: str
     trace_events: int
     runs_per_group: int
     machine_seed: int
-    config_digest: str
+    config: XeonE5440Config
     randomize_heap: bool
     format_version: int = _FORMAT_VERSION
 
@@ -81,13 +88,24 @@ class CampaignKey:
             trace_events=interferometer.trace_events,
             runs_per_group=interferometer.runs_per_group,
             machine_seed=interferometer.machine.seed,
-            config_digest=config_digest(interferometer.machine.config),
+            config=interferometer.machine.config,
             randomize_heap=interferometer.randomize_heap,
         )
 
     def digest(self) -> str:
-        """Content address of this key (stable across processes)."""
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        """Content address of this key (stable across processes).
+
+        The configuration enters through its :func:`config_digest`, so
+        store files written before keys carried the whole configuration
+        keep their names.
+        """
+        fields = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "config"
+        }
+        fields["config_digest"] = config_digest(self.config)
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @property
@@ -278,18 +296,6 @@ class CampaignStore:
             )
         write_atomic(path, payload)
         return path
-
-    def sink(self, key: CampaignKey) -> Callable[[ObservationSet], None]:
-        """A callback persisting every incremental extension of a campaign.
-
-        Suitable for :meth:`Interferometer.extend`'s ``sink`` parameter:
-        each appended layout is durable as soon as it is measured.
-        """
-
-        def persist(observations: ObservationSet) -> None:
-            self.save(key, observations)
-
-        return persist
 
     def load_prefix(self, key: CampaignKey, n_layouts: int) -> ObservationSet:
         """The stored first *n_layouts* observations of a campaign.

@@ -88,8 +88,3 @@ def get_benchmark(name: str) -> Benchmark:
             f"{sorted(PERSONALITIES) + sorted(MASE_EXTRA)}"
         )
     return Benchmark(personality=personality)
-
-
-def clear_trace_cache() -> None:
-    """Drop cached traces (used by tests that vary trace lengths)."""
-    _TRACE_CACHE.clear()

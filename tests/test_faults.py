@@ -19,7 +19,7 @@ import pytest
 
 from repro import faults
 from repro.core import park as park_module
-from repro.core.park import MachinePark
+from repro.core.park import observe_suite
 from repro.errors import (
     CampaignExecutionError,
     ConfigurationError,
@@ -29,9 +29,10 @@ from repro.errors import (
 )
 from repro.faults import CANNED_PLANS, FailureReport, FaultPlan, RetryPolicy
 from repro.harness.lab import Laboratory, Scale
+from repro.machine.config import XeonE5440Config
 from repro.machine.counters import Counter
 from repro.persistence import load_campaign
-from repro.store import CampaignKey, CampaignStore, config_digest
+from repro.store import CampaignKey, CampaignStore
 
 from tests.test_model import _synthetic_observations
 
@@ -91,9 +92,20 @@ def _no_leaked_plan():
     faults.clear()
 
 
-@pytest.fixture(scope="module")
-def park():
-    return MachinePark(n_machines=2, base_seed=9, trace_events=2500)
+def campaign_keys(*names, seed=9, heap=False, config=None):
+    """The keys of *names*' campaigns on one machine at ``TINY``'s trace
+    length."""
+    return [
+        CampaignKey(
+            benchmark=name,
+            trace_events=TINY.trace_events,
+            runs_per_group=5,
+            machine_seed=seed,
+            config=XeonE5440Config() if config is None else config,
+            randomize_heap=heap,
+        )
+        for name in names
+    ]
 
 
 def assert_bit_identical(a, b):
@@ -108,16 +120,8 @@ def assert_bit_identical(a, b):
 
 
 def _store_key(seed=7, benchmark="456.hmmer"):
-    from repro.machine.system import XeonE5440
-
-    return CampaignKey(
-        benchmark=benchmark,
-        trace_events=2500,
-        runs_per_group=5,
-        machine_seed=seed,
-        config_digest=config_digest(XeonE5440(seed=seed).config),
-        randomize_heap=False,
-    )
+    [key] = campaign_keys(benchmark, seed=seed)
+    return key
 
 
 class TestFaultPlanParsing:
@@ -386,7 +390,7 @@ class TestStoreHardening:
         JSONDecodeError."""
         first = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
         baseline = first.observations("456.hmmer")
-        key = first._campaign_key("456.hmmer", heap=False)
+        key = first.campaign_key("456.hmmer", heap=False)
         path = first.store.path_for(key)
         path.write_text(path.read_text()[: path.stat().st_size // 2])
 
@@ -449,32 +453,33 @@ class TestCampaignSupervision:
                 lab.prefetch(["456.hmmer", "470.lbm"])
         assert [i.benchmark for i in err.value.report.failed] == ["456.hmmer"]
 
-    def test_suite_failure_names_every_campaign(self, park):
+    def test_suite_failure_names_every_campaign(self):
         with faults.injected(hang_plan("470.lbm")):
             with pytest.raises(SuiteExecutionError) as err:
-                park.observe_suite(
-                    ["456.hmmer", "470.lbm"], n_layouts=2,
+                observe_suite(
+                    campaign_keys("456.hmmer", "470.lbm"), 2,
                     retry_policy=NO_RETRY_DEADLINE,
                 )
         report = err.value.report
         assert [i.benchmark for i in report.failed] == ["470.lbm"]
         assert "failed" in str(err.value)
 
-    def test_suite_with_report_returns_survivors(self, park):
+    def test_suite_with_report_returns_survivors(self):
+        hmmer, lbm = campaign_keys("456.hmmer", "470.lbm")
         report = FailureReport()
         with faults.injected(hang_plan("470.lbm")):
-            results = park.observe_suite(
-                ["456.hmmer", "470.lbm"], n_layouts=2,
+            results = observe_suite(
+                [hmmer, lbm], 2,
                 retry_policy=NO_RETRY_DEADLINE, report=report,
             )
-        assert set(results) == {"456.hmmer"}  # the casualty is absent, not fatal
+        assert set(results) == {hmmer}  # the casualty is absent, not fatal
         assert [i.benchmark for i in report.failed] == ["470.lbm"]
 
-    def test_fail_fast_aborts_immediately(self, park):
+    def test_fail_fast_aborts_immediately(self):
         with faults.injected(hang_plan()):
             with pytest.raises(SuiteExecutionError):
-                park.observe_suite(
-                    ["456.hmmer"], n_layouts=2,
+                observe_suite(
+                    campaign_keys("456.hmmer"), 2,
                     retry_policy=NO_RETRY_DEADLINE, fail_fast=True,
                 )
 
@@ -494,65 +499,59 @@ class TestCampaignSupervision:
 
 
 class TestGracefulDegradation:
-    def test_worker_crash_degrades_to_serial(self, park):
-        baseline = park.observe_suite(["456.hmmer", "445.gobmk"], n_layouts=3)
+    def test_worker_crash_degrades_to_serial(self):
+        keys = campaign_keys("456.hmmer", "445.gobmk")
+        baseline = observe_suite(keys, 3)
         plan = FaultPlan(seed=1, crash_benchmarks=("445.gobmk",))
         report = FailureReport()
         with faults.injected(plan):
-            results = park.observe_suite(
-                ["456.hmmer", "445.gobmk"], n_layouts=3, workers=2,
-                report=report,
-            )
+            results = observe_suite(keys, 3, workers=2, report=report)
         assert report.ok
         assert [i.benchmark for i in report.degraded] == ["445.gobmk"]
-        for name in baseline:
-            assert_bit_identical(baseline[name], results[name])
+        for key in keys:
+            assert_bit_identical(baseline[key], results[key])
 
-    def test_hard_crash_breaks_pool_but_not_suite(self, park):
+    def test_hard_crash_breaks_pool_but_not_suite(self):
         """os._exit in a worker kills the pool (BrokenProcessPool); every
         affected campaign re-runs serially and the suite still completes
         bit-identically."""
-        baseline = park.observe_suite(["456.hmmer", "470.lbm"], n_layouts=2)
+        keys = campaign_keys("456.hmmer", "470.lbm")
+        baseline = observe_suite(keys, 2)
         plan = FaultPlan(
             seed=1, crash_benchmarks=("456.hmmer",), hard_crash=True
         )
         report = FailureReport()
         with faults.injected(plan):
-            results = park.observe_suite(
-                ["456.hmmer", "470.lbm"], n_layouts=2, workers=1,
-                report=report,
-            )
+            results = observe_suite(keys, 2, workers=1, report=report)
         assert report.degraded  # at least the crashed campaign degraded
         assert report.ok
-        assert set(results) == {"456.hmmer", "470.lbm"}
-        for name in baseline:
-            assert_bit_identical(baseline[name], results[name])
+        assert set(results) == set(keys)
+        for key in keys:
+            assert_bit_identical(baseline[key], results[key])
 
-    def test_broken_pool_with_multiple_campaigns_in_flight(self, park):
+    def test_broken_pool_with_multiple_campaigns_in_flight(self):
         """Two hard crashers among three campaigns: each pool break is
         attributed to its offender (degraded + serial recovery), the
         bystander keeps its parallelism in a fresh pool, and the whole
         suite completes bit-identically."""
-        names = ["456.hmmer", "445.gobmk", "470.lbm"]
-        baseline = park.observe_suite(names, n_layouts=3)
+        keys = campaign_keys("456.hmmer", "445.gobmk", "470.lbm")
+        baseline = observe_suite(keys, 3)
         plan = FaultPlan(
             seed=1, crash_benchmarks=("456.hmmer", "445.gobmk"),
             hard_crash=True,
         )
         report = FailureReport()
         with faults.injected(plan):
-            results = park.observe_suite(
-                names, n_layouts=3, workers=2, report=report
-            )
+            results = observe_suite(keys, 3, workers=2, report=report)
         assert report.ok
-        assert set(results) == set(names)
+        assert set(results) == set(keys)
         assert {i.benchmark for i in report.degraded} == {
             "456.hmmer", "445.gobmk",
         }
         # Two consecutive pool failures stay under the default threshold.
         assert report.breaker_tripped is None
-        for name in names:
-            assert_bit_identical(baseline[name], results[name])
+        for key in keys:
+            assert_bit_identical(baseline[key], results[key])
 
 
 class TestAcceptanceMatrix:
@@ -567,12 +566,12 @@ class TestAcceptanceMatrix:
         baseline = {name: baseline_lab.observations(name) for name in names}
 
         # Seed the cache with one campaign, then corrupt it in place
-        # (the others stay unstored so the park actually measures them).
+        # (the others stay unstored so the suite actually measures them).
         seeder = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
         with faults.injected(None):
             seeder.observations("470.lbm")
         victim = seeder.store.path_for(
-            seeder._campaign_key("470.lbm", heap=False)
+            seeder.campaign_key("470.lbm", heap=False)
         )
         victim.write_text(victim.read_text()[:40])
 

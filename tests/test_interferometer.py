@@ -64,7 +64,10 @@ class TestObserve:
     def test_extend_continues_indices(self, interferometer, perlbench, observations):
         extended = ObservationSet(benchmark=perlbench.name)
         extended.extend(observations.observations)
-        interferometer.extend(perlbench, extended, n_more=2)
+        more = interferometer.observe(
+            perlbench, n_layouts=2, start_index=len(extended)
+        )
+        extended.extend(more.observations)
         assert len(extended) == 8
         assert extended.observations[-1].layout_index == 7
 

@@ -1,11 +1,10 @@
 """Small-surface tests: errors, scale validation, timing coupling,
-progress callbacks, and report rendering details."""
+and report rendering details."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.interferometer import Interferometer
 from repro.errors import (
     AllocationError,
     ConfigurationError,
@@ -20,7 +19,6 @@ from repro.harness.report import format_cell, format_table
 from repro.machine.config import TimingParameters, XeonE5440Config
 from repro.machine.core_model import StructuralCounts
 from repro.machine.timing import deterministic_cycles
-from repro.workloads.suite import get_benchmark
 
 from tests.conftest import make_tiny_spec
 
@@ -102,18 +100,6 @@ class TestTimingCoupling:
     def test_bad_warmup_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
             XeonE5440Config(warmup_fraction=1.0)
-
-
-class TestProgress:
-    def test_observe_reports_progress(self, machine):
-        interferometer = Interferometer(machine, trace_events=2000)
-        seen = []
-        interferometer.observe(
-            get_benchmark("456.hmmer"),
-            n_layouts=4,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
 class TestReportDetails:

@@ -1,131 +1,87 @@
-"""Tests for the machine park."""
+"""Tests for the campaign suite runner (``repro.core.park``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.park import MachinePark
+from repro.core.park import observe_suite
 from repro.errors import ConfigurationError
 
-
-@pytest.fixture(scope="module")
-def park():
-    return MachinePark(n_machines=4, base_seed=9, trace_events=2500)
-
-
-class TestAssignment:
-    def test_machine_seeds_distinct(self, park):
-        seeds = {park.machine_seed(k) for k in range(4)}
-        assert len(seeds) == 4
-
-    def test_assignment_stable(self, park):
-        assert park.machine_for("403.gcc") == park.machine_for("403.gcc")
-
-    def test_assignment_in_range(self, park):
-        for name in ("a", "b", "c", "d", "e"):
-            assert 0 <= park.machine_for(name) < 4
-
-    def test_identical_configurations(self, park):
-        assert all(m.config == park.machines[0].config for m in park.machines)
-
-    def test_bad_machine_index(self, park):
-        with pytest.raises(ConfigurationError):
-            park.machine_seed(4)
-
-    def test_bad_pool_size(self):
-        with pytest.raises(ConfigurationError):
-            MachinePark(n_machines=0)
+from tests.test_faults import campaign_keys
 
 
 class TestCampaigns:
-    def test_observe_suite_serial(self, park):
-        results = park.observe_suite(["456.hmmer", "470.lbm"], n_layouts=4)
-        assert set(results) == {"456.hmmer", "470.lbm"}
+    def test_observe_suite_serial(self):
+        keys = campaign_keys("456.hmmer", "470.lbm")
+        results = observe_suite(keys, 4)
+        assert list(results) == keys
         assert all(len(obs) == 4 for obs in results.values())
 
-    def test_parallel_equals_serial(self, park):
-        serial = park.observe_suite(["456.hmmer", "445.gobmk"], n_layouts=3)
-        parallel = park.observe_suite(
-            ["456.hmmer", "445.gobmk"], n_layouts=3, workers=2
-        )
-        for name in serial:
-            assert (serial[name].cpis == parallel[name].cpis).all()
-            assert (serial[name].mpkis == parallel[name].mpkis).all()
+    def test_parallel_equals_serial(self):
+        keys = campaign_keys("456.hmmer", "445.gobmk")
+        serial = observe_suite(keys, 3)
+        parallel = observe_suite(keys, 3, workers=2)
+        for key in serial:
+            assert (serial[key].cpis == parallel[key].cpis).all()
+            assert (serial[key].mpkis == parallel[key].mpkis).all()
 
-    def test_same_base_seed_same_lab(self):
-        a = MachinePark(n_machines=2, base_seed=5, trace_events=2500)
-        b = MachinePark(n_machines=2, base_seed=5, trace_events=2500)
-        obs_a = a.observe_suite(["456.hmmer"], n_layouts=3)["456.hmmer"]
-        obs_b = b.observe_suite(["456.hmmer"], n_layouts=3)["456.hmmer"]
+    def test_same_machine_seed_same_measurements(self):
+        [a] = campaign_keys("456.hmmer", seed=5)
+        [b] = campaign_keys("456.hmmer", seed=5)
+        obs_a = observe_suite([a], 3)[a]
+        obs_b = observe_suite([b], 3)[b]
         assert (obs_a.cpis == obs_b.cpis).all()
 
-    def test_different_base_seed_different_noise(self):
-        a = MachinePark(n_machines=2, base_seed=5, trace_events=2500)
-        b = MachinePark(n_machines=2, base_seed=6, trace_events=2500)
-        obs_a = a.observe_suite(["456.hmmer"], n_layouts=3)["456.hmmer"]
-        obs_b = b.observe_suite(["456.hmmer"], n_layouts=3)["456.hmmer"]
+    def test_different_machine_seed_different_noise(self):
+        [a] = campaign_keys("456.hmmer", seed=5)
+        [b] = campaign_keys("456.hmmer", seed=6)
+        obs_a = observe_suite([a], 3)[a]
+        obs_b = observe_suite([b], 3)[b]
         assert not (obs_a.cpis == obs_b.cpis).all()
 
-    def test_heap_randomization_propagates(self, park):
-        results = park.observe_suite(
-            ["454.calculix"], n_layouts=3, randomize_heap=True
-        )
-        observations = results["454.calculix"]
+    def test_heap_randomization_propagates(self):
+        [key] = campaign_keys("454.calculix", heap=True)
+        observations = observe_suite([key], 3)[key]
         assert all(obs.heap_seed is not None for obs in observations)
 
-    def test_negative_workers_rejected(self, park):
+    def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            park.observe_suite(["456.hmmer"], n_layouts=2, workers=-1)
+            observe_suite(campaign_keys("456.hmmer"), 2, workers=-1)
 
-    def test_duplicate_benchmarks_rejected(self, park):
+    def test_duplicate_benchmarks_rejected(self):
         """Duplicates used to be measured twice and silently collapsed
         (last one wins) in the results dict; now they are an error."""
         with pytest.raises(ConfigurationError, match="duplicate"):
-            park.observe_suite(["456.hmmer", "470.lbm", "456.hmmer"], n_layouts=2)
+            observe_suite(campaign_keys("456.hmmer", "470.lbm", "456.hmmer"), 2)
 
-    def test_start_indices_resume_suffix(self, park):
-        full = park.observe_suite(["456.hmmer"], n_layouts=4)["456.hmmer"]
-        suffix = park.observe_suite(
-            ["456.hmmer"], n_layouts=4, start_indices={"456.hmmer": 2}
-        )["456.hmmer"]
+    def test_start_indices_resume_suffix(self):
+        [key] = campaign_keys("456.hmmer")
+        full = observe_suite([key], 4)[key]
+        suffix = observe_suite([key], 4, start_indices={key: 2})[key]
         assert [o.layout_index for o in suffix] == [2, 3]
         assert (suffix.cpis == full.cpis[2:]).all()
 
-    def test_start_index_out_of_range(self, park):
+    def test_start_index_out_of_range(self):
+        [key] = campaign_keys("456.hmmer")
         with pytest.raises(ConfigurationError):
-            park.observe_suite(
-                ["456.hmmer"], n_layouts=4, start_indices={"456.hmmer": 5}
-            )
-
-    def test_explicit_machine_seeds(self):
-        park = MachinePark(machine_seeds=[11, 22], trace_events=2500)
-        assert park.n_machines == 2
-        assert park.machine_seed(0) == 11
-        assert park.machine_seed(1) == 22
-        assert park.machines[0].seed == 11
+            observe_suite([key], 4, start_indices={key: 5})
 
 
 class TestCustomConfig:
     def test_custom_config_reaches_workers(self):
-        """A park with a custom machine config must measure with it —
+        """A key with a custom machine config is measured with it —
         serially and in worker processes alike."""
         from repro.machine.config import TimingParameters, XeonE5440Config
 
         free = XeonE5440Config(
             timing=TimingParameters(mispredict_penalty=0.0, coupling_mpki_l1d=0.0)
         )
-        default_park = MachinePark(n_machines=2, base_seed=5, trace_events=2500)
-        free_park = MachinePark(
-            n_machines=2, base_seed=5, config=free, trace_events=2500
-        )
-        baseline = default_park.observe_suite(["445.gobmk"], n_layouts=2)
-        cheap_serial = free_park.observe_suite(["445.gobmk"], n_layouts=2)
-        cheap_parallel = free_park.observe_suite(
-            ["445.gobmk"], n_layouts=2, workers=2
-        )
+        [default] = campaign_keys("445.gobmk", seed=5)
+        [cheap] = campaign_keys("445.gobmk", seed=5, config=free)
+        baseline = observe_suite([default], 2)[default]
+        cheap_serial = observe_suite([cheap], 2)[cheap]
+        cheap_parallel = observe_suite([cheap], 2, workers=2)[cheap]
         # Zero misprediction penalty lowers CPI...
-        assert cheap_serial["445.gobmk"].cpis.mean() < baseline["445.gobmk"].cpis.mean()
+        assert cheap_serial.cpis.mean() < baseline.cpis.mean()
         # ...and the parallel path uses the same config.
-        assert (
-            cheap_parallel["445.gobmk"].cpis == cheap_serial["445.gobmk"].cpis
-        ).all()
+        assert (cheap_parallel.cpis == cheap_serial.cpis).all()

@@ -36,7 +36,6 @@ from repro.serve import (
     CampaignService,
     percentile,
 )
-from repro.store import CampaignKey
 
 from .conftest import TEST_SCALE
 
@@ -47,7 +46,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def direct_payload(lab: Laboratory, benchmark: str, n_layouts: int) -> str:
     """The reference export the server must reproduce bit-for-bit."""
     full = lab.observations(benchmark)
-    key = CampaignKey.for_interferometer(lab.interferometer, benchmark)
+    key = lab.campaign_key(benchmark, heap=False)
     subset = ObservationSet(benchmark=benchmark)
     subset.extend(full.observations[:n_layouts])
     return dump_campaign(subset, provenance=key.provenance)

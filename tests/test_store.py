@@ -7,9 +7,9 @@ import pytest
 from repro.core.interferometer import Interferometer
 from repro.core.escalation import SampleEscalation
 from repro.errors import ConfigurationError, ReproError
-from repro.harness.lab import Laboratory, Scale
-from repro.machine.system import XeonE5440
-from repro.store import CampaignKey, CampaignStore, config_digest
+from repro.harness.lab import SCALES, Laboratory, Scale
+from repro.machine.config import TimingParameters, XeonE5440Config
+from repro.store import CampaignKey, CampaignStore
 from repro.workloads.suite import get_benchmark
 
 from tests.test_model import _synthetic_observations
@@ -26,14 +26,16 @@ TINY = Scale(
 )
 
 
-def _key(benchmark="456.hmmer", trace_events=2500, seed=7, heap=False, runs=5):
-    machine = XeonE5440(seed=seed)
+def _key(
+    benchmark="456.hmmer", trace_events=2500, seed=7, heap=False, runs=5,
+    config=None,
+):
     return CampaignKey(
         benchmark=benchmark,
         trace_events=trace_events,
         runs_per_group=runs,
         machine_seed=seed,
-        config_digest=config_digest(machine.config),
+        config=XeonE5440Config() if config is None else config,
         randomize_heap=heap,
     )
 
@@ -49,6 +51,22 @@ class TestCampaignKey:
         assert _key(seed=8).digest() != base
         assert _key(heap=True).digest() != base
         assert _key(runs=3).digest() != base
+        slower = XeonE5440Config(timing=TimingParameters(mispredict_penalty=20.0))
+        assert _key(config=slower).digest() != base
+
+    def test_filenames_are_pinned(self):
+        """Store files keep their names: a refactor of the key that
+        changed these would orphan every campaign already on disk."""
+        assert _key().filename == "456_hmmer-efb40cbd7a44347d.json"
+        lab = Laboratory(scale=SCALES["ci"])
+        assert (
+            lab.campaign_key("456.hmmer", heap=False).filename
+            == "456_hmmer-a19978364110730d.json"
+        )
+        assert (
+            lab.campaign_key("456.hmmer", heap=True).filename
+            == "456_hmmer-heap-ba5c5baa55614ebb.json"
+        )
 
     def test_for_interferometer(self, machine):
         interferometer = Interferometer(machine, trace_events=2500)
@@ -218,7 +236,7 @@ class TestParallelLaboratory:
 
     def test_prefetch_resumes_partial_store(self, tmp_path):
         store_lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
-        key = store_lab._campaign_key("456.hmmer", heap=False)
+        key = store_lab.campaign_key("456.hmmer", heap=False)
         # persist only a 2-layout prefix
         prefix = store_lab.interferometer.observe(
             store_lab.benchmark("456.hmmer"), n_layouts=2

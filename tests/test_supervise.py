@@ -22,7 +22,7 @@ import pytest
 
 from repro import faults, telemetry
 from repro.core import park as park_module
-from repro.core.park import MachinePark
+from repro.core.park import observe_suite
 from repro.core.supervise import (
     DEFAULT_BREAKER_THRESHOLD,
     CircuitBreaker,
@@ -43,7 +43,7 @@ from tests.test_faults import (  # noqa: F401
     HANG,
     TINY,
     assert_bit_identical,
-    park,
+    campaign_keys,
 )
 
 
@@ -171,8 +171,9 @@ class TestShutdownWatchdogInterleaving:
     deadlock) and that the measurement closure stayed untouched (a
     post-stress run exports bit-identical results)."""
 
-    def test_drain_during_watchdog_expiry(self, park):
-        baseline = park.observe_suite(["470.lbm"], n_layouts=3)
+    def test_drain_during_watchdog_expiry(self):
+        [lbm] = campaign_keys("470.lbm")
+        baseline = observe_suite([lbm], 3)
         handler = ShutdownHandler()
         errors: list[str] = []
         done: list[int] = []
@@ -220,20 +221,19 @@ class TestShutdownWatchdogInterleaving:
 
         # The drain semantics survived the interleaving: nothing new
         # starts under the handler...
-        assert park.observe_suite(
-            ["470.lbm"], n_layouts=3, shutdown=handler
-        ) == {}
+        assert observe_suite([lbm], 3, shutdown=handler) == {}
         # ...and the stress left the measurement closure untouched.
-        results = park.observe_suite(["470.lbm"], n_layouts=3)
-        assert_bit_identical(baseline["470.lbm"], results["470.lbm"])
+        results = observe_suite([lbm], 3)
+        assert_bit_identical(baseline[lbm], results[lbm])
 
 
 class TestHangRecovery:
     """Injected hangs are killed by the supervisor and recovered
     bit-identically, in both the serial and the pool path."""
 
-    def test_serial_watchdog_recovers_bit_identically(self, park):
-        baseline = park.observe_suite(["456.hmmer", "470.lbm"], n_layouts=3)
+    def test_serial_watchdog_recovers_bit_identically(self):
+        keys = campaign_keys("456.hmmer", "470.lbm")
+        baseline = observe_suite(keys, 3)
         plan = FaultPlan(
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
@@ -243,21 +243,21 @@ class TestHangRecovery:
         )
         start = telemetry.tick_seconds()
         with faults.injected(plan):
-            results = park.observe_suite(
-                ["456.hmmer", "470.lbm"], n_layouts=3,
-                retry_policy=policy, report=report,
+            results = observe_suite(
+                keys, 3, retry_policy=policy, report=report
             )
         elapsed = telemetry.tick_seconds() - start
         assert report.ok
         assert [i.benchmark for i in report.timed_out] == ["456.hmmer"]
         assert [i.benchmark for i in report.recovered] == ["456.hmmer"]
-        for name in baseline:
-            assert_bit_identical(baseline[name], results[name])
+        for key in keys:
+            assert_bit_identical(baseline[key], results[key])
         # The hang cost ~one deadline, not the full hang duration.
         assert elapsed < HANG
 
-    def test_pool_worker_hang_killed_and_recovered(self, park):
-        baseline = park.observe_suite(["456.hmmer", "470.lbm"], n_layouts=3)
+    def test_pool_worker_hang_killed_and_recovered(self):
+        keys = campaign_keys("456.hmmer", "470.lbm")
+        baseline = observe_suite(keys, 3)
         plan = FaultPlan(
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
@@ -266,9 +266,8 @@ class TestHangRecovery:
             max_retries=2, backoff_base=0.0, deadline_seconds=DEADLINE
         )
         with faults.injected(plan):
-            results = park.observe_suite(
-                ["456.hmmer", "470.lbm"], n_layouts=3, workers=2,
-                retry_policy=policy, report=report,
+            results = observe_suite(
+                keys, 3, workers=2, retry_policy=policy, report=report
             )
         assert report.ok
         assert report.breaker_tripped is None
@@ -277,22 +276,23 @@ class TestHangRecovery:
         timed_out = [i.benchmark for i in report.timed_out]
         assert timed_out and set(timed_out) == {"456.hmmer"}
         assert [i.benchmark for i in report.recovered] == ["456.hmmer"]
-        assert set(results) == {"456.hmmer", "470.lbm"}
-        for name in baseline:
-            assert_bit_identical(baseline[name], results[name])
+        assert set(results) == set(keys)
+        for key in keys:
+            assert_bit_identical(baseline[key], results[key])
 
-    def test_unbounded_run_still_completes(self, park):
+    def test_unbounded_run_still_completes(self):
         """Without a deadline an injected hang merely stalls (bounded by
         hang_seconds) — results are unchanged."""
-        baseline = park.observe_suite(["470.lbm"], n_layouts=3)
+        [lbm] = campaign_keys("470.lbm")
+        baseline = observe_suite([lbm], 3)
         plan = FaultPlan(
             seed=1, hang_benchmarks=("470.lbm",), hang_seconds=0.05
         )
         with faults.injected(plan):
-            results = park.observe_suite(["470.lbm"], n_layouts=3)
-        assert_bit_identical(baseline["470.lbm"], results["470.lbm"])
+            results = observe_suite([lbm], 3)
+        assert_bit_identical(baseline[lbm], results[lbm])
 
-    def test_budget_exhaustion_records_failure(self, park):
+    def test_budget_exhaustion_records_failure(self):
         # worker_hang rate 1.0 hangs every execution; with a short
         # deadline and no retries the campaign fails structurally.
         plan = FaultPlan(seed=1, worker_hang=1.0, hang_seconds=HANG)
@@ -301,8 +301,8 @@ class TestHangRecovery:
             max_retries=0, backoff_base=0.0, deadline_seconds=DEADLINE
         )
         with faults.injected(plan):
-            results = park.observe_suite(
-                ["470.lbm"], n_layouts=3, retry_policy=policy, report=report
+            results = observe_suite(
+                campaign_keys("470.lbm"), 3, retry_policy=policy, report=report
             )
         assert results == {}
         assert not report.ok
@@ -311,8 +311,9 @@ class TestHangRecovery:
 
 
 class TestCircuitBreakerIntegration:
-    def test_breaker_trips_and_degrades_remainder(self, park, monkeypatch):
-        baseline = park.observe_suite(["456.hmmer", "470.lbm"], n_layouts=3)
+    def test_breaker_trips_and_degrades_remainder(self, monkeypatch):
+        keys = campaign_keys("456.hmmer", "470.lbm")
+        baseline = observe_suite(keys, 3)
         plan = FaultPlan(
             seed=1, hang_benchmarks=("456.hmmer",), hang_seconds=HANG
         )
@@ -322,20 +323,19 @@ class TestCircuitBreakerIntegration:
         )
         monkeypatch.setattr(park_module, "DEFAULT_BREAKER_THRESHOLD", 1)
         with faults.injected(plan):
-            results = park.observe_suite(
-                ["456.hmmer", "470.lbm"], n_layouts=3, workers=2,
-                retry_policy=policy, report=report,
+            results = observe_suite(
+                keys, 3, workers=2, retry_policy=policy, report=report
             )
         assert report.breaker_tripped is not None
         assert "serial" in report.breaker_tripped
         assert "TRIPPED" in report.render()
         assert bool(report)
         # The remainder still completed — serially — bit-identically.
-        assert set(results) == {"456.hmmer", "470.lbm"}
-        for name in baseline:
-            assert_bit_identical(baseline[name], results[name])
+        assert set(results) == set(keys)
+        for key in keys:
+            assert_bit_identical(baseline[key], results[key])
 
-    def test_serial_path_never_trips(self, park, monkeypatch):
+    def test_serial_path_never_trips(self, monkeypatch):
         plan = FaultPlan(
             seed=1, hang_benchmarks=("470.lbm",), hang_seconds=HANG
         )
@@ -345,18 +345,18 @@ class TestCircuitBreakerIntegration:
         )
         monkeypatch.setattr(park_module, "DEFAULT_BREAKER_THRESHOLD", 1)
         with faults.injected(plan):
-            park.observe_suite(
-                ["470.lbm"], n_layouts=3, retry_policy=policy, report=report
+            observe_suite(
+                campaign_keys("470.lbm"), 3, retry_policy=policy, report=report
             )
         assert report.breaker_tripped is None
 
 
 class TestDrain:
-    def test_park_drains_between_campaigns(self, park):
+    def test_park_drains_between_campaigns(self):
         shutdown = ShutdownHandler()
         shutdown.request("SIGTERM")
-        results = park.observe_suite(
-            ["456.hmmer", "470.lbm"], n_layouts=3, shutdown=shutdown
+        results = observe_suite(
+            campaign_keys("456.hmmer", "470.lbm"), 3, shutdown=shutdown
         )
         assert results == {}  # nothing new starts once draining
 
@@ -490,7 +490,7 @@ class TestKillResumeAcceptance:
         committed = [
             name for name in names
             if len(store.load_prefix(
-                resumed._campaign_key(name, heap=False), TINY.n_layouts
+                resumed.campaign_key(name, heap=False), TINY.n_layouts
             )) == TINY.n_layouts
         ]
         assert committed, "nothing stored before the kill"
