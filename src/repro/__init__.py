@@ -24,8 +24,8 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results of every table and figure.
 
 Every public name is imported on first use (PEP 562), so ``import
-repro`` loads neither numpy nor scipy, and ``python -m repro.lint``
-runs on the standard library alone.
+repro`` loads no numpy, and ``python -m repro.lint`` runs on the
+standard library alone.
 """
 
 from __future__ import annotations

@@ -2,11 +2,10 @@
 
 All estimators — descriptive statistics, Pearson correlation, simple and
 multiple least-squares regression, confidence/prediction intervals,
-Student's t-test, and the F-test — are implemented in this package.
-:mod:`scipy` supplies only four distribution ufuncs from
-:mod:`scipy.special`: ``stdtr`` (t survival function), ``stdtrit`` (t
-quantile), ``fdtrc`` (F survival function) and ``chdtrc`` (chi-squared
-survival function).  :mod:`scipy.stats` is never imported at run time.
+Student's t-test, and the F-test — are implemented in this package,
+and so are the distribution tails they need: :mod:`repro.stats.distributions`
+computes the t and F tails and the t quantile with the standard library
+alone.  Nothing here imports scipy.
 """
 
 from repro.stats.correlation import (

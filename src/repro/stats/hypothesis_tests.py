@@ -18,20 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.special import fdtrc, stdtr
-
 from repro.errors import ModelError
 from repro.stats.correlation import pearson_r
+from repro.stats.distributions import f_sf, t_two_sided_p
 from repro.stats.regression import MultipleLinearFit, SimpleLinearFit
-
-
-def _two_sided_t_p(t_stat: float, dof: int) -> float:
-    """Two-sided p-value of *t_stat* under Student's t with *dof* degrees of freedom.
-
-    ``stdtr(dof, -|t|)`` is the upper tail P(T > |t|); doubling it is
-    bit-identical to ``2 * scipy.stats.t.sf(abs(t_stat), dof)``.
-    """
-    return 2.0 * float(stdtr(dof, -abs(t_stat)))
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ def t_test_correlation(x: Sequence[float], y: Sequence[float]) -> TTestResult:
     if abs(r) >= 1.0:
         return TTestResult(statistic=math.inf if r > 0 else -math.inf, dof=dof, p_value=0.0)
     t_stat = r * math.sqrt(dof) / math.sqrt(1.0 - r * r)
-    return TTestResult(statistic=t_stat, dof=dof, p_value=_two_sided_t_p(t_stat, dof))
+    return TTestResult(statistic=t_stat, dof=dof, p_value=t_two_sided_p(t_stat, dof))
 
 
 def t_test_slope(fit: SimpleLinearFit, null_slope: float = 0.0) -> TTestResult:
@@ -93,7 +83,7 @@ def t_test_slope(fit: SimpleLinearFit, null_slope: float = 0.0) -> TTestResult:
     if stderr == 0.0:
         return TTestResult(statistic=math.inf, dof=dof, p_value=0.0)
     t_stat = (fit.slope - null_slope) / stderr
-    return TTestResult(statistic=t_stat, dof=dof, p_value=_two_sided_t_p(t_stat, dof))
+    return TTestResult(statistic=t_stat, dof=dof, p_value=t_two_sided_p(t_stat, dof))
 
 
 def f_test_regression(fit: MultipleLinearFit) -> FTestResult:
@@ -114,7 +104,7 @@ def f_test_regression(fit: MultipleLinearFit) -> FTestResult:
     f_stat = (ssr / dof_model) / (fit.residual_ss / dof_residual)
     if f_stat < 0.0:
         f_stat = 0.0
-    p = float(fdtrc(dof_model, dof_residual, f_stat))
+    p = f_sf(f_stat, dof_model, dof_residual)
     return FTestResult(
         statistic=f_stat, dof_model=dof_model, dof_residual=dof_residual, p_value=p
     )

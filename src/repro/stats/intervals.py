@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from repro.errors import ModelError
+from repro.stats.distributions import t_quantile
 from repro.stats.regression import MultipleLinearFit, SimpleLinearFit
 
 
@@ -53,17 +53,12 @@ class Interval:
 
 
 def critical_t(confidence: float, dof: int) -> float:
-    """Two-sided Student's t critical value: the (1 + confidence)/2 quantile.
-
-    ``stdtrit`` is the t quantile ufunc, bit-identical to
-    ``scipy.stats.t.ppf`` for 0 < q < 1 and dof > 0, which the guards
-    below ensure.
-    """
+    """Two-sided Student's t critical value: the (1 + confidence)/2 quantile."""
     if not 0.0 < confidence < 1.0:
         raise ModelError(f"confidence must be in (0, 1), got {confidence}")
     if dof <= 0:
         raise ModelError(f"need positive degrees of freedom, got {dof}")
-    return float(stdtrit(dof, 0.5 + confidence / 2.0))
+    return t_quantile(0.5 + confidence / 2.0, dof)
 
 
 def confidence_interval_mean_response(

@@ -9,6 +9,7 @@ can gate CI or a fresh install.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,22 +73,35 @@ def _check_predictor_ordering() -> str:
     return f"perfect 0 < hybrid {hybrid} < static {static} mispredictions"
 
 
-def _check_regression_against_scipy() -> str:
-    from scipy import stats as scipy_stats
-
-    from repro.stats.hypothesis_tests import t_test_correlation
+def _check_stats_against_closed_forms() -> str:
+    from repro.stats.distributions import f_sf, t_two_sided_p
+    from repro.stats.intervals import critical_t
+    from repro.stats.normality import jarque_bera
     from repro.stats.regression import fit_simple
 
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 10, 50)
     y = 2.0 * x + 1.0 + rng.normal(0, 0.5, 50)
     ours = fit_simple(x, y)
-    theirs = scipy_stats.linregress(x, y)
-    assert abs(ours.slope - theirs.slope) < 1e-9, "slope mismatch vs scipy"
-    assert abs(ours.intercept - theirs.intercept) < 1e-9, "intercept mismatch"
-    p_ours = t_test_correlation(x, y).p_value
-    assert abs(p_ours - theirs.pvalue) < 1e-9, "p-value mismatch vs scipy"
-    return f"slope/intercept/p agree with scipy to 1e-9"
+    slope, intercept = np.polyfit(x, y, 1)
+    assert abs(ours.slope - slope) < 1e-9, "slope mismatch vs numpy.polyfit"
+    assert abs(ours.intercept - intercept) < 1e-9, "intercept mismatch vs numpy.polyfit"
+
+    def close(value: float, exact: float) -> bool:
+        return abs(value - exact) <= 1e-12 * abs(exact)
+
+    for t in (0.3, 2.0, 40.0):
+        h = math.hypot(math.sqrt(2.0), t)
+        assert close(t_two_sided_p(t, 1), 2.0 / math.pi * math.atan(1.0 / t)), "Cauchy p"
+        assert close(t_two_sided_p(t, 2), 2.0 / h / (h + t)), "dof-2 p"
+        # F(2, d) has the tail (1 + 2f/d)^(-d/2), through the same incomplete beta.
+        assert close(f_sf(t, 2, 30), (1.0 + t / 15.0) ** -15.0), "F(2, 30) p"
+    assert close(critical_t(0.95, 1), math.tan(math.pi * 0.475)), "Cauchy critical t"
+    # At dof 2 the q quantile is (2q − 1)/√(2q(1 − q)).
+    assert close(critical_t(0.95, 2), 0.95 / math.sqrt(2 * 0.975 * 0.025)), "dof-2 critical t"
+    normality = jarque_bera(rng.exponential(1.0, 200))
+    assert close(normality.p_value, math.exp(-normality.statistic / 2.0)), "chi-squared(2) p"
+    return "slope/intercept match numpy.polyfit; t, F, chi-squared tails match closed forms"
 
 
 def _check_measurement_protocol() -> str:
@@ -130,7 +144,7 @@ CHECKS: dict[str, Callable[[], str]] = {
     "trace-determinism": _check_trace_determinism,
     "layout-invariance": _check_layout_invariance,
     "predictor-ordering": _check_predictor_ordering,
-    "stats-vs-scipy": _check_regression_against_scipy,
+    "stats-vs-closed-form": _check_stats_against_closed_forms,
     "measurement-protocol": _check_measurement_protocol,
     "interferometry-signal": _check_interferometry_signal,
 }

@@ -1,8 +1,8 @@
 """Import weight of the package root, the linter and the CLI.
 
 ``import repro`` resolves its public names lazily (PEP 562), the linter
-runs on the standard library alone, and the CLI reaches scipy only
-through the ``scipy.special`` ufuncs.  Each check runs in a fresh
+runs on the standard library alone, and neither the CLI nor the
+statistics it runs load scipy.  Each check runs in a fresh
 interpreter, because this test process has long since imported
 everything.
 """
@@ -50,10 +50,33 @@ def test_stdlib_only(statement):
     assert [m for m in modules if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
-def test_cli_avoids_scipy_stats():
-    modules = _modules_after("import repro.cli")
-    assert "scipy.special" in modules
-    assert [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+def _scipy(modules: list[str]) -> list[str]:
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_cli_avoids_scipy():
+    assert _scipy(_modules_after("import repro.cli")) == []
+
+
+def test_statistics_avoid_scipy():
+    """Running every test and interval once loads no scipy either."""
+    modules = _modules_after(
+        "import repro.cli\n"
+        "import numpy as np\n"
+        "from repro.core.evaluate import mean_confidence_interval\n"
+        "from repro.stats import (f_test_regression, fit_multiple, fit_simple,\n"
+        "    jarque_bera, t_test_correlation, t_test_slope)\n"
+        "from repro.stats.intervals import critical_t\n"
+        "x = np.arange(10.0)\n"
+        "y = 2.0 * x + np.sin(x)\n"
+        "t_test_slope(fit_simple(x, y))\n"
+        "t_test_correlation(x, y)\n"
+        "f_test_regression(fit_multiple([x], y))\n"
+        "critical_t(0.95, 8)\n"
+        "mean_confidence_interval(y)\n"
+        "jarque_bera(y)"
+    )
+    assert _scipy(modules) == []
 
 
 def test_every_public_name_resolves():
