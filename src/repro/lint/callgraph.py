@@ -7,12 +7,16 @@ whom* across module boundaries.  This module builds that view:
 * :class:`Program` — every parsed module, its functions, classes, and
   import table, indexed so a dotted name (``repro.rng.RandomStream``)
   or a call expression can be resolved to its definition.
+* :class:`ModuleIndex` — the one walk of a parsed module: every node
+  in :func:`ast.walk` order, the ``.parent`` links set in the same
+  pass, and the module's :class:`ImportTable`.
 * :meth:`Program.scopes` — the **scope table** every analysis reads:
   one :class:`Scope` per module top level, function and method, in
   sorted order, built once per program.  Each record carries the
-  scope's assignment map (:func:`collect_assignments`) and the
-  resolution of every call in its body, so no analysis rebuilds
-  either.
+  nodes of its body, its executing calls (:func:`direct_calls`), its
+  assignment map (:func:`collect_assignments`) and the resolution of
+  every call in its body, so no analysis walks or rebuilds any of
+  them.
 * :class:`CallGraph` — resolved call edges (static and dynamic), with
   a deterministic text rendering behind ``repro-cli lint --graph``.
 * :func:`reachable` — the one reachability closure; the call graph,
@@ -98,6 +102,39 @@ class ImportTable(ast.NodeVisitor):
         table = cls()
         table.visit(tree)
         return table
+
+
+@dataclass
+class ModuleIndex:
+    """One parsed module, walked once.
+
+    ``nodes`` is every node of ``tree`` in exactly :func:`ast.walk`
+    order; the same pass sets each child's ``.parent`` link.
+    ``imports`` is the module's one :class:`ImportTable`.  Rules and
+    models iterate ``nodes`` instead of walking ``tree`` again.
+    """
+
+    tree: ast.Module
+    nodes: list[ast.AST]
+    imports: ImportTable
+
+    @classmethod
+    def of(cls, tree: ast.Module) -> "ModuleIndex":
+        """Index a parsed module: one walk, parents, imports."""
+        return cls(tree, walk_with_parents(tree), ImportTable.of(tree))
+
+
+def walk_with_parents(tree: ast.AST) -> list[ast.AST]:
+    """Every node under *tree* in :func:`ast.walk` order, setting each
+    child's ``.parent`` link on the way."""
+    nodes = [tree]
+    # Appending while iterating visits the list breadth-first, the
+    # order of ast.walk's queue.
+    for node in nodes:
+        for child in ast.iter_child_nodes(node):
+            child.parent = node  # type: ignore[attr-defined]
+            nodes.append(child)
+    return nodes
 
 
 #: Path components that anchor a module name.  ``.../src/repro/x.py``
@@ -223,16 +260,31 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module and its top-level symbols."""
+    """One parsed module and its top-level symbols.
+
+    ``index`` is the module's :class:`ModuleIndex`: ``tree``, ``nodes``
+    (every node, in :func:`ast.walk` order) and ``imports`` read it.
+    """
 
     rel: str
     modname: str
-    tree: ast.Module
+    index: ModuleIndex
     lines: list[str]
-    imports: ImportTable
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     module_level_names: set[str] = field(default_factory=set)
+
+    @property
+    def tree(self) -> ast.Module:
+        return self.index.tree
+
+    @property
+    def nodes(self) -> list[ast.AST]:
+        return self.index.nodes
+
+    @property
+    def imports(self) -> ImportTable:
+        return self.index.imports
 
     def source_text(self, node: ast.AST) -> str:
         """Stripped source line a node sits on (empty when unknown)."""
@@ -246,8 +298,9 @@ class ModuleInfo:
 MODULE_SCOPE = "<module>"
 
 
-def collect_assignments(roots: Iterable[ast.AST]) -> dict[str, list[ast.expr]]:
-    """Name -> every expression bound to it anywhere under *roots*.
+def collect_assignments(nodes: Iterable[ast.AST]) -> dict[str, list[ast.expr]]:
+    """Name -> every expression bound to it by one of *nodes* (a
+    scope's :attr:`Scope.nodes`).
 
     Plain, annotated and augmented assignments, ``for`` and
     comprehension targets, and ``with ... as`` bindings.
@@ -264,33 +317,60 @@ def collect_assignments(roots: Iterable[ast.AST]) -> dict[str, list[ast.expr]]:
                 # right-hand side's fact (over-approximation).
                 record(element, value)
 
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    record(target, node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                record(node.target, node.value)
-            elif isinstance(node, ast.AugAssign):
-                record(node.target, node.value)
-            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
-                record(node.target, node.iter)
-            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-                record(node.optional_vars, node.context_expr)
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                record(target, node.value)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            record(node.target, node.value)
+        elif isinstance(node, ast.AugAssign):
+            record(node.target, node.value)
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            record(node.target, node.iter)
+        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+            record(node.optional_vars, node.context_expr)
     return assignments
+
+
+def direct_calls(body: list[ast.stmt]) -> list[ast.Call]:
+    """Calls that execute when this body runs: deferred bodies skipped.
+
+    Nested ``def``s and ``lambda``s are closures — creating one is not
+    calling it — so their internal calls are excluded.  This is the
+    precision counterpart of the call graph's over-approximation
+    (which attributes nested calls to the enclosing function).  Run
+    once per scope by :meth:`Program._add_scope`; read
+    :attr:`Scope.direct_calls`.
+    """
+    calls: list[ast.Call] = []
+    stack: list[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return calls
 
 
 @dataclass
 class Scope:
     """One scope-table record: a module top level, function or method.
 
-    Every analysis reads these facts instead of recomputing them.
+    Every analysis reads these facts instead of recomputing them:
+    iterate ``nodes`` or ``direct_calls`` rather than walking ``body``.
     """
 
     module: ModuleInfo
     qualname: str
     fn: FunctionInfo | None  # None for the module top level
     body: list[ast.stmt]
+    #: Every node of the body, nested defs included, in the order of
+    #: ``for stmt in body: for node in ast.walk(stmt)``.
+    nodes: list[ast.AST]
+    #: The calls that execute when the body runs (:func:`direct_calls`).
+    direct_calls: list[ast.Call]
     #: Name -> every expression bound to it in the body.
     assignments: dict[str, list[ast.expr]]
     #: Every call in the body (nested defs included) -> its
@@ -329,25 +409,27 @@ class Program:
 
     @classmethod
     def build(
-        cls, parsed: Iterable[tuple[str, ast.Module, Sequence[str]]]
+        cls,
+        parsed: Iterable[tuple[str, ast.Module | ModuleIndex, Sequence[str]]],
     ) -> "Program":
         """Index ``(rel, tree, lines)`` triples into a program and build
-        its scope table."""
+        its scope table.
+
+        The middle element may be the file's :class:`ModuleIndex`
+        already (the engine's case); a bare tree is indexed here.
+        """
         program = cls()
         for rel, tree, lines in parsed:
-            program._add_module(rel, tree, list(lines))
+            index = tree if isinstance(tree, ModuleIndex) else ModuleIndex.of(tree)
+            program._add_module(rel, index, list(lines))
         program._build_scope_table()
         return program
 
-    def _add_module(self, rel: str, tree: ast.Module, lines: list[str]) -> None:
+    def _add_module(self, rel: str, index: ModuleIndex, lines: list[str]) -> None:
         module = ModuleInfo(
-            rel=rel,
-            modname=module_name(rel),
-            tree=tree,
-            lines=lines,
-            imports=ImportTable.of(tree),
+            rel=rel, modname=module_name(rel), index=index, lines=lines
         )
-        for stmt in tree.body:
+        for stmt in index.tree.body:
             self._index_statement(module, stmt)
         self.modules[rel] = module
         # First module with a name wins; duplicates (same-stem fixture
@@ -415,6 +497,18 @@ class Program:
         """The scope-table record of one function or method."""
         return self._scope_of[fn.node]
 
+    def body_nodes(self, node: ast.AST) -> list[ast.AST]:
+        """The nodes of a def's body, or of a module tree's top level,
+        in :attr:`Scope.nodes` order.
+
+        A module or scope-table def reads its record; a nested def,
+        which is not a scope of its own, is walked here.
+        """
+        scope = self._scope_of.get(node)
+        if scope is not None:
+            return scope.nodes
+        return [sub for stmt in node.body for sub in ast.walk(stmt)]
+
     def _build_scope_table(self) -> None:
         for rel in sorted(self.modules):
             module = self.modules[rel]
@@ -442,18 +536,27 @@ class Program:
         fn: FunctionInfo | None,
         body: list[ast.stmt],
     ) -> None:
-        """Record one scope: its assignment map and the resolution of
-        every call in its body, each computed here and nowhere else."""
+        """Record one scope: its nodes, executing calls, assignment map
+        and the resolution of every call in its body, each computed
+        here and nowhere else."""
+        nodes = [node for stmt in body for node in ast.walk(stmt)]
         calls = {
             node: self._resolve_call(module, fn, node)
-            for stmt in body
-            for node in ast.walk(stmt)
+            for node in nodes
             if isinstance(node, ast.Call)
         }
-        scope = Scope(module, qualname, fn, body, collect_assignments(body), calls)
+        scope = Scope(
+            module,
+            qualname,
+            fn,
+            body,
+            nodes,
+            direct_calls(body),
+            collect_assignments(nodes),
+            calls,
+        )
         self._scopes.append(scope)
-        if fn is not None:
-            self._scope_of[fn.node] = scope
+        self._scope_of[module.tree if fn is None else fn.node] = scope
 
     # -- resolution ----------------------------------------------------
 

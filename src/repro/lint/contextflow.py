@@ -284,24 +284,6 @@ def blocking_call_reason(module: ModuleInfo, call: ast.Call) -> str | None:
     return None
 
 
-def direct_calls(body: list[ast.stmt]) -> Iterator[ast.Call]:
-    """Calls that execute when this body runs: deferred bodies skipped.
-
-    Nested ``def``s and ``lambda``s are closures — creating one is not
-    calling it — so their internal calls are excluded.  This is the
-    precision counterpart of the call graph's over-approximation
-    (which attributes nested calls to the enclosing function).
-    """
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 # -- the model ---------------------------------------------------------
 
 
@@ -385,14 +367,13 @@ class ContextModel:
 
     def _scan_scope(self, scope: Scope) -> None:
         """Record one scope's edges and entries from its resolved calls."""
-        module, body = scope.module, scope.body
+        module = scope.module
         nested = {
             n.name: n
-            for stmt in body
-            for n in ast.walk(stmt)
+            for n in scope.nodes
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        pools = _thread_pool_names(module, body)
+        pools = _thread_pool_names(module, scope.nodes)
         resolved: dict[ast.Call, list[FunctionInfo]] = {}
         regions: list[NestedRegion] = []
         # Deferred bodies seed reachability too (the closure is invoked
@@ -419,15 +400,14 @@ class ContextModel:
                     )
         # A region's resolvable calls seed its context's reachability.
         for region in regions:
-            for stmt in region.node.body:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Call):
-                        self._region_roots[region.context].update(
-                            t.qualname for t in resolved[node]
-                        )
+            for node in self.program.body_nodes(region.node):
+                if isinstance(node, ast.Call):
+                    self._region_roots[region.context].update(
+                        t.qualname for t in resolved[node]
+                    )
         self.regions.extend(regions)
         self.resolved_calls[scope.qualname] = [
-            (call, resolved[call]) for call in direct_calls(body)
+            (call, resolved[call]) for call in scope.direct_calls
         ]
 
     # -- resolution ----------------------------------------------------
@@ -517,7 +497,7 @@ class ContextModel:
             if module is None or init is None:
                 continue
             params = self._annotated_params(module, init)
-            for node in ast.walk(init.node):
+            for node in self.program.scope_of(init).nodes:
                 if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                     continue
                 target = node.targets[0]
@@ -652,7 +632,7 @@ class ContextModel:
             module = self.program.modules.get(fn.rel)
             if module is None:
                 continue
-            for call in direct_calls(list(fn.node.body)):
+            for call in self.program.scope_of(fn).direct_calls:
                 what = blocking_call_reason(module, call)
                 if what is not None:
                     blocking[qualname] = BlockingReason(
@@ -723,24 +703,23 @@ def _callable_args(shape: EntryShape, call: ast.Call) -> list[ast.expr]:
     return []
 
 
-def _thread_pool_names(module: ModuleInfo, body: list[ast.stmt]) -> set[str]:
+def _thread_pool_names(module: ModuleInfo, nodes: list[ast.AST]) -> set[str]:
     """Local names provably bound to a thread pool in this scope."""
     names: set[str] = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            value: ast.expr | None = None
-            target: ast.expr | None = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-                target, value = node.optional_vars, node.context_expr
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(value, ast.Call)
-                and module.imports.resolve(value.func)
-                in _THREAD_POOL_CONSTRUCTORS
-            ):
-                names.add(target.id)
+    for node in nodes:
+        value: ast.expr | None = None
+        target: ast.expr | None = None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+            target, value = node.optional_vars, node.context_expr
+        if (
+            isinstance(target, ast.Name)
+            and isinstance(value, ast.Call)
+            and module.imports.resolve(value.func)
+            in _THREAD_POOL_CONSTRUCTORS
+        ):
+            names.add(target.id)
     return names
 
 
@@ -838,13 +817,14 @@ def _with_lock_keys(node: ast.AST) -> tuple[str, ...]:
     return tuple(keys)
 
 
-def analyze_class(module: ModuleInfo, cls: ClassInfo) -> ClassConcurrency:
+def analyze_class(
+    program: Program, module: ModuleInfo, cls: ClassInfo
+) -> ClassConcurrency:
     """Collect every ``self.<attr>`` use and the attribute constructors."""
     facts = ClassConcurrency()
     for method in cls.methods.values():
-        for stmt in method.node.body:
-            for node in ast.walk(stmt):
-                _collect_use(module, facts, method, node)
+        for node in program.scope_of(method).nodes:
+            _collect_use(module, facts, method, node)
     return facts
 
 
@@ -958,7 +938,7 @@ def shared_state_conflicts(
             continue
         module = program.modules[rel]
         for class_name in sorted(module.classes):
-            facts = analyze_class(module, module.classes[class_name])
+            facts = analyze_class(program, module, module.classes[class_name])
             exempt_attrs = facts.constructed_by(exempt)
             by_attr: dict[str, list[AttributeUse]] = {}
             for use in facts.uses:

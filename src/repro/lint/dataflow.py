@@ -106,6 +106,8 @@ class ScopeFlow:
 
     def __init__(self, scope: Scope) -> None:
         self.scope = scope
+        #: Every node of the scope's body (:attr:`Scope.nodes`).
+        self.nodes = scope.nodes
         #: name -> every expression assigned to it in this scope.
         self.assignments = scope.assignments
 

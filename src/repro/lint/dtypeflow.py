@@ -373,7 +373,6 @@ class DtypeScope(ScopeFlow):
         super().__init__(scope)
         self.module = scope.module
         self.function = scope.fn
-        self.body = scope.body
         self.field_infos = field_infos or {}
         self.params: set[str] = set()
         if scope.fn is not None:

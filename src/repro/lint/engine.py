@@ -30,15 +30,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import LintUsageError
-from repro.lint.callgraph import CallGraph, Program
+from repro.lint.callgraph import CallGraph, ModuleIndex, Program
 from repro.telemetry import tick_seconds
 from repro.lint.rules import Rule, RuleContext, all_rules
-from repro.lint.rules.base import (
-    Finding,
-    ProgramContext,
-    ProgramRule,
-    annotate_parents,
-)
+from repro.lint.rules.base import Finding, ProgramContext, ProgramRule
 
 #: Inline suppression syntax: ``# repro: allow-DET001 <one-line reason>``.
 #: The rule pattern covers per-file ids (DET001) and whole-program ids
@@ -135,11 +130,14 @@ class LintEngine:
 
     def _parse(
         self, path: Path
-    ) -> tuple[str, ast.Module | None, list[str], list[Finding]]:
-        """Read and parse one file: ``(rel, tree, lines, parse_findings)``.
+    ) -> tuple[str, ModuleIndex | None, list[str], list[Finding]]:
+        """Read, parse and index one file: ``(rel, index, lines,
+        parse_findings)``.
 
+        The :class:`~repro.lint.callgraph.ModuleIndex` is the file's one
+        walk; every per-file rule and the whole-program context read it.
         A file that does not parse cannot be certified; it surfaces as
-        a DET000 finding (``tree is None``) rather than aborting the run.
+        a DET000 finding (``index is None``) rather than aborting the run.
         """
         rel = path.as_posix()
         try:
@@ -167,14 +165,13 @@ class LintEngine:
                     )
                 ],
             )
-        annotate_parents(tree)
-        return rel, tree, lines, []
+        return rel, ModuleIndex.of(tree), lines, []
 
     def _file_findings(
-        self, rel: str, tree: ast.Module, lines: list[str]
+        self, rel: str, index: ModuleIndex, lines: list[str]
     ) -> list[Finding]:
         """Raw findings of every applicable per-file rule on one module."""
-        ctx = RuleContext(rel=rel, tree=tree, lines=lines)
+        ctx = RuleContext(rel=rel, index=index, lines=lines)
         findings: list[Finding] = []
         for rule in self.rules:
             if isinstance(rule, ProgramRule) or not rule.applies(rel):
@@ -225,11 +222,11 @@ class LintEngine:
         Whole-program rules need the project symbol table and only run
         under :meth:`run`; returns ``(active, suppressed)`` findings.
         """
-        rel, tree, lines, parse_findings = self._parse(path)
-        if tree is None:
+        rel, index, lines, parse_findings = self._parse(path)
+        if index is None:
             return parse_findings, []
         return self._apply_suppressions(
-            self._file_findings(rel, tree, lines), parse_suppressions(lines)
+            self._file_findings(rel, index, lines), parse_suppressions(lines)
         )
 
     # -- tree ----------------------------------------------------------
@@ -253,20 +250,20 @@ class LintEngine:
         """
         t_start = tick_seconds()
         result = LintResult()
-        parsed: list[tuple[str, ast.Module, list[str]]] = []
+        parsed: list[tuple[str, ModuleIndex, list[str]]] = []
         suppressions_by_rel: dict[str, dict[int, list[Suppression]]] = {}
         raw_active: list[Finding] = []
         for path in self.discover(paths):
-            rel, tree, lines, parse_findings = self._parse(path)
+            rel, index, lines, parse_findings = self._parse(path)
             result.files_scanned += 1
             suppressions = parse_suppressions(lines)
             suppressions_by_rel[rel] = suppressions
-            if tree is None:
+            if index is None:
                 raw_active.extend(parse_findings)
                 continue
-            parsed.append((rel, tree, lines))
+            parsed.append((rel, index, lines))
             active, suppressed = self._apply_suppressions(
-                self._file_findings(rel, tree, lines), suppressions
+                self._file_findings(rel, index, lines), suppressions
             )
             raw_active.extend(active)
             result.suppressed.extend(suppressed)
@@ -308,7 +305,7 @@ class LintEngine:
 
     @staticmethod
     def build_program_context(
-        parsed: Iterable[tuple[str, ast.Module, Sequence[str]]],
+        parsed: Iterable[tuple[str, ModuleIndex, Sequence[str]]],
     ) -> ProgramContext:
         """Index parsed modules into a shared whole-program context."""
         program = Program.build(parsed)
@@ -316,11 +313,11 @@ class LintEngine:
 
     def graph(self, paths: Iterable[str | Path]) -> str:
         """Deterministic call-graph dump (``repro-cli lint --graph``)."""
-        parsed: list[tuple[str, ast.Module, list[str]]] = []
+        parsed: list[tuple[str, ModuleIndex, list[str]]] = []
         for path in self.discover(paths):
-            _, tree, lines, _ = self._parse(path)
-            if tree is not None:
-                parsed.append((path.as_posix(), tree, lines))
+            rel, index, lines, _ = self._parse(path)
+            if index is not None:
+                parsed.append((rel, index, lines))
         ctx = self.build_program_context(parsed)
         return ctx.callgraph.render()  # type: ignore[attr-defined]
 

@@ -31,7 +31,6 @@ from typing import Iterator
 from repro.lint.contextflow import (
     blocking_call_reason,
     context_model,
-    direct_calls,
     is_awaited,
 )
 from repro.lint.rules.conc002_shared_state import in_scope
@@ -82,7 +81,7 @@ class BlockingInCoroutineRule(ProgramRule):
             id(call): targets
             for call, targets in model.resolved_calls.get(qualname, ())
         }
-        for call in direct_calls(list(fn.node.body)):
+        for call in model.program.scope_of(fn).direct_calls:
             if is_awaited(call):
                 continue
             what = blocking_call_reason(module, call)

@@ -69,7 +69,7 @@ class BackpressureRule(ProgramRule):
                 for dotted in module.imports.aliases.values()
             ):
                 continue
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 finding = self._check_call(module, node)

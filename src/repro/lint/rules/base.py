@@ -22,7 +22,12 @@ from repro.errors import LintUsageError
 
 # Re-exported from the package leaf so rule modules (and tests) can
 # keep importing it from here without creating an import cycle.
-from repro.lint.callgraph import FunctionInfo, ImportTable  # noqa: F401
+from repro.lint.callgraph import (  # noqa: F401
+    FunctionInfo,
+    ImportTable,
+    ModuleIndex,
+    walk_with_parents,
+)
 
 #: Severity levels, in increasing order of seriousness.
 SEVERITIES = ("warning", "error")
@@ -87,11 +92,29 @@ def basename(rel: str) -> str:
 
 @dataclass
 class RuleContext:
-    """Everything a rule needs to check one file."""
+    """Everything a rule needs to check one file.
+
+    ``index`` is the file's one :class:`~repro.lint.callgraph.ModuleIndex`:
+    iterate ``nodes`` (every node, in :func:`ast.walk` order, with
+    ``.parent`` links set) and resolve names through ``imports``
+    instead of walking ``tree`` or building another import table.
+    """
 
     rel: str  # posix-style path, as reported in findings
-    tree: ast.AST  # parsed module, with .parent links annotated
+    index: ModuleIndex
     lines: list[str] = field(default_factory=list)
+
+    @property
+    def tree(self) -> ast.Module:
+        return self.index.tree
+
+    @property
+    def nodes(self) -> list[ast.AST]:
+        return self.index.nodes
+
+    @property
+    def imports(self) -> ImportTable:
+        return self.index.imports
 
     def source_text(self, node: ast.AST) -> str:
         """Stripped source line a node sits on (empty when unknown)."""
@@ -257,9 +280,7 @@ def get_rules(ids: Iterable[str] | None = None) -> list[Rule]:
 
 def annotate_parents(tree: ast.AST) -> None:
     """Attach a ``.parent`` attribute to every node in *tree*."""
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child.parent = node  # type: ignore[attr-defined]
+    walk_with_parents(tree)
 
 
 def is_sorted_wrapped(node: ast.AST) -> bool:

@@ -111,8 +111,8 @@ class SignalSafetyRule(ProgramRule):
             module = program.modules.get(fn.rel)
             if module is None:
                 continue
-            yield from self._check_body(
-                module, fn.qualname, list(fn.node.body)
+            yield from self._check_nodes(
+                module, fn.qualname, program.scope_of(fn).nodes
             )
         for region in model.signal_regions():
             if not in_scope(region.module.rel):
@@ -122,30 +122,29 @@ class SignalSafetyRule(ProgramRule):
                 if region.enclosing is not None
                 else region.node.name
             )
-            yield from self._check_body(
-                region.module, label, list(region.node.body)
+            yield from self._check_nodes(
+                region.module, label, program.body_nodes(region.node)
             )
 
-    def _check_body(
-        self, module: ModuleInfo, label: str, body: list[ast.stmt]
+    def _check_nodes(
+        self, module: ModuleInfo, label: str, nodes: list[ast.AST]
     ) -> Iterator[Finding]:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.With, ast.AsyncWith)):
-                    for item in node.items:
-                        if is_lock_expr(module, item.context_expr):
-                            yield self._violation(
-                                module,
-                                label,
-                                node,
-                                f"acquires lock "
-                                f"{ast.unparse(item.context_expr)}",
-                            )
-                if not isinstance(node, ast.Call):
-                    continue
-                reason = self._call_reason(module, node)
-                if reason is not None:
-                    yield self._violation(module, label, node, reason)
+        for node in nodes:
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    if is_lock_expr(module, item.context_expr):
+                        yield self._violation(
+                            module,
+                            label,
+                            node,
+                            f"acquires lock "
+                            f"{ast.unparse(item.context_expr)}",
+                        )
+            if not isinstance(node, ast.Call):
+                continue
+            reason = self._call_reason(module, node)
+            if reason is not None:
+                yield self._violation(module, label, node, reason)
 
     def _call_reason(self, module: ModuleInfo, call: ast.Call) -> str | None:
         func = call.func

@@ -84,7 +84,7 @@ class LockDisciplineRule(ProgramRule):
                 continue
             module = program.modules[rel]
             lock_names = self._constructed_locks(module)
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if isinstance(node, ast.Call):
                     yield from self._check_acquire(module, lock_names, node)
                 if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -104,7 +104,7 @@ class LockDisciplineRule(ProgramRule):
     def _constructed_locks(self, module: ModuleInfo) -> set[str]:
         """Names/attrs assigned from a lock constructor, module-wide."""
         names: set[str] = set()
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
                 continue
             if module.imports.resolve(node.value.func) not in LOCK_CONSTRUCTORS:

@@ -107,41 +107,33 @@ class ThreadLifecycleRule(ProgramRule):
             if not in_scope(rel):
                 continue
             module = program.modules[rel]
-            yield from self._check_module(module)
+            yield from self._check_module(program, module)
 
-    def _check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for scope_node, body in self._scopes(module):
-            yield from self._check_thread_lifecycle(module, scope_node, body)
-            yield from self._check_wall_clock(module, body)
+    def _check_module(
+        self, program: Program, module: ModuleInfo
+    ) -> Iterator[Finding]:
+        for nodes in self._scopes(program, module):
+            yield from self._check_thread_lifecycle(module, nodes)
+            yield from self._check_wall_clock(module, nodes)
 
     @staticmethod
-    def _scopes(module: ModuleInfo):
-        """Every function scope plus the module top level, with nested
-        defs attributed to (and scanned within) their own scope."""
-        yield module.tree, [
-            stmt
-            for stmt in module.tree.body
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        for node in ast.walk(module.tree):
+    def _scopes(program: Program, module: ModuleInfo):
+        """The body nodes of the module top level and of every def,
+        nested ones included (each also scanned within its own scope)."""
+        yield program.body_nodes(module.tree)
+        for node in module.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node, list(node.body)
+                yield program.body_nodes(node)
 
     # -- unjoined non-daemon threads -----------------------------------
 
     def _check_thread_lifecycle(
-        self, module: ModuleInfo, scope_node: ast.AST, body: list[ast.stmt]
+        self, module: ModuleInfo, nodes: list[ast.AST]
     ) -> Iterator[Finding]:
-        scope_calls = [
-            node
-            for stmt in body
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Call)
-        ]
-        joined, daemonized = self._lifecycle_names(body)
-        for call in scope_calls:
+        joined, daemonized = self._lifecycle_names(nodes)
+        for call in nodes:
+            if not isinstance(call, ast.Call):
+                continue
             if module.imports.resolve(call.func) not in _THREAD_CONSTRUCTORS:
                 continue
             if self._daemon_kw(call):
@@ -200,57 +192,55 @@ class ThreadLifecycleRule(ProgramRule):
         )
 
     @staticmethod
-    def _lifecycle_names(body: list[ast.stmt]) -> tuple[set[str], set[str]]:
+    def _lifecycle_names(nodes: list[ast.AST]) -> tuple[set[str], set[str]]:
         joined: set[str] = set()
         daemonized: set[str] = set()
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "join"
-                    and isinstance(node.func.value, ast.Name)
-                ):
-                    joined.add(node.func.value.id)
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and target.attr == "daemon"
-                            and isinstance(target.value, ast.Name)
-                            and isinstance(node.value, ast.Constant)
-                            and node.value.value is True
-                        ):
-                            daemonized.add(target.value.id)
+        for node in nodes:
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join"
+                and isinstance(node.func.value, ast.Name)
+            ):
+                joined.add(node.func.value.id)
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr == "daemon"
+                        and isinstance(target.value, ast.Name)
+                        and isinstance(node.value, ast.Constant)
+                        and node.value.value is True
+                    ):
+                        daemonized.add(target.value.id)
         return joined, daemonized
 
     # -- wall clock in deadline arithmetic -----------------------------
 
     def _check_wall_clock(
-        self, module: ModuleInfo, body: list[ast.stmt]
+        self, module: ModuleInfo, nodes: list[ast.AST]
     ) -> Iterator[Finding]:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                dotted = module.imports.resolve(node.func)
-                if dotted not in _WALL_CALLS:
-                    continue
-                how = self._deadline_use(body, node)
-                if how is None:
-                    continue
-                yield self.finding_at(
-                    module.rel,
-                    node,
-                    f"wall clock {dotted}() feeds deadline arithmetic "
-                    f"({how}) — wall time jumps under NTP slew, so the "
-                    "deadline fires early, late, or never; use "
-                    "repro.telemetry.tick_seconds()",
-                    source_line=module.source_text(node),
-                )
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = module.imports.resolve(node.func)
+            if dotted not in _WALL_CALLS:
+                continue
+            how = self._deadline_use(nodes, node)
+            if how is None:
+                continue
+            yield self.finding_at(
+                module.rel,
+                node,
+                f"wall clock {dotted}() feeds deadline arithmetic "
+                f"({how}) — wall time jumps under NTP slew, so the "
+                "deadline fires early, late, or never; use "
+                "repro.telemetry.tick_seconds()",
+                source_line=module.source_text(node),
+            )
 
     def _deadline_use(
-        self, body: list[ast.stmt], call: ast.Call
+        self, nodes: list[ast.AST], call: ast.Call
     ) -> str | None:
         # (a) a timeout= keyword anywhere above the call.
         current: ast.AST | None = call
@@ -272,20 +262,17 @@ class ThreadLifecycleRule(ProgramRule):
             isinstance(stmt.targets[0], ast.Name)
         ):
             local = stmt.targets[0].id
-            for other in body:
-                for node in ast.walk(other):
-                    if not isinstance(node, (ast.BinOp, ast.Compare)):
-                        continue
-                    names = {
-                        sub.id
-                        for sub in ast.walk(node)
-                        if isinstance(sub, ast.Name)
-                    }
-                    if local in names and any(
-                        DEADLINE_NAME_RE.search(n) for n in names if n != local
-                    ):
-                        return (
-                            f"via local {local!r}, later combined with a "
-                            "deadline value"
-                        )
+            for node in nodes:
+                if not isinstance(node, (ast.BinOp, ast.Compare)):
+                    continue
+                names = {
+                    sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)
+                }
+                if local in names and any(
+                    DEADLINE_NAME_RE.search(n) for n in names if n != local
+                ):
+                    return (
+                        f"via local {local!r}, later combined with a "
+                        "deadline value"
+                    )
         return None

@@ -14,7 +14,6 @@ from typing import Iterator
 
 from repro.lint.rules.base import (
     Finding,
-    ImportTable,
     Rule,
     RuleContext,
     has_segment,
@@ -72,8 +71,8 @@ class UnseededRandomnessRule(Rule):
         return not rel.endswith("repro/rng.py") and not has_segment(rel, "repro/rng.py")
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        imports = ImportTable.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = imports.resolve(node.func)

@@ -14,7 +14,6 @@ from typing import Iterator
 
 from repro.lint.rules.base import (
     Finding,
-    ImportTable,
     Rule,
     RuleContext,
     register,
@@ -57,8 +56,8 @@ class WallClockRule(Rule):
         return not any(rel.endswith(suffix) for suffix in _ALLOWLIST_SUFFIXES)
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        imports = ImportTable.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = imports.resolve(node.func)

@@ -16,7 +16,6 @@ from typing import Iterator
 
 from repro.lint.rules.base import (
     Finding,
-    ImportTable,
     Rule,
     RuleContext,
     is_sorted_wrapped,
@@ -58,8 +57,8 @@ class NondeterministicIterationRule(Rule):
     hint = "wrap the scan or set in sorted(...) before iterating"
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        imports = ImportTable.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 name = imports.resolve(node.func)
                 is_scan = name in _SCAN_CALLS or (

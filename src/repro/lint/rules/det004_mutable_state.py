@@ -63,7 +63,7 @@ class MutableStateRule(Rule):
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         # Mutable default arguments, anywhere in the file.
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 for default in list(args.defaults) + [
@@ -77,7 +77,7 @@ class MutableStateRule(Rule):
                             "shared across calls",
                         )
         # Module-level mutable containers bound to non-constant names.
-        for stmt in getattr(ctx.tree, "body", []):
+        for stmt in ctx.tree.body:
             targets: list[ast.expr] = []
             value: ast.AST | None = None
             if isinstance(stmt, ast.Assign):

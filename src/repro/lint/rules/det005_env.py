@@ -15,7 +15,6 @@ from typing import Iterator
 
 from repro.lint.rules.base import (
     Finding,
-    ImportTable,
     Rule,
     RuleContext,
     basename,
@@ -59,8 +58,8 @@ class EnvReadRule(Rule):
         )
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        imports = ImportTable.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 name = imports.resolve(node.func)
                 if name == "os.getenv":

@@ -15,7 +15,6 @@ from typing import Iterator
 
 from repro.lint.rules.base import (
     Finding,
-    ImportTable,
     Rule,
     RuleContext,
     basename,
@@ -47,8 +46,8 @@ class JsonOrderingRule(Rule):
         return name in _SCOPED_BASENAMES or "persistence" in name or "store" in name
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        imports = ImportTable.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = imports.resolve(node.func)

@@ -142,14 +142,10 @@ class ExceptionContractRule(ProgramRule):
     ) -> Iterator[Finding]:
         module_level_raises = {
             id(node)
-            for stmt in module.tree.body
-            for node in ast.walk(stmt)
+            for node in program.body_nodes(module.tree)
             if isinstance(node, ast.Raise)
-            and not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
         }
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Raise):
                 continue
             exc = node.exc

@@ -93,13 +93,12 @@ class StatisticalContractRule(ProgramRule):
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         for scope in unit_scopes(ctx):
             module = scope.module
-            nodes = [node for stmt in scope.body for node in ast.walk(stmt)]
-            for node in nodes:
+            for node in scope.nodes:
                 if isinstance(node, ast.Call):
                     yield from self._check_fit_axes(module, node)
                     yield from self._check_fit_simple(module, scope, node)
                     yield from self._check_predict(module, scope, node)
-            yield from self._check_screen(module, nodes)
+            yield from self._check_screen(module, scope.nodes)
 
     # -- swapped axes at from_observations(...) ------------------------
 

@@ -51,9 +51,8 @@ class MixedUnitArithmeticRule(ProgramRule):
 
     def check_program(self, ctx: ProgramContext) -> Iterator[Finding]:
         for scope in unit_scopes(ctx):
-            for stmt in scope.body:
-                for node in ast.walk(stmt):
-                    yield from self._check_node(scope.module, scope, node)
+            for node in scope.nodes:
+                yield from self._check_node(scope.module, scope, node)
 
     def _check_node(self, module, scope: UnitScope, node: ast.AST):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):

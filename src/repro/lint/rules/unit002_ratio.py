@@ -67,12 +67,11 @@ class MalformedRatioRule(ProgramRule):
             module = scope.module
             if is_units_module(module.rel):
                 continue  # the one sanctioned definition site
-            nodes = [node for stmt in scope.body for node in ast.walk(stmt)]
             flagged: set[int] = set()
-            for node in nodes:
+            for node in scope.nodes:
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
                     yield from self._check_raw_ratio(module, scope, node, flagged)
-            for node in nodes:
+            for node in scope.nodes:
                 if isinstance(node, ast.BinOp) and isinstance(
                     node.op, (ast.Mult, ast.Div)
                 ):

@@ -80,17 +80,16 @@ class CallBoundaryUnitRule(ProgramRule):
         program: Program = ctx.program  # type: ignore[assignment]
         for scope in unit_scopes(ctx):
             module = scope.module
-            for stmt in scope.body:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Call):
-                        yield from self._check_arguments(
-                            program, module, scope, node
-                        )
-                        yield from self._check_dataclass(
-                            program, module, scope, node
-                        )
-                    elif isinstance(node, ast.Assign):
-                        yield from self._check_binding(module, scope, node)
+            for node in scope.nodes:
+                if isinstance(node, ast.Call):
+                    yield from self._check_arguments(
+                        program, module, scope, node
+                    )
+                    yield from self._check_dataclass(
+                        program, module, scope, node
+                    )
+                elif isinstance(node, ast.Assign):
+                    yield from self._check_binding(module, scope, node)
 
     # -- argument vs parameter -----------------------------------------
 

@@ -77,9 +77,8 @@ class NarrowingCastRule(ProgramRule):
             module = scope.module
             if not in_scope(module.rel):
                 continue
-            for stmt in scope.body:
-                for node in ast.walk(stmt):
-                    yield from self._check_node(module, scope, node)
+            for node in scope.nodes:
+                yield from self._check_node(module, scope, node)
 
     def _check_node(self, module, scope, node: ast.AST) -> Iterator[Finding]:
         if isinstance(node, ast.Call):

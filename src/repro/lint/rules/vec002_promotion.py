@@ -74,10 +74,9 @@ class PromotionDivergenceRule(ProgramRule):
             module = scope.module
             if not in_scope(module.rel):
                 continue
-            for stmt in scope.body:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.BinOp):
-                        yield from self._check_binop(module, scope, node)
+            for node in scope.nodes:
+                if isinstance(node, ast.BinOp):
+                    yield from self._check_binop(module, scope, node)
 
     def _check_binop(
         self, module, scope, node: ast.BinOp

@@ -262,7 +262,6 @@ class UnitScope(ScopeFlow):
         self.program = program
         self.module = module = scope.module
         self.function = scope.fn
-        self.body = scope.body
         self.param_units: dict[str, UnitValue] = {}
         self.annotated: dict[str, UnitValue] = {}
         if scope.fn is not None:
@@ -271,14 +270,13 @@ class UnitScope(ScopeFlow):
                 unit = annotation_unit(arg.annotation, module)
                 if unit is not UnitValue.UNKNOWN:
                     self.param_units[arg.arg] = unit
-        for stmt in scope.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.AnnAssign) and isinstance(
-                    node.target, ast.Name
-                ):
-                    unit = annotation_unit(node.annotation, module)
-                    if unit is not UnitValue.UNKNOWN:
-                        self.annotated[node.target.id] = unit
+        for node in scope.nodes:
+            if isinstance(node, ast.AnnAssign) and isinstance(
+                node.target, ast.Name
+            ):
+                unit = annotation_unit(node.annotation, module)
+                if unit is not UnitValue.UNKNOWN:
+                    self.annotated[node.target.id] = unit
 
     # -- queries -------------------------------------------------------
 

@@ -44,7 +44,14 @@ def _modules_after(statement: str) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("statement", ["import repro", "import repro.lint.cli"])
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro",
+        "import repro.lint.cli",
+        "from repro.dispatch import main\nmain(['lint', '--list-rules'])",
+    ],
+)
 def test_stdlib_only(statement):
     modules = _modules_after(statement)
     assert [m for m in modules if m.split(".")[0] in ("numpy", "scipy")] == []

@@ -920,7 +920,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_repro_cli_dispatches_lint(self, tmp_path):
-        from repro.cli import cli_main
+        from repro.dispatch import main as cli_main
 
         root = self.make_tree(tmp_path, "import random\nx = random.random()\n")
         import contextlib
