@@ -447,6 +447,7 @@ class Program:
             module.functions[stmt.name] = info
             self.functions[info.qualname] = info
         elif isinstance(stmt, ast.ClassDef):
+            self._drop_class(module.classes.get(stmt.name))
             cls_info = ClassInfo(
                 qualname=f"{module.modname}.{stmt.name}",
                 modname=module.modname,
@@ -479,6 +480,17 @@ class Program:
             for sub in ast.iter_child_nodes(stmt):
                 if isinstance(sub, ast.stmt):
                     self._index_statement(module, sub)
+
+    def _drop_class(self, earlier: ClassInfo | None) -> None:
+        """Forget a class that a later definition of its name rebinds,
+        as Python does: its methods get no scope of their own."""
+        if earlier is None:
+            return
+        for method in earlier.methods.values():
+            self.functions.pop(method.qualname, None)
+            self.methods_by_name[method.name].remove(method)
+            if not self.methods_by_name[method.name]:
+                del self.methods_by_name[method.name]
 
     # -- the scope table -----------------------------------------------
 

@@ -362,6 +362,17 @@ class ContextModel:
             for context in CONTEXTS
         }
         self.blocking: dict[str, BlockingReason] = self._compute_blocking()
+        self._class_facts: dict[ast.ClassDef, ClassConcurrency] = {}
+
+    def class_facts(self, module: ModuleInfo, cls: ClassInfo) -> ClassConcurrency:
+        """:func:`analyze_class` of *cls*, computed once per run and
+        shared by CONC002 and ASYNC003."""
+        facts = self._class_facts.get(cls.node)
+        if facts is None:
+            facts = self._class_facts[cls.node] = analyze_class(
+                self.program, module, cls
+            )
+        return facts
 
     # -- one pass per scope --------------------------------------------
 
@@ -938,7 +949,7 @@ def shared_state_conflicts(
             continue
         module = program.modules[rel]
         for class_name in sorted(module.classes):
-            facts = analyze_class(program, module, module.classes[class_name])
+            facts = model.class_facts(module, module.classes[class_name])
             exempt_attrs = facts.constructed_by(exempt)
             by_attr: dict[str, list[AttributeUse]] = {}
             for use in facts.uses:

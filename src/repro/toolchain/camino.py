@@ -109,6 +109,24 @@ class Camino:
         self.alignment = alignment
         self.run_limit = run_limit if run_limit is not None else RunLimitPass()
         self._sequential = SequentialAllocator()
+        self._bound: tuple[Trace, Trace] | None = None
+
+    def bound_trace(self, trace: Trace) -> Trace:
+        """*trace* cut at the run limit, shared by every layout built from it.
+
+        The limit depends only on the canonical trace, so consecutive
+        builds from one trace (a campaign's layouts) choose it once and
+        carry the same truncated :class:`Trace`.  Only the latest trace
+        is kept, so a long-lived toolchain holds one bound trace, not
+        one per benchmark it has built.
+        """
+        bound = self._bound
+        if bound is None or bound[0] is not trace:
+            bound = self._bound = (
+                trace,
+                trace.truncated(self.run_limit.choose_limit(trace)),
+            )
+        return bound[1]
 
     def base_object_files(self, spec: ProgramSpec) -> list[ObjectFile]:
         """The unperturbed compilation result: one object file per source
@@ -163,11 +181,7 @@ class Camino:
         else:
             allocator = heap_allocator if heap_allocator is not None else DieHardAllocator()
             data_layout = allocator.allocate(spec, heap_seed)
-        bound_trace = trace
-        if apply_run_limit:
-            limit = self.run_limit.choose_limit(trace)
-            if limit < trace.n_events:
-                bound_trace = trace.truncated(limit)
+        bound_trace = self.bound_trace(trace) if apply_run_limit else trace
         return Executable(
             spec=spec,
             trace=bound_trace,
@@ -198,11 +212,7 @@ class Camino:
             data_layout = self._sequential.allocate(spec)
         else:
             data_layout = DieHardAllocator().allocate(spec, heap_seed)
-        bound_trace = trace
-        if apply_run_limit:
-            limit = self.run_limit.choose_limit(trace)
-            if limit < trace.n_events:
-                bound_trace = trace.truncated(limit)
+        bound_trace = self.bound_trace(trace) if apply_run_limit else trace
         return Executable(
             spec=spec,
             trace=bound_trace,

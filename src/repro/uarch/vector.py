@@ -34,9 +34,9 @@ recurrence, handled by one of four segmented scans:
 LRU state (caches, BTB) follows from Mattson stack distance: an access
 hits an A-way true-LRU set iff fewer than A distinct tags touched that
 set since the previous access to the same tag.  :func:`lru_scan`
-counts those distinct tags offline for every access at once, as a
-2-D dominance count over previous-occurrence positions, with no loop
-over per-set depth.
+counts those distinct tags offline for every access at once, as the
+popcount of a bitset sparse table over each set's key ids, with no
+loop over per-set depth.
 
 All kernels carry state across :data:`CHUNK_EVENTS`-sized chunks so
 memory stays bounded on long traces.
@@ -170,7 +170,9 @@ def _stable_order(indices: np.ndarray, value_bound: int) -> np.ndarray:
     """
     if value_bound <= (1 << 15):
         return np.argsort(indices.astype(np.int16), kind="stable")
-    return np.argsort(indices.astype(np.int32), kind="stable")
+    if value_bound <= (1 << 31):
+        return np.argsort(indices.astype(np.int32), kind="stable")
+    return np.argsort(indices, kind="stable")
 
 
 def _trailing_packed(values: np.ndarray, depth: int, shift: int) -> np.ndarray:
@@ -601,55 +603,39 @@ class LruState:
         return [[tag for tag in row if tag >= 0] for row in self.tags.tolist()]
 
 
-def _distinct_since_previous(prev: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Distinct keys strictly between each end and its key's previous occurrence.
+def _window_distinct(
+    ids: np.ndarray, widths: np.ndarray, lo: np.ndarray, hi: np.ndarray, ways: int
+) -> np.ndarray:
+    """Distinct ids in each window ``[lo, hi)``, counted up to *ways*.
 
-    *prev* maps every position to the previous position of its key (-1
-    for none).  For each ``k`` in *ends*, with ``p = prev[k]``, returns
-    the number of ``j`` in ``(p, k)`` with ``prev[j] < p``: each such
-    ``j`` is the first occurrence of its key inside the window.  Every
-    ``prev[ends]`` must be >= 0 and every window non-empty.
-
-    The window ``[prev[k] + 1, k)`` is split into aligned power-of-two
-    blocks as in a bottom-up segment tree: at level ``L`` at most one
-    block at each edge.  One sort per level orders every block's
-    ``prev`` values, and one ``searchsorted`` per edge counts the
-    values below the bound in each queried block.  Right-edge queries
-    run in end order and left-edge queries in start order, so both
-    binary-search streams are monotone block by block.
+    *ids* (unsigned) numbers each position's key within its set,
+    *widths* is the set's id count per position, and every window lies
+    inside one set.  A bitset sparse table answers a window of length
+    ``>= 2**L`` as the OR of its first and last ``2**L`` positions
+    (level ``L`` ORs two level ``L - 1`` blocks); the popcount is the
+    count.  Ids go one 64-bit word at a time, over the positions of the
+    sets that reach the word, so extra memory stays linear in the
+    stream; a window drops out once its count reaches *ways*.
     """
-    m = int(prev.size)
-    shift = m.bit_length()
-    # Sort keys pack (block, prev + 1) into 2 * shift bits.
-    narrow = np.int32 if 2 * shift < 31 else np.int64
-    vals = (prev + 1).astype(narrow)
-    pos = np.arange(m, dtype=narrow)
-    hi = ends.astype(narrow)
-    lo = vals[ends]
-    by_start = np.argsort(lo)
-    lo_s = lo[by_start]
-    hi_s = hi[by_start]
-    # Level 0 blocks hold one position: compare it directly.
-    count = (hi & 1) * (vals[hi - 1] < lo)
-    count_s = (lo_s & 1) * (vals[lo_s] < lo_s)
-    level = 1
-    while True:
-        hi_l = hi >> level
-        live = ((lo + ((1 << level) - 1)) >> level) < hi_l
-        if not live.any():
-            break
-        keys = np.sort(((pos >> level) << shift) | vals)
-        edge = np.flatnonzero(live & ((hi_l & 1) == 1))
-        block = hi_l[edge] - 1
-        found = np.searchsorted(keys, (block << shift) | lo[edge])
-        count[edge] += found - (block << level)
-        lo_l = (lo_s + ((1 << level) - 1)) >> level
-        edge = np.flatnonzero((lo_l < (hi_s >> level)) & ((lo_l & 1) == 1))
-        block = lo_l[edge]
-        found = np.searchsorted(keys, (block << shift) | lo_s[edge])
-        count_s[edge] += found - (block << level)
-        level += 1
-    count[by_start] += count_s
+    count = np.zeros(hi.size, dtype=np.int64)
+    live = np.arange(hi.size)
+    base = 0
+    while live.size:
+        inside = widths > max(base, ways)
+        at = np.cumsum(inside) - 1
+        a, b = at[lo[live]], at[hi[live]]
+        # Ids below the word wrap around and shift out to zero.
+        bits = np.left_shift(np.uint64(1), ids[inside] - np.uint64(base))
+        level = np.frexp(b - a)[1] - 1
+        by_level = _stable_order(level, 64)
+        start = 0
+        for lv, stop in enumerate(np.cumsum(np.bincount(level))):
+            q = by_level[start:stop]
+            count[live[q]] += np.bitwise_count(bits[a[q]] | bits[b[q] - (1 << lv)])
+            bits = bits[: -(1 << lv)] | bits[1 << lv :]
+            start = stop
+        base += 64
+        live = live[(count[live] < ways) & (widths[hi[live]] > base)]
     return count
 
 
@@ -659,15 +645,16 @@ def lru_scan(state: LruState, set_ids: np.ndarray, tags: np.ndarray) -> np.ndarr
     Mattson stack distance, computed offline: the incoming resident
     ways are replayed first as synthetic accesses (LRU to MRU), the
     stream is stably grouped by set, and repeats of a set's previous
-    tag (MRU hits with no state change) are condensed away.  An access
-    then hits iff its tag occurred before in its set with fewer than
-    ``associativity`` distinct tags in between — certain when fewer
-    positions lie in between, otherwise decided by
-    :func:`_distinct_since_previous`.  The post-state is each set's
-    last ``associativity`` distinct tags by last occurrence.
+    tag (MRU hits with no state change) are condensed away.  One
+    stable sort on a dense (set, tag) key then puts each access right
+    after its previous occurrence.  An access hits iff that occurrence
+    exists with fewer than ``associativity`` distinct tags in between:
+    certain when its set never holds more tags than it has ways or
+    fewer positions lie in between, otherwise decided by
+    :func:`_window_distinct`.  The post-state is each set's last
+    ``associativity`` distinct tags by last occurrence.
     """
-    n = int(set_ids.size)
-    if n == 0:
+    if set_ids.size == 0:
         return np.zeros(0, dtype=bool)
     table = state.tags
     n_sets, ways = table.shape
@@ -686,40 +673,43 @@ def lru_scan(state: LruState, set_ids: np.ndarray, tags: np.ndarray) -> np.ndarr
     kept = np.empty(by_set.size, dtype=bool)
     kept[0] = True
     kept[1:] = (sets[1:] != sets[:-1]) | (tag[1:] != tag[:-1])
-    kept = np.flatnonzero(kept)
-    sets = sets[kept]
-    tag = tag[kept]
+    kept = by_set[kept]
+    sets = set_ids[kept]
+    tag = tags[kept]
     m = int(kept.size)
 
-    # Previous same-(set, tag) position: group equal tags (dense ids),
-    # then order by (tag, position); positions are set-major.
-    by_tag = np.argsort(tag)
-    new_tag = np.empty(m, dtype=np.int64)
-    new_tag[0] = 0
-    np.not_equal(tag[by_tag][1:], tag[by_tag][:-1], out=new_tag[1:])
-    dense = np.empty(m, dtype=np.int64)
-    dense[by_tag] = np.cumsum(new_tag)
-    position = np.arange(m, dtype=np.int64)
-    order = np.argsort(dense * m + position)
-    repeat = np.empty(m, dtype=bool)
-    repeat[0] = False
-    repeat[1:] = (sets[order][1:] == sets[order][:-1]) & (
-        dense[order][1:] == dense[order][:-1]
-    )
-    prev = np.full(m, -1, dtype=np.int64)
-    prev[order[1:][repeat[1:]]] = order[:-1][repeat[1:]]
-
-    seen = prev >= 0
-    hit = seen & (position - prev <= ways)
-    unsure = np.flatnonzero(seen & ~hit)
+    # Dense tag ranks: an occupancy table over a small span, else sorted.
+    low = int(tag.min())
+    span = int(tag.max()) - low + 1
+    if span <= 4 * m:
+        occupied = np.zeros(span, dtype=bool)
+        occupied[tag - low] = True
+        rank = np.cumsum(occupied)
+        dense = rank[tag - low] - 1
+        n_tags = int(rank[-1])
+    else:
+        distinct, dense = np.unique(tag, return_inverse=True)
+        n_tags = int(distinct.size)
+    # Sorted by (set, tag, position): a repeat follows its previous.
+    key = sets * n_tags + dense
+    order = _stable_order(key, n_sets * n_tags)
+    repeat = np.diff(key[order], prepend=-1) == 0
+    first = ~repeat
+    sorted_sets = sets[order]
+    widths = np.bincount(sorted_sets[first], minlength=n_sets)
+    hit = repeat & ((np.diff(order, prepend=0) <= ways) | (widths[sorted_sets] <= ways))
+    unsure = np.flatnonzero(repeat & ~hit)
     if unsure.size:
-        hit[unsure] = _distinct_since_previous(prev, unsure) < ways
+        # Each set's keys numbered 0 .. width - 1 in tag order.
+        ids = np.empty(m, dtype=np.uint64)
+        ids[order] = np.cumsum(first) - (np.cumsum(widths) - widths + 1)[sorted_sets]
+        count = _window_distinct(
+            ids, widths[sets], order[unsure - 1] + 1, order[unsure], ways
+        )
+        hit[unsure] = count < ways
 
     # Post-state: each (set, tag)'s last occurrence, newest first.
-    final = np.empty(m, dtype=bool)
-    final[-1] = True
-    final[:-1] = ~repeat[1:]
-    newest = np.sort(order[final])[::-1]
+    newest = np.sort(order[np.append(first[1:], True)])[::-1]
     final_sets = sets[newest]
     first = np.empty(newest.size, dtype=bool)
     first[0] = True
@@ -731,5 +721,5 @@ def lru_scan(state: LruState, set_ids: np.ndarray, tags: np.ndarray) -> np.ndarr
     table[final_sets[stays], rank[stays]] = tag[newest[stays]]
 
     miss = np.zeros(by_set.size, dtype=bool)
-    miss[by_set[kept]] = ~hit
+    miss[kept[order]] = ~hit
     return miss[carried:]

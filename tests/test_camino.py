@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.program.tracegen import generate_trace
 from repro.toolchain.camino import Camino, RunLimitPass
 
 from tests.conftest import make_tiny_spec
@@ -116,3 +117,33 @@ class TestBuild:
     def test_disable_run_limit(self, spec, tiny_trace, camino):
         exe = camino.build(spec, tiny_trace, layout_seed=1, apply_run_limit=False)
         assert exe.trace.n_events == tiny_trace.n_events
+
+    def test_layouts_share_one_bound_trace(self, spec, tiny_trace, monkeypatch):
+        """The run limit is chosen once per canonical trace, not per layout."""
+        calls = []
+        choose = RunLimitPass.choose_limit
+
+        def counting(self, trace):
+            calls.append(trace)
+            return choose(self, trace)
+
+        monkeypatch.setattr(RunLimitPass, "choose_limit", counting)
+        camino = Camino()
+        built = [camino.build(spec, tiny_trace, layout_seed=s).trace for s in range(4)]
+        built.append(
+            camino.build_custom(spec, tiny_trace, camino.base_object_files(spec)).trace
+        )
+        assert calls == [tiny_trace]
+        assert all(trace is built[0] for trace in built)
+        assert built[0].n_events == min(choose(RunLimitPass(), tiny_trace), tiny_trace.n_events)
+
+    def test_same_key_other_program_gets_its_own_bound(self, tiny_spec, tiny_trace):
+        """Two programs named alike, same seed and length, bind their own traces."""
+        other = make_tiny_spec(n_procs=9, sites_per_proc=4)
+        twin = generate_trace(other, tiny_trace.seed, tiny_trace.n_events)
+        assert (twin.program, twin.seed) == (tiny_trace.program, tiny_trace.seed)
+        camino = Camino()
+        camino.build(tiny_spec, tiny_trace, layout_seed=1)
+        bound = camino.build(other, twin, layout_seed=1).trace
+        assert bound.n_events == RunLimitPass().choose_limit(twin)
+        assert bound.site_ids.tolist() == twin.site_ids[: bound.n_events].tolist()

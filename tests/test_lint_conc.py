@@ -16,8 +16,10 @@ import ast
 import contextlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
+from repro.lint import LintEngine, contextflow
 from repro.lint.callgraph import Program
 from repro.lint.cli import main as lint_main
 from repro.lint.rules.base import annotate_parents
@@ -276,6 +278,22 @@ class TestSharedStateRule:
     def test_cross_context_append_flags(self, tmp_path):
         counts = by_rule(tmp_path, {"src/repro/core/app.py": _RACY_CLASS})
         assert counts.get("CONC002") == 1
+
+    def test_class_facts_computed_once_for_conc002_and_async003(self, monkeypatch):
+        """Both shared-state rules read one analysis per class."""
+        calls: Counter = Counter()
+        analyze = contextflow.analyze_class
+
+        def counting(program, module, cls):
+            calls[id(cls.node)] += 1
+            return analyze(program, module, cls)
+
+        monkeypatch.setattr(contextflow, "analyze_class", counting)
+        result = LintEngine().run(
+            [REPO_ROOT / "src/repro/core", REPO_ROOT / "src/repro/uarch"]
+        )
+        assert result.clean
+        assert calls and max(calls.values()) == 1
 
     def test_lock_guard_silences(self, tmp_path):
         guarded = _RACY_CLASS.replace(

@@ -157,6 +157,37 @@ class TestCallResolution:
             in graph.edges["repro.machine.derived.Derived.run"]
         )
 
+    TWICE = (
+        "class A:\n"
+        "    def f(self):\n"
+        "        return 1\n"
+        "    def h(self):\n"
+        "        return 1\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return self.h()\n"
+        "    def h(self):\n"
+        "        return 2\n"
+    )
+
+    def test_class_defined_twice_keeps_the_later_definition(self):
+        """As at run time, the second ``class A`` rebinds the name."""
+        program = build_program({"src/repro/core/twice.py": self.TWICE})
+        methods = sorted(q for q in program.functions if ".A." in q)
+        assert methods == ["repro.core.twice.A.g", "repro.core.twice.A.h"]
+        assert "f" not in program.methods_by_name
+        assert [m.node.lineno for m in program.methods_by_name["h"]] == [9]
+        for fn in program.functions.values():
+            assert program.scope_of(fn).fn is fn
+        graph = CallGraph(program)
+        assert graph.edges["repro.core.twice.A.g"] == {"repro.core.twice.A.h"}
+
+    def test_lint_survives_a_class_defined_twice(self, tmp_path, capsys):
+        target = tmp_path / "twice.py"
+        target.write_text(self.TWICE)
+        assert lint_main([str(target)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
 
 class TestScopeTable:
     def test_lint_run_builds_each_map_and_resolves_each_call_once(

@@ -13,6 +13,7 @@ branches at all, and state carried across kernel chunk boundaries.
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,79 @@ class TestLruScan:
             assert mask[i] == (last.get(s) != t)
             last[s] = t
         _assert_lru_matches_oracle(4, 1, set_ids, tags, cuts=[n // 2])
+
+    @pytest.mark.parametrize("ways", [1, 4, 16])
+    def test_sets_within_associativity_never_miss_on_reuse(self, ways):
+        """A set that never holds more tags than ways misses only on first use."""
+        rng = np.random.default_rng(ways)
+        n = 2000
+        set_ids = rng.integers(0, 8, size=n, dtype=np.int64)
+        # Sets 0-3 see exactly `ways` tags; sets 4-7 see one more.
+        tags = rng.integers(0, ways, size=n, dtype=np.int64) + (set_ids >= 4)
+        for cuts in ([], [700], [500, 1300]):
+            mask = _assert_lru_matches_oracle(8, ways, set_ids, tags, cuts)
+            small = set_ids < 4
+            first_use = np.unique(set_ids * 64 + tags, return_index=True)[1]
+            assert mask[small].sum() == np.isin(first_use, np.flatnonzero(small)).sum()
+
+    @pytest.mark.parametrize("ways", [1, 8, 16])
+    @pytest.mark.parametrize("per_set", [65, 129, 1000])
+    def test_sets_wider_than_one_word(self, ways, per_set):
+        """Sets with more than 64 and 128 distinct tags span several id words."""
+        rng = np.random.default_rng(per_set * 100 + ways)
+        n = 6000
+        set_ids = rng.integers(0, 4, size=n, dtype=np.int64)
+        # A random walk over the tags: windows of every length, and
+        # their keys spread over every word of the set's ids.
+        tags = np.cumsum(rng.integers(-3 * ways, 3 * ways + 1, size=n)) % per_set
+        for cuts in ([], [2500], [1000, 4000]):
+            _assert_lru_matches_oracle(4, ways, set_ids, tags, cuts)
+        uniform = rng.integers(0, per_set, size=n)
+        _assert_lru_matches_oracle(4, ways, set_ids, uniform, [3000])
+
+    @pytest.mark.parametrize("ways", [1, 4, 16])
+    def test_tags_spanning_2_40(self, ways):
+        """A tag span far wider than the stream takes the sorted-rank path."""
+        rng = np.random.default_rng(ways)
+        n = 3000
+        set_ids = rng.integers(0, 16, size=n, dtype=np.int64)
+        pool = np.sort(rng.integers(0, 1 << 42, size=3 * ways + 2, dtype=np.int64))
+        pool[-1] = pool[0] + (1 << 40)
+        tags = pool[rng.integers(0, pool.size, size=n)]
+        for cuts in ([], [1200], [900, 2100]):
+            _assert_lru_matches_oracle(16, ways, set_ids, tags, cuts)
+
+    def test_key_wider_than_int32(self):
+        """Sets times distinct tags beyond 2**31 still group by set."""
+        rng = np.random.default_rng(0)
+        n_sets, ways = 1 << 16, 2
+        # 40 000 one-off tags spread the key space past 2**31; the top
+        # sets, whose keys sit above it, see a few tags over and over.
+        spread = rng.integers(0, n_sets, size=40_000, dtype=np.int64)
+        busy = n_sets - 1 - rng.integers(0, 4, size=4_000, dtype=np.int64)
+        set_ids = np.concatenate([spread, busy])
+        tags = np.concatenate(
+            [rng.permutation(1 << 20)[:40_000], rng.integers(0, 5, size=4_000)]
+        ).astype(np.int64)
+        order = rng.permutation(set_ids.size)
+        _assert_lru_matches_oracle(n_sets, ways, set_ids[order], tags[order], [20_000])
+
+    def test_extra_memory_is_linear_in_the_stream(self):
+        """At 1000 tags per set (16 id words), scratch stays O(stream length)."""
+        rng = np.random.default_rng(0)
+        for n in (20_000, 80_000):
+            set_ids = rng.integers(0, 4, size=n, dtype=np.int64)
+            tags = rng.integers(0, 1000, size=n, dtype=np.int64)
+            state = vector.LruState(4, 16)
+            tracemalloc.start()
+            try:
+                vector.lru_scan(state, set_ids, tags)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # About 24 int64 words per access; a table kept per level
+            # (17 here) or per id word (16) would pass 32.
+            assert peak < 32 * 8 * n
 
 
 def _empty_trace(structure) -> list[np.ndarray]:
