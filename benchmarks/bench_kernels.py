@@ -123,20 +123,31 @@ def _indirect_streams(lab):
     return streams
 
 
-def _time_engine(run) -> tuple[float, int]:
-    """Best-of-2 wall time and the (identical) count of one engine."""
-    best, count = float("inf"), 0
-    for _ in range(2):
-        start = telemetry.tick_seconds()
-        count = run()
-        best = min(best, telemetry.tick_seconds() - start)
-    return best, count
+#: Timed runs per engine and row; each engine keeps its best.
+REPEATS = 3
+
+
+def _timed(run) -> tuple[float, int]:
+    """Wall time and count of one run of one engine."""
+    start = telemetry.tick_seconds()
+    count = run()
+    return telemetry.tick_seconds() - start, count
 
 
 def bench_row(name: str, n_events: int, scalar_run, vector_run) -> dict:
-    """Time both engines over the same streams and compare their counts."""
-    scalar_s, scalar_count = _time_engine(scalar_run)
-    vector_s, vector_count = _time_engine(vector_run)
+    """Time both engines over the same streams and compare their counts.
+
+    The engines' runs alternate and each keeps its best of
+    ``REPEATS``, so a slow spell of a shared host falls on both
+    columns of a row, not on one, and the speedup ratio stays
+    comparable between runs.
+    """
+    scalar_s = vector_s = float("inf")
+    for _ in range(REPEATS):
+        seconds, scalar_count = _timed(scalar_run)
+        scalar_s = min(scalar_s, seconds)
+        seconds, vector_count = _timed(vector_run)
+        vector_s = min(vector_s, seconds)
     row = {
         "kernel": name,
         "events": n_events,

@@ -71,7 +71,6 @@ __all__ = [
     "PredictorEvaluator",
     "ReproError",
     "RetryPolicy",
-    "SampleEscalation",
     "SequentialAllocator",
     "ShutdownRequested",
     "SuiteExecutionError",
@@ -107,7 +106,6 @@ _EXPORTS: dict[str, tuple[str, str | None]] = {
     "ObservationSet": ("repro.core", "ObservationSet"),
     "PerformanceModel": ("repro.core", "PerformanceModel"),
     "PredictorEvaluator": ("repro.core", "PredictorEvaluator"),
-    "SampleEscalation": ("repro.core", "SampleEscalation"),
     "layout_seed": ("repro.core", "layout_seed"),
     "run_cache_interferometry": ("repro.core", "run_cache_interferometry"),
     "CampaignExecutionError": ("repro.errors", "CampaignExecutionError"),

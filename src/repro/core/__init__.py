@@ -11,8 +11,9 @@ The workflow mirrors the paper's measurement pipeline:
    hypothetical event rates with confidence/prediction intervals.
 3. :class:`~repro.core.blame.BlameAnalysis` attributes CPI variance to
    individual events via r², and fits the combined multilinear model.
-4. :class:`~repro.core.escalation.SampleEscalation` adds samples in
-   batches of 100 until significance is reached (§6.3).
+4. :mod:`~repro.core.escalation` holds the §6.3 t-test that
+   :meth:`~repro.harness.lab.Laboratory.escalate` applies after each
+   round of 100 more layouts, as ordinary campaigns.
 5. :class:`~repro.core.evaluate.PredictorEvaluator` combines the
    regression models with Pin-style simulation of candidate predictors
    to predict the CPI each predictor would achieve (Figs. 7-8).
@@ -20,12 +21,7 @@ The workflow mirrors the paper's measurement pipeline:
 
 from repro.core.blame import BlameAnalysis, BlameReport
 from repro.core.cache_exp import CacheInterferometryResult, run_cache_interferometry
-from repro.core.escalation import (
-    EscalationResult,
-    PrecisionEscalation,
-    PrecisionResult,
-    SampleEscalation,
-)
+from repro.core.escalation import EscalationResult
 from repro.core.evaluate import PredictorEvaluation, PredictorEvaluator
 from repro.core.interferometer import Interferometer, layout_seed
 from repro.core.latency import (
@@ -54,12 +50,9 @@ __all__ = [
     "Observation",
     "ObservationSet",
     "PerformanceModel",
-    "PrecisionEscalation",
-    "PrecisionResult",
     "PredictionResult",
     "PredictorEvaluation",
     "PredictorEvaluator",
-    "SampleEscalation",
     "latency_adjusted_ranking",
     "layout_seed",
     "observe_suite",

@@ -114,8 +114,9 @@ class Interferometer:
     ) -> ObservationSet:
         """Measure *n_layouts* reorderings; return the observation set.
 
-        ``start_index`` lets callers extend an existing campaign with
-        additional samples (the escalation protocol of §6.3) without
+        ``start_index`` lets a campaign resume after its stored prefix
+        (:func:`~repro.core.park.observe_suite` measures each missing
+        suffix this way, §6.3's escalation rounds included) without
         re-measuring earlier layouts.
         """
         if n_layouts <= 0:

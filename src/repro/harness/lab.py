@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro import telemetry
+from repro.core.escalation import ALPHA, MAX_ROUNDS, EscalationResult, p_value
 from repro.core.evaluate import PredictorEvaluation, PredictorEvaluator
 from repro.core.interferometer import Interferometer
 from repro.core.model import PerformanceModel
 from repro.core.observations import Observation, ObservationSet
 from repro.core.park import observe_suite
 from repro.core.supervise import ShutdownHandler
-from repro.errors import CampaignExecutionError, ConfigurationError, ModelError
+from repro.errors import CampaignExecutionError, ConfigurationError
 from repro.faults import DEFAULT_MAX_RETRIES, FailureReport, RetryPolicy
 from repro.machine.system import XeonE5440
 from repro.store import CampaignKey, CampaignStore
@@ -113,8 +115,9 @@ class Laboratory:
     from the disk-backed :class:`~repro.store.CampaignStore` by their
     :meth:`campaign_key` before anything is measured.
 
-    Every campaign, lazy or prefetched, serial or parallel, takes one
-    path: memory cache, one store-prefix step, then
+    Every campaign, lazy, prefetched or escalated (§6.3's rounds,
+    :meth:`escalate`), serial or parallel, takes one path: memory
+    cache, one store-prefix step, then
     :func:`~repro.core.park.observe_suite` on the campaigns' keys,
     which carry this laboratory's machine seed and configuration.
     ``workers`` sets that call's process-level fan-out (0 =
@@ -204,16 +207,22 @@ class Laboratory:
         *heap* selects the code+heap randomization campaign (§1.3)
         instead of the code-reordering one.
         """
-        key = CampaignKey.for_interferometer(self.interferometer, name)
-        return replace(key, randomize_heap=heap)
+        return CampaignKey(
+            benchmark=name,
+            trace_events=self.interferometer.trace_events,
+            runs_per_group=self.interferometer.runs_per_group,
+            machine_seed=self.machine_seed,
+            config=self.machine.config,
+            randomize_heap=heap,
+        )
 
     def _record(
-        self, name: str, heap: bool, measured: int, seconds: float
+        self, name: str, heap: bool, n_layouts: int, measured: int, seconds: float
     ) -> None:
         record = CampaignRecord(
             benchmark=name,
             heap=heap,
-            n_layouts=self.scale.n_layouts,
+            n_layouts=n_layouts,
             measured=measured,
             seconds=seconds,
         )
@@ -221,44 +230,65 @@ class Laboratory:
         if self.on_campaign is not None:
             self.on_campaign(record)
 
+    def _served(
+        self, name: str, heap: bool, n_layouts: int
+    ) -> ObservationSet | None:
+        """The first *n_layouts* layouts of a campaign in memory, if held."""
+        memory = self._heap_observations if heap else self._observations
+        with self._memory_lock:
+            held = memory.get(name)
+        if held is None or len(held) < n_layouts:
+            return None
+        if len(held) == n_layouts:
+            return held
+        head = ObservationSet(benchmark=name)
+        head.extend(held.observations[:n_layouts])
+        return head
+
     def _serve(
         self,
         names: Sequence[str],
         heap: bool,
         fail_fast: bool,
         shutdown: ShutdownHandler | None,
+        n_layouts: int,
     ) -> None:
-        """Bring campaigns into the memory cache: the one campaign path.
+        """Bring campaigns of *n_layouts* layouts into the memory cache.
 
-        Campaigns already in memory are skipped.  Each other campaign
-        takes one store-prefix step: a fully stored campaign is served
-        as a hit; otherwise its stored prefix (possibly empty) sets the
-        start index of a single :func:`~repro.core.park.observe_suite` call,
-        which measures only the missing suffixes — serially or over
-        ``workers`` processes, under the retry budget, the deadline and
-        *shutdown*.  Each measured campaign is saved to the store (a
-        miss), cached and logged as soon as it completes.  A campaign
-        that exhausts its budget stays uncached; its incidents are in
-        ``failure_report``.
+        The one campaign path.  Memory holds the longest campaign served
+        so far; campaigns it already holds in full are skipped.  Each
+        other campaign takes one prefix step — with a store, a fully
+        stored campaign is served as a hit; otherwise its stored prefix
+        (without one, the shorter campaign in memory; possibly empty)
+        sets the start index of a single
+        :func:`~repro.core.park.observe_suite` call, which measures only
+        the missing suffixes — serially or over ``workers`` processes,
+        under the retry budget, the deadline and *shutdown*.  Each
+        measured campaign is saved to the store (a miss), cached and
+        logged as soon as it completes; a save only ever lengthens the
+        stored campaign, because a stored prefix at least *n_layouts*
+        long is a hit.  A campaign that exhausts its budget stays
+        uncached; its incidents are in ``failure_report``.
         """
         memory = self._heap_observations if heap else self._observations
         with self._memory_lock:
-            missing = [n for n in dict.fromkeys(names) if n not in memory]
+            held = {name: memory.get(name) for name in dict.fromkeys(names)}
         prefixes: dict[CampaignKey, ObservationSet] = {}
-        for name in missing:
+        for name, campaign in held.items():
+            if campaign is not None and len(campaign) >= n_layouts:
+                continue
             start = telemetry.tick_seconds()
             key = self.campaign_key(name, heap)
-            prefix = (
-                ObservationSet(benchmark=name)
-                if self.store is None
-                else self.store.load_prefix(key, self.scale.n_layouts)
-            )
-            if len(prefix) < self.scale.n_layouts:
+            if self.store is not None:
+                prefix = self.store.load_prefix(key, n_layouts)
+            else:
+                prefix = campaign or ObservationSet(benchmark=name)
+            if len(prefix) < n_layouts:
                 prefixes[key] = prefix
                 continue
             with self._memory_lock:
                 memory[name] = prefix
-            self._record(name, heap, 0, telemetry.tick_seconds() - start)
+            self._record(name, heap, n_layouts, 0, telemetry.tick_seconds() - start)
         if not prefixes:
             return
         last = telemetry.tick_seconds()
@@ -277,12 +307,12 @@ class Laboratory:
             with self._memory_lock:
                 memory[key.benchmark] = result
             now = telemetry.tick_seconds()
-            self._record(key.benchmark, heap, len(suffix), now - last)
+            self._record(key.benchmark, heap, n_layouts, len(suffix), now - last)
             last = now
 
         observe_suite(
             list(prefixes),
-            self.scale.n_layouts,
+            n_layouts,
             workers=self.workers,
             start_indices={key: len(p) for key, p in prefixes.items()},
             retry_policy=self.retry_policy,
@@ -301,13 +331,13 @@ class Laboratory:
         :class:`~repro.errors.CampaignExecutionError` naming the
         campaign.
         """
-        memory = self._heap_observations if heap else self._observations
-        with self._memory_lock:
-            cached = memory.get(name)
+        n_layouts = self.scale.n_layouts
+        cached = self._served(name, heap, n_layouts)
         if cached is None:
-            self._serve([name], heap, fail_fast=False, shutdown=None)
-            with self._memory_lock:
-                cached = memory.get(name)
+            self._serve(
+                [name], heap, fail_fast=False, shutdown=None, n_layouts=n_layouts
+            )
+            cached = self._served(name, heap, n_layouts)
         if cached is None:
             failure = next(
                 incident
@@ -349,28 +379,73 @@ class Laboratory:
         :class:`~repro.errors.SuiteExecutionError` instead.
         """
         names = list(self.suite) if names is None else names
-        self._serve(names, heap, fail_fast=self.fail_fast, shutdown=self.shutdown)
+        self._serve(
+            names,
+            heap,
+            fail_fast=self.fail_fast,
+            shutdown=self.shutdown,
+            n_layouts=self.scale.n_layouts,
+        )
 
     def model(self, name: str) -> PerformanceModel:
         """The CPI-on-MPKI model of one benchmark."""
         return PerformanceModel.from_observations(self.observations(name))
 
-    def significant_benchmarks(self, alpha: float = 0.05) -> list[str]:
+    def significant_benchmarks(self) -> list[str]:
         """Benchmarks whose CPI/MPKI correlation passes the t-test (§6.4)."""
         if self._significant is None:
-            names = []
-            for name in self.suite:
-                try:
-                    if self.model(name).is_significant(alpha):
-                        names.append(name)
-                except ModelError:
-                    # Zero-variance MPKI: no line can be fit, so the
-                    # benchmark cannot be significant.  Anything else
-                    # (measurement failures, bad configs) propagates —
-                    # swallowing it would silently hide regressions.
-                    continue
-            self._significant = names
+            self._significant = [
+                name
+                for name in self.suite
+                if p_value(partial(self.model, name)) <= ALPHA
+            ]
         return self._significant
+
+    def escalate(
+        self, names: Sequence[str] | None = None
+    ) -> dict[str, EscalationResult]:
+        """§6.3: add layouts in rounds until each t-test passes.
+
+        Round *k* serves the first *k* × ``scale.n_layouts`` layouts of
+        every benchmark (default: the whole suite) not yet significant,
+        for up to :data:`~repro.core.escalation.MAX_ROUNDS` rounds —
+        100, 200, 300 at ``paper``.  A round is one call of the one
+        campaign path, so escalated layouts get this laboratory's
+        store, ``workers``, retry budget, deadline and ``shutdown``
+        drain like any other campaign, and earlier layouts are never
+        re-measured.  Round 1 is the ordinary campaign, tested with
+        :meth:`significant_benchmarks`' predicate.  Results are keyed
+        by benchmark: a campaign that fails a round keeps its earlier
+        rounds' result (one that fails round 1 is absent; its
+        incidents are in ``failure_report``), and once a drain is
+        requested no further round starts.
+        """
+        pending = list(dict.fromkeys(self.suite if names is None else names))
+        results: dict[str, EscalationResult] = {}
+        for rounds in range(1, MAX_ROUNDS + 1):
+            n_layouts = rounds * self.scale.n_layouts
+            self._serve(
+                pending,
+                heap=False,
+                fail_fast=self.fail_fast,
+                shutdown=self.shutdown,
+                n_layouts=n_layouts,
+            )
+            not_yet = []
+            for name in pending:
+                observations = self._served(name, False, n_layouts)
+                if observations is None:
+                    continue  # failed or drained: in failure_report
+                earlier = results[name].p_values if name in results else ()
+                fit = partial(PerformanceModel.from_observations, observations)
+                result = EscalationResult(name, observations, earlier + (p_value(fit),))
+                results[name] = result
+                if not result.significant:
+                    not_yet.append(name)
+            pending = not_yet
+            if not pending or (self.shutdown is not None and self.shutdown.requested):
+                break
+        return results
 
     def evaluation(self, name: str) -> PredictorEvaluation:
         """The §7 predictor evaluation for one benchmark (cached).

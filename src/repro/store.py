@@ -16,8 +16,9 @@ determines a campaign's bits:
 Because every observation is a pure function of that key plus the
 layout index, a stored campaign with *n* layouts serves any request for
 ``<= n`` layouts bit-identically, and a request for more layouts only
-measures (and persists) the missing suffix — the escalation protocol of
-§6.3 never re-measures earlier reorderings.
+measures (and persists) the missing suffix — so the rounds of §6.3's
+escalation (:meth:`repro.harness.lab.Laboratory.escalate`) never
+re-measure earlier reorderings.
 
 Layout on disk: one JSON file per campaign under the store root,
 ``<benchmark>[-heap]-<key digest>.json``, in the
@@ -50,7 +51,6 @@ from repro.persistence import (
 _LOG = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.core.interferometer import Interferometer
     from repro.machine.config import XeonE5440Config
 
 def config_digest(config: "XeonE5440Config") -> str:
@@ -77,20 +77,6 @@ class CampaignKey:
     config: XeonE5440Config
     randomize_heap: bool
     format_version: int = _FORMAT_VERSION
-
-    @classmethod
-    def for_interferometer(
-        cls, interferometer: "Interferometer", benchmark_name: str
-    ) -> "CampaignKey":
-        """The key of the campaign an interferometer would measure."""
-        return cls(
-            benchmark=benchmark_name,
-            trace_events=interferometer.trace_events,
-            runs_per_group=interferometer.runs_per_group,
-            machine_seed=interferometer.machine.seed,
-            config=interferometer.machine.config,
-            randomize_heap=interferometer.randomize_heap,
-        )
 
     def digest(self) -> str:
         """Content address of this key (stable across processes).

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.interferometer import Interferometer
-from repro.core.escalation import SampleEscalation
+from repro import faults
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.lab import SCALES, Laboratory, Scale
 from repro.machine.config import TimingParameters, XeonE5440Config
 from repro.store import CampaignKey, CampaignStore
-from repro.workloads.suite import get_benchmark
 
 from tests.test_model import _synthetic_observations
 
@@ -68,13 +66,16 @@ class TestCampaignKey:
             == "456_hmmer-heap-ba5c5baa55614ebb.json"
         )
 
-    def test_for_interferometer(self, machine):
-        interferometer = Interferometer(machine, trace_events=2500)
-        key = CampaignKey.for_interferometer(interferometer, "456.hmmer")
+    def test_campaign_key_fields(self):
+        lab = Laboratory(scale=TINY, machine_seed=7)
+        key = lab.campaign_key("456.hmmer", heap=False)
         assert key.benchmark == "456.hmmer"
-        assert key.trace_events == 2500
-        assert key.machine_seed == machine.seed
+        assert key.trace_events == TINY.trace_events
+        assert key.runs_per_group == lab.interferometer.runs_per_group
+        assert key.machine_seed == 7
+        assert key.config == lab.machine.config
         assert not key.randomize_heap
+        assert lab.campaign_key("456.hmmer", heap=True).randomize_heap
 
     def test_filename_mentions_benchmark_and_heap(self):
         assert "456_hmmer" in _key().filename
@@ -257,65 +258,59 @@ class TestParallelLaboratory:
 
 
 class TestEscalationWithStore:
-    def test_escalation_resumes_from_store(self, tmp_path, machine, monkeypatch):
-        interferometer = Interferometer(machine, trace_events=2500)
-        benchmark = get_benchmark("445.gobmk")
+    """Exact store contents and counts, so intact writes only (torn
+    ones: tests/test_escalation.py)."""
 
-        store = CampaignStore(tmp_path)
-        first = SampleEscalation(
-            interferometer, batch=6, max_samples=12, store=store
-        ).run(benchmark)
-        assert len(first.observations) >= 6
+    @pytest.fixture(autouse=True)
+    def _intact_writes(self):
+        with faults.injected(None):
+            yield
 
-        measured = []
-        original = Interferometer.observe_one
+    def test_escalation_resumes_from_store(self, tmp_path):
+        first = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
+        stored = first.escalate(["445.gobmk", "429.mcf"])
 
-        def counting(self, bench, index):
-            measured.append(index)
-            return original(self, bench, index)
+        second = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
+        resumed = second.escalate(["445.gobmk", "429.mcf"])
+        assert second.store.stats.layouts_measured == 0  # nothing re-measured
+        for name, result in stored.items():
+            assert resumed[name].p_values == result.p_values
+            assert (resumed[name].observations.cpis == result.observations.cpis).all()
 
-        monkeypatch.setattr(Interferometer, "observe_one", counting)
-        second = SampleEscalation(
-            interferometer, batch=6, max_samples=12, store=CampaignStore(tmp_path)
-        ).run(benchmark)
-        assert measured == []  # cached campaign re-used, nothing re-measured
-        assert second.significant == first.significant
-        assert (
-            second.observations.cpis[: len(first.observations)]
-            == first.observations.cpis
-        ).all()
-
-    def test_escalation_persists_incrementally(self, tmp_path, machine):
-        interferometer = Interferometer(machine, trace_events=2500)
-        benchmark = get_benchmark("470.lbm")  # insensitive: exhausts budget
-        store = CampaignStore(tmp_path)
-        result = SampleEscalation(
-            interferometer, batch=4, max_samples=8, store=store
-        ).run(benchmark)
-        key = CampaignKey.for_interferometer(interferometer, benchmark.name)
+    def test_escalation_persists_incrementally(self, tmp_path):
+        lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
+        result = lab.escalate(["433.milc"])["433.milc"]  # exhausts the budget
+        key = lab.campaign_key("433.milc", heap=False)
         stored = CampaignStore(tmp_path).load(key)
         assert stored is not None
-        assert len(stored) == result.samples_used
+        assert len(stored) == result.samples_used == 3 * TINY.n_layouts
+        # One save per round, each extending the last.
+        assert [(r.n_layouts, r.measured) for r in lab.campaign_log] == [
+            (4, 4), (8, 4), (12, 4),
+        ]
 
-    def test_escalation_store_accounting(self, tmp_path, machine):
-        """A stored prefix that escalation extends is one miss, not a hit."""
-        interferometer = Interferometer(machine, trace_events=2500)
-        benchmark = get_benchmark("429.mcf")  # significant only at 12
+    def test_escalation_store_accounting(self, tmp_path):
+        """Each round follows the campaign path's rule: a round that
+        measures is one miss (its stored prefix counted as loaded), a
+        round served entirely from the store is a hit."""
 
-        def escalate(max_samples):
-            store = CampaignStore(tmp_path)
-            SampleEscalation(
-                interferometer, batch=4, max_samples=max_samples, store=store
-            ).run(benchmark)
-            stats = store.stats
+        def stats_after(run):
+            lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
+            run(lab)
+            stats = lab.store.stats
             return (
                 stats.hits, stats.misses,
                 stats.layouts_loaded, stats.layouts_measured,
             )
 
-        assert escalate(4) == (0, 1, 0, 4)  # cold store
-        assert escalate(12) == (0, 1, 4, 8)  # extends the stored prefix
-        assert escalate(12) == (1, 0, 12, 0)  # served entirely from store
+        # 429.mcf at TINY is significant only at 12 layouts (round 3).
+        assert stats_after(lambda lab: lab.observations("429.mcf")) == (0, 1, 0, 4)
+
+        def escalate(lab):
+            lab.escalate(["429.mcf"])
+
+        assert stats_after(escalate) == (1, 2, 16, 8)  # extends the stored prefix
+        assert stats_after(escalate) == (3, 0, 24, 0)  # every round from store
 
 
 class TestStoreStatsThreadSafety:
