@@ -74,9 +74,14 @@ class TestEscalation:
 
     def test_rounds_are_logged_at_their_size(self, escalated):
         lab, _ = escalated
-        sizes = [r.n_layouts for r in lab.campaign_log if r.benchmark == "470.lbm"]
+        rounds = [
+            (r.n_layouts, r.measured)
+            for r in lab.campaign_log
+            if r.benchmark == "470.lbm"
+        ]
         n = TEST_SCALE.n_layouts
-        assert sizes == [n, 2 * n, 3 * n]
+        # No store: each round resumes from the campaign in memory.
+        assert rounds == [(n, n), (2 * n, n), (3 * n, n)]
         # Every export still reads exactly the scale's layouts.
         assert len(lab.observations("470.lbm")) == n
 

@@ -289,6 +289,16 @@ class TestEscalationWithStore:
             (4, 4), (8, 4), (12, 4),
         ]
 
+    def test_shorter_requests_never_shorten_the_store(self, tmp_path):
+        Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path).escalate(
+            ["433.milc"]
+        )
+        lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
+        lab.prefetch(["433.milc"])
+        assert len(lab.observations("433.milc")) == TINY.n_layouts
+        key = lab.campaign_key("433.milc", heap=False)
+        assert len(CampaignStore(tmp_path).load(key)) == 3 * TINY.n_layouts
+
     def test_escalation_store_accounting(self, tmp_path):
         """Each round follows the campaign path's rule: a round that
         measures is one miss (its stored prefix counted as loaded), a
