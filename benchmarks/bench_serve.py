@@ -74,7 +74,7 @@ def seed_store(cache_dir: Path, scale) -> float:
     return time.perf_counter() - started
 
 
-def start_server(cache_dir: Path, workers: int, backlog: int):
+def start_server(cache_dir: Path, backlog: int):
     """Launch ``python -m repro.serve`` and wait for its banner."""
     proc = subprocess.Popen(
         [
@@ -85,8 +85,6 @@ def start_server(cache_dir: Path, workers: int, backlog: int):
             "0",
             "--cache-dir",
             str(cache_dir),
-            "--workers",
-            str(workers),
             "--backlog",
             str(backlog),
             "--machine-seed",
@@ -190,7 +188,6 @@ def main() -> int:
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--requests-per-client", type=int, default=25)
     parser.add_argument("--burst-fanout", type=int, default=6)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--backlog", type=int, default=32)
     parser.add_argument(
         "--work-dir",
@@ -214,7 +211,7 @@ def main() -> int:
     seed_seconds = seed_store(cache_dir, scale)
     print(f"  seeded in {seed_seconds:.1f}s")
 
-    proc, port = start_server(cache_dir, args.workers, args.backlog)
+    proc, port = start_server(cache_dir, args.backlog)
     try:
         print(f"server on port {port}; cold coalescing burst ...")
         burst = coalescing_burst(port, args.burst_fanout)
@@ -252,7 +249,7 @@ def main() -> int:
     coalescing_ratio = metrics["coalesced"] / requests if requests else 0.0
     report = {
         "scale": scale.name,
-        "workers": args.workers,
+        "workers": metrics["pool"]["workers"],
         "backlog": args.backlog,
         "seed_seconds": round(seed_seconds, 3),
         "coalescing_burst": burst,

@@ -47,7 +47,7 @@ def build_server(cache_dir: Path) -> CampaignServer:
     """Synchronous setup: the laboratory (and the machine behind it) is
     built *before* the event loop runs, so nothing heavy blocks it."""
     lab = Laboratory(scale=SCALES["ci"], machine_seed=1, cache_dir=cache_dir)
-    return CampaignServer(CampaignService(lab, max_workers=2), port=0)
+    return CampaignServer(CampaignService(lab), port=0)
 
 
 async def demo(
@@ -71,7 +71,7 @@ async def demo(
     print(f"  -> store after the burst: {metrics['store']['misses']} miss, "
           f"{metrics['store']['layouts_measured']} layouts measured")
 
-    print("\ndraining (in-flight work finishes, then workers join)...")
+    print("\ndraining (in-flight work finishes, then the worker joins)...")
     await server.drain()
     print("  -> drained cleanly")
 

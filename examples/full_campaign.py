@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""A production campaign: four machines, persistence, and reporting.
+"""A production campaign: four machines, a campaign store, and reporting.
 
 The paper's methodology at operational scale (§5.4-§5.7): four
 identically configured machines, each benchmark pinned to one machine
-and one core, campaigns run in parallel, raw measurements archived,
-and the Table-1-style report built from the archive — so the expensive
-measurement step never has to be repeated for re-analysis.
+and one core, campaigns run in parallel, raw measurements archived in
+a campaign store, and the Table-1-style report built from the archive
+— so the expensive measurement step never has to be repeated for
+re-analysis.
 
 A machine is a seed in a campaign's key: the four machines are four
 seeds sharing one configuration, and one ``observe_suite`` call runs
@@ -17,16 +18,11 @@ Run:  python examples/full_campaign.py
 import tempfile
 from pathlib import Path
 
-from repro import (
-    PerformanceModel,
-    export_observations_csv,
-    load_observations,
-    save_observations,
-)
+from repro import PerformanceModel
 from repro.core.park import observe_suite
 from repro.machine.config import XeonE5440Config
 from repro.rng import derive_seed
-from repro.store import CampaignKey
+from repro.store import CampaignKey, CampaignStore, export_observations_csv
 
 BENCHMARKS = ("400.perlbench", "445.gobmk", "462.libquantum", "470.lbm")
 
@@ -60,17 +56,17 @@ def main() -> None:
 
     archive = Path(tempfile.mkdtemp(prefix="interferometry-"))
     print(f"archiving raw measurements to {archive}/")
+    store = CampaignStore(archive)
     for key, observations in results.items():
-        slug = key.benchmark.replace(".", "_")
-        save_observations(observations, archive / f"{slug}.json")
-        export_observations_csv(observations, archive / f"{slug}.csv")
+        path = store.save(key, observations)
+        export_observations_csv(observations, path.with_suffix(".csv"))
 
     print("\nre-analysis from the archive (no re-measurement):")
     print(f"  {'benchmark':<16} {'slope':>8} {'intercept':>10} "
           f"{'PI @ 0 MPKI':>18} {'significant':>12}")
-    for name in BENCHMARKS:
-        slug = name.replace(".", "_")
-        observations = load_observations(archive / f"{slug}.json")
+    for key in keys:
+        name = key.benchmark
+        observations = store.load(key)
         try:
             model = PerformanceModel.from_observations(observations)
         except Exception:

@@ -45,7 +45,6 @@ __all__ = [
     "Camino",
     "CampaignExecutionError",
     "CampaignKey",
-    "CampaignProvenance",
     "CampaignStore",
     "CampaignTimeoutError",
     "ConflictAvoidingPlacer",
@@ -84,14 +83,9 @@ __all__ = [
     "get_benchmark",
     "hot_grouping_order",
     "layout_seed",
-    "load_campaign",
-    "load_observations",
-    "load_trace",
     "mase_suite",
     "measure_executable",
     "run_cache_interferometry",
-    "save_observations",
-    "save_trace",
     "spec2006",
     "units",
     "__version__",
@@ -127,15 +121,9 @@ _EXPORTS: dict[str, tuple[str, str | None]] = {
     "LinearityStudy": ("repro.mase", "LinearityStudy"),
     "MaseSimulator": ("repro.mase", "MaseSimulator"),
     "PinTool": ("repro.pintool", "PinTool"),
-    "CampaignProvenance": ("repro.persistence", "CampaignProvenance"),
-    "export_observations_csv": ("repro.persistence", "export_observations_csv"),
-    "load_campaign": ("repro.persistence", "load_campaign"),
-    "load_observations": ("repro.persistence", "load_observations"),
-    "load_trace": ("repro.persistence", "load_trace"),
-    "save_observations": ("repro.persistence", "save_observations"),
-    "save_trace": ("repro.persistence", "save_trace"),
     "CampaignKey": ("repro.store", "CampaignKey"),
     "CampaignStore": ("repro.store", "CampaignStore"),
+    "export_observations_csv": ("repro.store", "export_observations_csv"),
     "bootstrap_interval": ("repro.stats.bootstrap", "bootstrap_interval"),
     "bootstrap_regression_prediction": (
         "repro.stats.bootstrap",

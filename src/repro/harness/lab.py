@@ -258,9 +258,10 @@ class Laboratory:
         The one campaign path.  Memory holds the longest campaign served
         so far; campaigns it already holds in full are skipped.  Each
         other campaign takes one prefix step — with a store, a fully
-        stored campaign is served as a hit; otherwise its stored prefix
-        (without one, the shorter campaign in memory; possibly empty)
-        sets the start index of a single
+        stored campaign is served as a hit; otherwise the longer of its
+        stored prefix and the shorter campaign in memory (possibly
+        empty; a torn write can leave the store behind memory) sets the
+        start index of a single
         :func:`~repro.core.park.observe_suite` call, which measures only
         the missing suffixes — serially or over ``workers`` processes,
         under the retry budget, the deadline and *shutdown*.  Each
@@ -274,15 +275,19 @@ class Laboratory:
         with self._memory_lock:
             held = {name: memory.get(name) for name in dict.fromkeys(names)}
         prefixes: dict[CampaignKey, ObservationSet] = {}
+        # Layouts of each prefix read from the store (the rest: memory).
+        loaded: dict[CampaignKey, int] = {}
         for name, campaign in held.items():
             if campaign is not None and len(campaign) >= n_layouts:
                 continue
             start = telemetry.tick_seconds()
             key = self.campaign_key(name, heap)
+            prefix = campaign or ObservationSet(benchmark=name)
+            loaded[key] = 0
             if self.store is not None:
-                prefix = self.store.load_prefix(key, n_layouts)
-            else:
-                prefix = campaign or ObservationSet(benchmark=name)
+                stored = self.store.load_prefix(key, n_layouts)
+                if len(stored) >= len(prefix):
+                    prefix, loaded[key] = stored, len(stored)
             if len(prefix) < n_layouts:
                 prefixes[key] = prefix
                 continue
@@ -302,7 +307,7 @@ class Laboratory:
             if self.store is not None:
                 self.store.save(key, result)
                 self.store.stats.record_miss(
-                    loaded=len(prefix), measured=len(suffix)
+                    loaded=loaded[key], measured=len(suffix)
                 )
             with self._memory_lock:
                 memory[key.benchmark] = result

@@ -8,7 +8,9 @@ rejected at p = 0.05 or less for 20 benchmarks."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from repro.core.escalation import ALPHA, p_value
 from repro.errors import ModelError
 from repro.harness.lab import Laboratory
 from repro.harness.report import format_table
@@ -59,37 +61,35 @@ class SignificanceResult:
         return (
             f"{table}\n"
             f"{self.n_significant} of {len(self.rows)} benchmarks reject the null "
-            f"hypothesis at p <= 0.05 (paper: 20 of 23); "
+            f"hypothesis at p <= {ALPHA} (paper: 20 of 23); "
             f"{self.matches_expectation}/{len(self.rows)} match expectation"
         )
 
 
 def run(lab: Laboratory) -> SignificanceResult:
-    """Run the significance screen over the full suite."""
+    """Run the significance screen over the full suite.
+
+    A benchmark is significant by the predicate
+    :meth:`~repro.harness.lab.Laboratory.significant_benchmarks` uses:
+    :func:`~repro.core.escalation.p_value` at most
+    :data:`~repro.core.escalation.ALPHA`.
+    """
     rows = []
     for name, benchmark in lab.suite.items():
+        p = p_value(partial(lab.model, name))
         try:
-            model = lab.model(name)
-            test = model.significance()
-            rows.append(
-                SignificanceRow(
-                    benchmark=name,
-                    r=model.r,
-                    p_value=test.p_value,
-                    significant=test.rejects_null(0.05),
-                    expected_significant=benchmark.expected_significant,
-                )
-            )
+            r = lab.model(name).r
         except ModelError:
             # Zero-variance regressor: the line cannot be fit, so the
-            # benchmark is screened out.  Other errors propagate.
-            rows.append(
-                SignificanceRow(
-                    benchmark=name,
-                    r=0.0,
-                    p_value=1.0,
-                    significant=False,
-                    expected_significant=benchmark.expected_significant,
-                )
+            # benchmark is screened out (its p-value reads 1).
+            r = 0.0
+        rows.append(
+            SignificanceRow(
+                benchmark=name,
+                r=r,
+                p_value=p,
+                significant=p <= ALPHA,
+                expected_significant=benchmark.expected_significant,
             )
+        )
     return SignificanceResult(rows=tuple(rows))

@@ -32,7 +32,7 @@ _SCOPED_DIRS = (
     "repro/toolchain",
     "repro/program",
 )
-_SCOPED_FILES = ("faults.py", "persistence.py", "store.py")
+_SCOPED_FILES = ("faults.py", "store.py")
 
 
 @register

@@ -25,7 +25,7 @@ _DUMP_CALLS = frozenset({"json.dump", "json.dumps"})
 
 #: Persistence/store files (by name, wherever they live) — the paths
 #: whose bytes feed checksums, digests, and on-disk envelopes.
-_SCOPED_BASENAMES = ("persistence.py", "store.py", "export.py")
+_SCOPED_BASENAMES = ("store.py", "export.py")
 
 
 @register

@@ -51,7 +51,7 @@ _SCOPED_DIRS = (
     "repro/pintool",
     "repro/stats",
 )
-_SCOPED_FILES = ("store.py", "persistence.py", "faults.py", "rng.py")
+_SCOPED_FILES = ("store.py", "faults.py", "rng.py")
 
 #: Exception classes legitimate outside the repro tree.
 _ALLOWED_BUILTINS = frozenset({"NotImplementedError", "AssertionError"})

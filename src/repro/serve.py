@@ -6,8 +6,9 @@ long-running process serves interferometry queries — "the campaign for
 benchmark X at N layouts" — over HTTP, answering from the
 content-addressed :class:`~repro.store.CampaignStore` and computing
 misses through the owning :class:`~repro.harness.lab.Laboratory`.
-Responses are the byte-stable :func:`~repro.persistence.dump_campaign`
-envelope, so a served campaign is bit-identical to a direct export.
+Responses are the store's one serializer,
+:func:`~repro.store.dump_campaign`, so a served campaign of a stored
+campaign's full length is byte-identical to its store file.
 
 Architecture (the event-loop contract the ASYNC lint tier enforces):
 
@@ -15,16 +16,18 @@ Architecture (the event-loop contract the ASYNC lint tier enforces):
   request coalescing (identical in-flight campaign keys share one
   future), metrics.  Nothing here blocks: ASYNC001 is the proof
   obligation.
-* **Executor side** — measurement runs in a small thread pool via
-  ``loop.run_in_executor``; a ``threading.Lock`` serializes access to
-  the laboratory (campaigns are coarse units of work — the lab's own
-  ``workers`` fan-out parallelizes *within* one).
+* **Executor side** — measurement runs on one executor thread via
+  ``loop.run_in_executor``, fed by one queue worker: campaigns are
+  coarse units of work served one at a time (the lab's own
+  ``workers`` fan-out parallelizes *within* one).  A
+  ``threading.Lock`` still guards the laboratory, which the loop and
+  main threads also touch.
 * **Backpressure** — admission is a bounded ``asyncio.Queue``; a full
   queue rejects with :class:`~repro.errors.BackpressureError`
   (HTTP 503) instead of queueing unboundedly (ASYNC004).
 * **Drain** — a :class:`~repro.core.supervise.ShutdownHandler` turns
   SIGINT/SIGTERM into a drain: the listener closes, queued and
-  in-flight requests finish, workers join, and the process exits 0.
+  in-flight requests finish, the worker joins, and the process exits 0.
 
 Endpoints::
 
@@ -58,7 +61,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.harness.lab import Laboratory, scale_from_env
-from repro.persistence import dump_campaign
+from repro.store import dump_campaign
 
 _EXIT_OK = 0
 _EXIT_PARTIAL = 1
@@ -146,30 +149,20 @@ class _Job:
 class CampaignService:
     """Coalescing, bounded-queue campaign lookups over one laboratory."""
 
-    def __init__(
-        self,
-        lab: Laboratory,
-        max_workers: int = 2,
-        backlog: int = 32,
-    ) -> None:
-        if max_workers <= 0:
-            raise ConfigurationError(
-                f"max_workers must be positive, got {max_workers}"
-            )
+    def __init__(self, lab: Laboratory, backlog: int = 32) -> None:
         if backlog <= 0:
             raise ConfigurationError(f"backlog must be positive, got {backlog}")
         self._lab = lab
-        self._max_workers = max_workers
         self._backlog = backlog
         self._metrics = ServiceMetrics()
-        # Campaigns are coarse work units; the lock serializes executor
-        # threads through the laboratory so its memoization and store
-        # see one campaign at a time (ASYNC003's discipline).
+        # The loop and main threads reach the laboratory too; the lock
+        # keeps its memoization and store to one campaign at a time
+        # (ASYNC003's discipline).
         self._measure_lock = threading.Lock()
         self._executor = None
         self._queue: asyncio.Queue | None = None
         self._inflight: dict = {}
-        self._tasks: list = []
+        self._worker_task: asyncio.Task | None = None
         self._busy = 0
         self._draining = False
 
@@ -183,17 +176,16 @@ class CampaignService:
         return self._lab.scale.n_layouts
 
     def start(self) -> None:
-        """Create the queue and worker tasks (requires a running loop)."""
+        """Create the queue and the worker task (requires a running loop)."""
         from concurrent.futures import ThreadPoolExecutor
 
         # The bound is validated configuration, not a literal; ASYNC004
         # accepts a variable maxsize for exactly this shape.
         self._queue = asyncio.Queue(maxsize=self._backlog)
         self._executor = ThreadPoolExecutor(
-            max_workers=self._max_workers, thread_name_prefix="campaign-worker"
+            max_workers=1, thread_name_prefix="campaign-worker"
         )
-        for _ in range(self._max_workers):
-            self._tasks.append(asyncio.create_task(self._worker()))
+        self._worker_task = asyncio.create_task(self._worker())
 
     def validate(self, request: CampaignRequest) -> None:
         """Reject malformed layout counts before admission."""
@@ -248,7 +240,7 @@ class CampaignService:
         return await asyncio.shield(future)
 
     async def _worker(self) -> None:
-        """One queue-draining worker: loop side of the executor bridge."""
+        """The queue-draining worker: loop side of the executor bridge."""
         loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
@@ -279,8 +271,8 @@ class CampaignService:
         """Executor side: serve from store/lab, render the envelope.
 
         Every observation is a pure function of its campaign key and
-        layout index, so this payload is byte-identical to a direct
-        ``dump_campaign`` export of the same slice.
+        layout index, and the envelope is the store's own serializer,
+        so a full-length payload is byte-identical to the store file.
         """
         with self._measure_lock:
             if request.heap:
@@ -290,30 +282,29 @@ class CampaignService:
         key = self._lab.campaign_key(request.benchmark, request.heap)
         subset = ObservationSet(benchmark=request.benchmark)
         subset.extend(full.observations[: request.n_layouts])
-        return dump_campaign(subset, provenance=key.provenance)
+        return dump_campaign(key, subset)
 
     def saturation(self) -> dict:
         """Worker/queue load view for the metrics endpoint."""
         depth = 0 if self._queue is None else self._queue.qsize()
         return {
-            "workers": self._max_workers,
+            "workers": 1,
             "busy": self._busy,
-            "saturation": self._busy / self._max_workers,
+            "saturation": float(self._busy),
             "queue_depth": depth,
             "queue_capacity": self._backlog,
             "inflight": len(self._inflight),
         }
 
     async def drain(self) -> None:
-        """Finish queued and in-flight campaigns, then stop the workers."""
+        """Finish queued and in-flight campaigns, then stop the worker."""
         self._draining = True
         if self._queue is not None:
             await self._queue.join()
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
+        if self._worker_task is not None:
+            self._worker_task.cancel()
             try:
-                await task
+                await self._worker_task
             except asyncio.CancelledError:
                 pass
         if self._executor is not None:
@@ -342,7 +333,7 @@ class CampaignServer:
         self.port: int | None = None
 
     async def start(self) -> None:
-        """Bind the listener and start the service workers."""
+        """Bind the listener and start the service worker."""
         self._service.start()
         self._server = await asyncio.start_server(
             self._handle_client, self._host, self._requested_port
@@ -357,8 +348,7 @@ class CampaignServer:
         await self.start()
         print(
             f"serving campaigns on http://{self._host}:{self.port} "
-            f"(scale {self._service._lab.scale.name}, "
-            f"{self._service.saturation()['workers']} workers)",
+            f"(scale {self._service._lab.scale.name})",
             flush=True,
         )
         try:
@@ -368,7 +358,7 @@ class CampaignServer:
             await self.drain()
 
     async def drain(self) -> None:
-        """Stop accepting, finish in-flight work, join the workers."""
+        """Stop accepting, finish in-flight work, join the worker."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -479,9 +469,6 @@ def main(argv: list[str] | None = None) -> int:
         help="campaign store directory (misses re-measure without one)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="executor threads"
-    )
-    parser.add_argument(
         "--backlog", type=int, default=32, help="admission queue bound"
     )
     parser.add_argument("--machine-seed", type=int, default=1)
@@ -495,9 +482,7 @@ def main(argv: list[str] | None = None) -> int:
                 cache_dir=args.cache_dir,
                 shutdown=shutdown,
             )
-            service = CampaignService(
-                lab, max_workers=args.workers, backlog=args.backlog
-            )
+            service = CampaignService(lab, backlog=args.backlog)
             server = CampaignServer(
                 service, host=args.host, port=args.port, shutdown=shutdown
             )

@@ -11,7 +11,7 @@ determines a campaign's bits:
 * counter protocol (``runs_per_group``),
 * machine identity (seed) and machine configuration,
 * heap-randomization flag,
-* persistence format version.
+* campaign file format version.
 
 Because every observation is a pure function of that key plus the
 layout index, a stored campaign with *n* layouts serves any request for
@@ -21,12 +21,20 @@ escalation (:meth:`repro.harness.lab.Laboratory.escalate`) never
 re-measure earlier reorderings.
 
 Layout on disk: one JSON file per campaign under the store root,
-``<benchmark>[-heap]-<key digest>.json``, in the
-:mod:`repro.persistence` format (version 2, with provenance).
+``<benchmark>[-heap]-<key digest>.json``.  This module owns the file
+format: :func:`dump_campaign` is the one serializer (the store's
+:meth:`CampaignStore.save` and the server's responses both use it) and
+:meth:`CampaignStore.load` the one reader.  A file is a JSON envelope
+(sorted keys, ``indent=1``) holding ``format_version`` 2, the
+benchmark, a provenance block of four key fields, a checksum of the
+observation records, and the records themselves.  Anything else —
+another version, a missing checksum or provenance block — is corrupt:
+it is quarantined and the campaign re-measured.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -38,17 +46,25 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro import faults
-from repro.core.observations import ObservationSet
+from repro.core.observations import METRICS, Observation, ObservationSet
 from repro.errors import ConfigurationError, CorruptCampaignError, ReproError
-from repro.persistence import (
-    _FORMAT_VERSION,
-    CampaignProvenance,
-    dump_campaign,
-    load_campaign,
-    write_atomic,
-)
+from repro.machine.counters import Counter
+from repro.machine.pmc import Measurement
 
 _LOG = logging.getLogger(__name__)
+
+#: The campaign file format.  It is part of every key's digest, so the
+#: store never addresses a file of another version.
+_FORMAT_VERSION = 2
+
+#: The key fields a file's provenance block records, each with the type
+#: it is read back as.  A stored block must equal the key's.
+_PROVENANCE_FIELDS = (
+    ("trace_events", int),
+    ("runs_per_group", int),
+    ("machine_seed", int),
+    ("randomize_heap", bool),
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.machine.config import XeonE5440Config
@@ -102,14 +118,159 @@ class CampaignKey:
         return f"{slug}{heap}-{self.digest()}.json"
 
     @property
-    def provenance(self) -> CampaignProvenance:
-        """The provenance block persisted alongside this campaign."""
-        return CampaignProvenance(
-            trace_events=self.trace_events,
-            runs_per_group=self.runs_per_group,
-            machine_seed=self.machine_seed,
-            randomize_heap=self.randomize_heap,
+    def provenance(self) -> dict:
+        """The provenance block a campaign file of this key records."""
+        return {name: getattr(self, name) for name, _ in _PROVENANCE_FIELDS}
+
+
+def _records_checksum(records: list[dict]) -> str:
+    """Content digest of the observation records (the envelope payload).
+
+    Guards against silent in-place corruption of a stored campaign —
+    bit flips or hand edits that still parse as JSON are detected on
+    load and the file quarantined instead of poisoning a run.
+    """
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def dump_campaign(key: CampaignKey, observations: ObservationSet) -> str:
+    """The campaign file of *observations* measured under *key*.
+
+    The one serializer: :meth:`CampaignStore.save` writes these bytes
+    and the campaign server (:mod:`repro.serve`) sends them.
+    """
+    if observations.benchmark != key.benchmark:
+        raise ConfigurationError(
+            f"observation set is for {observations.benchmark!r}, "
+            f"key is for {key.benchmark!r}"
         )
+    records = [
+        {
+            "layout_index": obs.layout_index,
+            "layout_seed": obs.layout_seed,
+            "heap_seed": obs.heap_seed,
+            "fingerprint": obs.measurement.executable_fingerprint,
+            "counters": {
+                event.value: count
+                for event, count in obs.measurement.counters.items()
+            },
+        }
+        for obs in observations
+    ]
+    payload = {
+        "format_version": _FORMAT_VERSION,
+        "benchmark": key.benchmark,
+        "provenance": key.provenance,
+        "checksum": _records_checksum(records),
+        "observations": records,
+    }
+    # sort_keys keeps the envelope byte-stable regardless of the order
+    # this dict (or a future caller's) was constructed in (DET006).
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def _read_campaign(path: Path) -> tuple[ObservationSet, dict]:
+    """Parse one campaign file into its observations and provenance.
+
+    Raises :class:`~repro.errors.CorruptCampaignError` for anything but
+    an intact file of the current format: unreadable or truncated
+    bytes, another format version, a missing or malformed provenance
+    block, a missing or failing checksum, malformed records.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptCampaignError(
+            f"cannot read observation set from {path}: {exc}"
+        ) from exc
+    if not isinstance(payload, dict):
+        raise CorruptCampaignError(
+            f"{path}: expected a JSON object envelope, got {type(payload).__name__}"
+        )
+    version = payload.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise CorruptCampaignError(
+            f"{path}: format version {version!r}, expected {_FORMAT_VERSION}"
+        )
+    try:
+        provenance = {
+            name: cast(payload["provenance"][name])
+            for name, cast in _PROVENANCE_FIELDS
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCampaignError(
+            f"{path}: missing or malformed provenance block: {exc}"
+        ) from exc
+    try:
+        records = payload["observations"]
+        stored_checksum = payload.get("checksum")
+        actual = _records_checksum(records)
+        if actual != stored_checksum:
+            raise CorruptCampaignError(
+                f"{path}: payload checksum mismatch (stored "
+                f"{stored_checksum}, computed {actual}); file is corrupt"
+            )
+        observations = ObservationSet(benchmark=payload["benchmark"])
+        for record in records:
+            layout_seed = int(record["layout_seed"])
+            heap_seed = (
+                None if record["heap_seed"] is None else int(record["heap_seed"])
+            )
+            observations.append(
+                Observation(
+                    layout_index=int(record["layout_index"]),
+                    layout_seed=layout_seed,
+                    heap_seed=heap_seed,
+                    measurement=Measurement(
+                        executable_fingerprint=record["fingerprint"],
+                        layout_seed=layout_seed,
+                        heap_seed=heap_seed,
+                        counters={
+                            Counter(name): int(count)
+                            for name, count in record["counters"].items()
+                        },
+                    ),
+                )
+            )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptCampaignError(
+            f"{path}: malformed observation records: {exc}"
+        ) from exc
+    return observations, provenance
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write *text* durably: temp file in the same directory + rename.
+
+    A process killed mid-write can never leave a half-written file at
+    *path* — either the old content survives or the new content is
+    complete.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def export_observations_csv(observations: ObservationSet, path: str | Path) -> None:
+    """Write one row per layout with every derived metric (for plotting)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["benchmark", "layout_index", "layout_seed", "heap_seed"]
+                        + list(METRICS))
+        for obs in observations:
+            writer.writerow(
+                [observations.benchmark, obs.layout_index, obs.layout_seed,
+                 obs.heap_seed]
+                + [obs.metric(metric) for metric in METRICS]
+            )
 
 
 @dataclass
@@ -231,18 +392,19 @@ class CampaignStore:
     def load(self, key: CampaignKey) -> ObservationSet | None:
         """The stored campaign for *key*, or ``None`` if absent.
 
-        An unreadable, truncated, or checksum-failing file is
-        *quarantined* and treated as a miss — corruption costs a
-        re-measurement, never a crash or a poisoned result.  The
-        persisted provenance is checked against the key; a mismatch
-        (a file placed or edited by hand) raises rather than silently
-        mixing observation sets measured under different protocols.
+        The one reader of campaign files.  A corrupt file (see
+        :func:`_read_campaign`) is *quarantined* and treated as a miss —
+        corruption costs a re-measurement, never a crash or a poisoned
+        result.  The stored provenance block is checked against the
+        key's; a mismatch (a file placed or edited by hand) raises
+        rather than silently mixing observation sets measured under
+        different protocols.
         """
         path = self.path_for(key)
         if not path.exists():
             return None
         try:
-            observations, provenance = load_campaign(path)
+            observations, provenance = _read_campaign(path)
         except CorruptCampaignError as exc:
             self.quarantine(path, reason=str(exc))
             return None
@@ -251,7 +413,7 @@ class CampaignStore:
                 f"{path}: stored campaign is for {observations.benchmark!r}, "
                 f"expected {key.benchmark!r}"
             )
-        if provenance is not None and provenance != key.provenance:
+        if provenance != key.provenance:
             raise ReproError(
                 f"{path}: stored provenance {provenance} does not match the "
                 f"requested campaign {key.provenance}; refusing to mix protocols"
@@ -259,22 +421,18 @@ class CampaignStore:
         return observations
 
     def save(self, key: CampaignKey, observations: ObservationSet) -> Path:
-        """Persist a campaign atomically.
+        """Persist a campaign atomically; returns the file's path.
 
-        The payload is written to a temp file in the store directory,
-        fsynced, and renamed over the target with ``os.replace`` — a
-        killed process leaves either the previous file or the complete
-        new one, never a torn write.  (An injected
+        The one writer of campaign files: :func:`dump_campaign`'s bytes
+        go to a temp file in the store directory, are fsynced, and
+        replace the target with ``os.replace`` — a killed process leaves
+        either the previous file or the complete new one, never a torn
+        write.  (An injected
         :class:`~repro.faults.FaultPlan` may still deliver a truncated
         payload, exercising the checksum + quarantine recovery path.)
         """
-        if observations.benchmark != key.benchmark:
-            raise ConfigurationError(
-                f"observation set is for {observations.benchmark!r}, "
-                f"key is for {key.benchmark!r}"
-            )
         path = self.path_for(key)
-        payload = dump_campaign(observations, provenance=key.provenance)
+        payload = dump_campaign(key, observations)
         plan = faults.active_plan()
         if plan is not None:
             payload = plan.torn_payload(

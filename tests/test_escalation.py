@@ -10,7 +10,6 @@ from repro.core.supervise import ShutdownHandler
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.harness.lab import Laboratory
-from repro.persistence import dump_campaign
 
 from tests.conftest import TEST_SCALE
 from tests.test_store import TINY
@@ -30,9 +29,9 @@ def escalated():
 
 
 def _bits(results):
-    """Everything an escalation produced, as comparable bytes."""
+    """Everything an escalation produced, in comparable form."""
     return {
-        name: (result.p_values, dump_campaign(result.observations))
+        name: (result.p_values, result.observations)
         for name, result in results.items()
     }
 
@@ -120,6 +119,20 @@ class TestEscalatedCampaignsAreOrdinary:
         with faults.injected(None):
             assert _bits(rerun.escalate(ESCALATING)) == clean
         assert rerun.store.stats.quarantined >= 1
+
+    def test_torn_writes_resume_from_memory(self, tmp_path):
+        """Each round's store write is torn and quarantined on the next
+        read, so each round resumes from the campaign held in memory."""
+        clean_lab = Laboratory(scale=TEST_SCALE, machine_seed=7)
+        clean = _bits(clean_lab.escalate(["470.lbm"]))
+        lab = Laboratory(scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path)
+        plan = FaultPlan(torn_write=1.0, only_benchmarks=("470.lbm",))
+        with faults.injected(plan):
+            torn = _bits(lab.escalate(["470.lbm"]))
+        assert torn == clean
+        stats = lab.store.stats
+        assert stats.layouts_measured == MAX_ROUNDS * TEST_SCALE.n_layouts
+        assert (stats.quarantined, stats.layouts_loaded) == (MAX_ROUNDS - 1, 0)
 
     def test_rerun_on_same_store_measures_nothing(self, tmp_path):
         # Intact writes only: a torn one is re-measured on the rerun

@@ -6,22 +6,12 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.persistence import load_trace, save_trace
 from repro.program.tracegen import generate_trace
 
 from tests.test_indirect import make_dispatch_spec
 
 
 class TestIndirectTraceRoundTrip:
-    def test_targets_survive_npz(self, tmp_path):
-        spec = make_dispatch_spec()
-        trace = generate_trace(spec, seed=5, n_events=600)
-        path = tmp_path / "dispatch.npz"
-        save_trace(trace, path)
-        reloaded = load_trace(path)
-        assert (reloaded.targets == trace.targets).all()
-        assert (reloaded.targets >= 0).any()
-
     def test_truncation_preserves_target_alignment(self):
         spec = make_dispatch_spec()
         trace = generate_trace(spec, seed=5, n_events=600)

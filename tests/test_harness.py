@@ -167,6 +167,11 @@ class TestFigures:
         assert by_name["445.gobmk"].significant
         assert "reject the null" in result.render()
 
+    def test_significance_marks_significant_benchmarks(self, lab):
+        result = significance.run(lab)
+        marked = [row.benchmark for row in result.rows if row.significant]
+        assert marked == lab.significant_benchmarks()
+
     def test_headline(self, lab):
         result = headline.run(lab)
         assert result.benchmark == "400.perlbench"

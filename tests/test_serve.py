@@ -3,12 +3,12 @@
 The serving contract is the paper's purity argument carried across a
 socket: every observation is a pure function of (config, machine seed,
 benchmark, layout index), so a served campaign must be byte-identical
-to a direct :func:`~repro.persistence.dump_campaign` export of the
-same slice — including when a fault plan tears the store write it is
-later served from.  The scheduling tests pin the loop-side invariants: identical
+to the store's :func:`~repro.store.dump_campaign` of the same slice —
+and a full-length one to its store file — including when a fault plan
+tears the store write it is later served from.  The scheduling tests pin the loop-side invariants: identical
 in-flight requests coalesce onto one measurement, a full admission
 queue rejects instead of buffering, and a drain finishes in-flight
-work before the workers stop.
+work before the worker stops.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from repro.core.observations import ObservationSet
 from repro.errors import BackpressureError, ConfigurationError
 from repro.faults import FaultPlan
 from repro.harness.lab import Laboratory
-from repro.persistence import dump_campaign
 from repro.serve import (
     CampaignRequest,
     CampaignServer,
     CampaignService,
     percentile,
 )
+from repro.store import dump_campaign
 
 from .conftest import TEST_SCALE
 
@@ -49,7 +49,7 @@ def direct_payload(lab: Laboratory, benchmark: str, n_layouts: int) -> str:
     key = lab.campaign_key(benchmark, heap=False)
     subset = ObservationSet(benchmark=benchmark)
     subset.extend(full.observations[:n_layouts])
-    return dump_campaign(subset, provenance=key.provenance)
+    return dump_campaign(key, subset)
 
 
 async def with_service(lab: Laboratory, body, **kwargs):
@@ -86,10 +86,6 @@ class TestCampaignRequest:
 
 
 class TestServiceValidation:
-    def test_nonpositive_workers_rejected(self, lab):
-        with pytest.raises(ConfigurationError):
-            CampaignService(lab, max_workers=0)
-
     def test_nonpositive_backlog_rejected(self, lab):
         with pytest.raises(ConfigurationError):
             CampaignService(lab, backlog=0)
@@ -152,6 +148,22 @@ class TestServedBitIdentity:
             reserved = asyncio.run(with_service(restarted_lab, body))
         assert reserved == reference
         assert restarted_lab.store.stats.quarantined == 1
+
+    def test_full_campaign_is_the_store_file(self, tmp_path):
+        # The server and the store share one serializer.
+        lab = Laboratory(
+            scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
+        )
+
+        async def body(service):
+            return await service.lookup(
+                CampaignRequest(benchmark=BENCH, n_layouts=TEST_SCALE.n_layouts)
+            )
+
+        with faults.injected(None):
+            served = asyncio.run(with_service(lab, body))
+        key = lab.campaign_key(BENCH, heap=False)
+        assert served == lab.store.path_for(key).read_text()
 
     def test_store_backed_service_hits_across_processes(self, tmp_path):
         # A second service over the same store (a fresh lab, as after a
@@ -222,7 +234,7 @@ class TestBackpressure:
             return "{}"
 
         async def scenario():
-            service = CampaignService(lab, max_workers=1, backlog=1)
+            service = CampaignService(lab, backlog=1)
             monkeypatch.setattr(service, "_measure_payload", slow_measure)
             service.start()
             try:
@@ -356,7 +368,7 @@ class TestHttpServer:
         assert view["requests"] == 1
         assert view["served"] == 1
         assert set(view["latency_ms"]) == {"p50", "p99", "samples"}
-        assert view["pool"]["workers"] == 2
+        assert view["pool"]["workers"] == 1
         assert view["pool"]["queue_capacity"] == 32
         # The store-backed lab exposes its hit/miss counters.
         assert view["store"]["misses"] == 1

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro import faults
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.lab import SCALES, Laboratory, Scale
 from repro.machine.config import TimingParameters, XeonE5440Config
-from repro.store import CampaignKey, CampaignStore
+from repro.store import CampaignKey, CampaignStore, dump_campaign
 
 from tests.test_model import _synthetic_observations
 
@@ -65,6 +67,33 @@ class TestCampaignKey:
             lab.campaign_key("456.hmmer", heap=True).filename
             == "456_hmmer-heap-ba5c5baa55614ebb.json"
         )
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """Store files keep their bytes: a campaign stored by an earlier
+        version of the code is read and served, never re-measured."""
+
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        envelope = dump_campaign(
+            _key(), _synthetic_observations(n=4, benchmark="456.hmmer")
+        )
+        assert sha(envelope.encode()) == (
+            "3a88ac9799351c4f16d6684e7a3d2ad277d4b30b61fbaa6a53b91b6657f15201"
+        )
+        with faults.injected(None):
+            lab = Laboratory(scale=TINY, machine_seed=7, cache_dir=tmp_path)
+            lab.observations("456.hmmer")
+            lab.heap_observations("456.hmmer")
+        files = sorted(tmp_path.iterdir())
+        assert {p.name: sha(p.read_bytes()) for p in files} == {
+            "456_hmmer-efb40cbd7a44347d.json": (
+                "e5894f1a97f4907eb5e4d36996c1833a9a4224bf61689dadc4600bdc87d5e176"
+            ),
+            "456_hmmer-heap-95163b129f830886.json": (
+                "3f655dc428946c22e4638bb9695d3e92dff481516185b3fc45c5485b44737e5c"
+            ),
+        }
 
     def test_campaign_key_fields(self):
         lab = Laboratory(scale=TINY, machine_seed=7)
