@@ -54,29 +54,30 @@ def main() -> None:
     print("\nrunning campaigns (2 worker processes)...")
     results = observe_suite(keys, 16, workers=2)
 
-    archive = Path(tempfile.mkdtemp(prefix="interferometry-"))
-    print(f"archiving raw measurements to {archive}/")
-    store = CampaignStore(archive)
-    for key, observations in results.items():
-        path = store.save(key, observations)
-        export_observations_csv(observations, path.with_suffix(".csv"))
+    with tempfile.TemporaryDirectory(prefix="interferometry-") as tmp:
+        archive = Path(tmp)
+        print(f"archiving raw measurements to {archive}/")
+        store = CampaignStore(archive)
+        for key, observations in results.items():
+            path = store.save(key, observations)
+            export_observations_csv(observations, path.with_suffix(".csv"))
 
-    print("\nre-analysis from the archive (no re-measurement):")
-    print(f"  {'benchmark':<16} {'slope':>8} {'intercept':>10} "
-          f"{'PI @ 0 MPKI':>18} {'significant':>12}")
-    for key in keys:
-        name = key.benchmark
-        observations = store.load(key)
-        try:
-            model = PerformanceModel.from_observations(observations)
-        except Exception:
-            print(f"  {name:<16} {'-':>8} {'-':>10} {'-':>18} {'no variance':>12}")
-            continue
-        prediction = model.perfect_event_prediction()
-        significant = "yes" if model.is_significant() else "no"
-        print(f"  {name:<16} {model.slope:>8.4f} {model.intercept:>10.3f} "
-              f"[{prediction.prediction.low:.3f}, "
-              f"{prediction.prediction.high:.3f}]  {significant:>10}")
+        print("\nre-analysis from the archive (no re-measurement):")
+        print(f"  {'benchmark':<16} {'slope':>8} {'intercept':>10} "
+              f"{'PI @ 0 MPKI':>18} {'significant':>12}")
+        for key in keys:
+            name = key.benchmark
+            observations = store.load(key)
+            try:
+                model = PerformanceModel.from_observations(observations)
+            except Exception:
+                print(f"  {name:<16} {'-':>8} {'-':>10} {'-':>18} {'no variance':>12}")
+                continue
+            prediction = model.perfect_event_prediction()
+            significant = "yes" if model.is_significant() else "no"
+            print(f"  {name:<16} {model.slope:>8.4f} {model.intercept:>10.3f} "
+                  f"[{prediction.prediction.low:.3f}, "
+                  f"{prediction.prediction.high:.3f}]  {significant:>10}")
     print("\n(470.lbm fails the t-test by design: its branch behaviour "
           "gives interferometry\n nothing to measure — the §4.6 failure mode.)")
 

@@ -29,7 +29,8 @@ from repro.machine.system import XeonE5440
 from repro.store import CampaignKey, CampaignStore
 from repro.uarch.predictors.gas import gas_hybrid_family
 from repro.uarch.predictors.tage import LTagePredictor
-from repro.workloads.suite import Benchmark, get_benchmark, mase_suite, spec2006
+from repro.workloads.params import MASE_BENCHMARKS
+from repro.workloads.suite import Benchmark, get_benchmark, spec2006
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,9 @@ class Laboratory:
         )
         self.store = None if cache_dir is None else CampaignStore(cache_dir)
         self.suite = spec2006()
-        self.mase_suite = mase_suite()
+        # The MASE study's SPEC 2006 members are the suite's own
+        # benchmarks, so each program is built once per laboratory.
+        self.mase_suite = {name: self.benchmark(name) for name in MASE_BENCHMARKS}
         self.campaign_log: list[CampaignRecord] = []
         #: Optional observer called after every campaign (CLI progress).
         self.on_campaign: Callable[[CampaignRecord], None] | None = None

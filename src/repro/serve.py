@@ -1,11 +1,11 @@
 """Campaign-as-a-service: an asyncio server over the campaign store.
 
-ROADMAP item 2.  The paper's economics are measure-once, reuse
-everywhere; this module extends the reuse across *clients*: a
-long-running process serves interferometry queries — "the campaign for
-benchmark X at N layouts" — over HTTP, answering from the
-content-addressed :class:`~repro.store.CampaignStore` and computing
-misses through the owning :class:`~repro.harness.lab.Laboratory`.
+The paper's economics are measure-once, reuse everywhere; this module
+extends the reuse across *clients*: a long-running process serves
+interferometry queries — "the campaign for benchmark X at N layouts" —
+over HTTP, answering from the content-addressed
+:class:`~repro.store.CampaignStore` and computing misses through the
+owning :class:`~repro.harness.lab.Laboratory`.
 Responses are the store's one serializer,
 :func:`~repro.store.dump_campaign`, so a served campaign of a stored
 campaign's full length is byte-identical to its store file.

@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.uarch import vector
-from repro.uarch.caches import lru_access
+from repro.uarch.caches import LruSets, lru_access
 
 
-class BranchTargetBuffer(vector.Structure):
+class BranchTargetBuffer(LruSets):
     """Set-associative, LRU, tag-matched BTB counting taken-branch misses."""
 
     def __init__(self, entries: int = 2048, associativity: int = 4, name: str = "btb") -> None:
@@ -31,12 +31,11 @@ class BranchTargetBuffer(vector.Structure):
         self.associativity = associativity
         self.n_sets = entries // associativity
         self.name = name
-        self._sets: list[list[int]] = []
         self.reset()
 
     def reset(self) -> None:
         """Empty the buffer."""
-        self._sets = [[] for _ in range(self.n_sets)]
+        self._empty(self.n_sets, self.associativity)
 
     def lookup_and_update(self, pc: int, taken: int) -> bool:
         """Access the BTB for the branch at *pc*.
@@ -59,12 +58,11 @@ class BranchTargetBuffer(vector.Structure):
         taken_events = np.nonzero(outcomes != 0)[0]
         pcs = addresses[taken_events] >> 2
         tag_shift = self.n_sets.bit_length() - 1
-        state = vector.LruState(self.n_sets, self.associativity)
+        state = self._lru(self.associativity)
         misses = np.zeros(int(addresses.size), dtype=bool)
         for start, stop in vector.iter_chunks(int(taken_events.size)):
             chunk = pcs[start:stop]
             misses[taken_events[start:stop]] = vector.lru_scan(
                 state, chunk & (self.n_sets - 1), chunk >> tag_shift
             )
-        self._sets = state.to_ways_lists()
         return misses

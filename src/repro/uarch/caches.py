@@ -41,6 +41,34 @@ def lru_access(ways: list[int], tag: int, associativity: int) -> bool:
     return True
 
 
+class LruSets(vector.Structure):
+    """A structure built of true-LRU sets.
+
+    The state is kept in the form the last engine left it: the vector
+    scan's :class:`~repro.uarch.vector.LruState`, or the oracle's
+    MRU-first way lists.  Each engine converts only when it takes over
+    from the other, so a run of scans never builds a Python list.
+    """
+
+    _state: vector.LruState | list[list[int]]
+
+    def _empty(self, n_sets: int, associativity: int) -> None:
+        self._state = vector.LruState(n_sets, associativity)
+
+    @property
+    def _sets(self) -> list[list[int]]:
+        """The oracle's MRU-first way lists, one per set."""
+        if isinstance(self._state, vector.LruState):
+            self._state = self._state.to_ways_lists()
+        return self._state
+
+    def _lru(self, associativity: int) -> vector.LruState:
+        """The scan's tag matrix."""
+        if not isinstance(self._state, vector.LruState):
+            self._state = vector.LruState.from_ways_lists(self._state, associativity)
+        return self._state
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry of one cache level."""
@@ -76,7 +104,7 @@ class CacheConfig:
         return self.block_bytes.bit_length() - 1
 
 
-class SetAssociativeCache(vector.Structure):
+class SetAssociativeCache(LruSets):
     """A single cache level with true-LRU replacement.
 
     The cache is stateful across :meth:`access` calls (the oracle
@@ -87,12 +115,11 @@ class SetAssociativeCache(vector.Structure):
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: list[list[int]] = []
         self.reset()
 
     def reset(self) -> None:
         """Empty every set."""
-        self._sets = [[] for _ in range(self.config.n_sets)]
+        self._empty(self.config.n_sets, self.config.associativity)
 
     def access(self, address: int) -> bool:
         """Access one address; return True on a miss."""
@@ -106,7 +133,7 @@ class SetAssociativeCache(vector.Structure):
     def scan(self, addresses: np.ndarray) -> np.ndarray:
         config = self.config
         set_shift = config.n_sets.bit_length() - 1
-        state = vector.LruState(config.n_sets, config.associativity)
+        state = self._lru(config.associativity)
         n = int(addresses.size)
         misses = np.zeros(n, dtype=bool)
         for start, stop in vector.iter_chunks(n):
@@ -114,7 +141,6 @@ class SetAssociativeCache(vector.Structure):
             misses[start:stop] = vector.lru_scan(
                 state, blocks & (config.n_sets - 1), blocks >> set_shift
             )
-        self._sets = state.to_ways_lists()
         return misses
 
 

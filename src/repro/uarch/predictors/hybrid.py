@@ -42,17 +42,17 @@ class HybridPredictor(BranchPredictor):
             raise ConfigurationError(f"history_bits must be in [1, 24], got {history_bits}")
         self.history_bits = history_bits
         self.name = name
-        self._bimodal: list[int] = []
-        self._global: list[int] = []
-        self._chooser: list[int] = []
+        self._bimodal = np.empty(self.bimodal_entries, dtype=np.int8)
+        self._global = np.empty(self.global_entries, dtype=np.int8)
+        self._chooser = np.empty(self.chooser_entries, dtype=np.int8)
         self._history = 0
         self.reset()
 
     def reset(self) -> None:
-        self._bimodal = [2] * self.bimodal_entries
-        self._global = [2] * self.global_entries
+        self._bimodal.fill(2)
+        self._global.fill(2)
         # Weakly prefer the global component.
-        self._chooser = [2] * self.chooser_entries
+        self._chooser.fill(2)
         self._history = 0
 
     def storage_bits(self) -> int:
@@ -64,39 +64,39 @@ class HybridPredictor(BranchPredictor):
         )
 
     def predict_and_update(self, pc: int, outcome: int) -> bool:
+        bimodal, glob, chooser = self._bimodal, self._global, self._chooser
         bi_idx = (pc >> 2) & (self.bimodal_entries - 1)
         gl_idx = ((pc >> 2) ^ self._history) & (self.global_entries - 1)
         ch_idx = (pc >> 2) & (self.chooser_entries - 1)
-        bi_pred = 1 if self._bimodal[bi_idx] >= 2 else 0
-        gl_pred = 1 if self._global[gl_idx] >= 2 else 0
-        use_global = self._chooser[ch_idx] >= 2
-        prediction = gl_pred if use_global else bi_pred
+        bi_counter = bimodal.item(bi_idx)
+        gl_counter = glob.item(gl_idx)
+        bi_pred = 1 if bi_counter >= 2 else 0
+        gl_pred = 1 if gl_counter >= 2 else 0
+        choice = chooser.item(ch_idx)
+        prediction = gl_pred if choice >= 2 else bi_pred
 
         # Train the chooser toward whichever component was right.
         if bi_pred != gl_pred:
             if gl_pred == outcome:
-                if self._chooser[ch_idx] < 3:
-                    self._chooser[ch_idx] += 1
-            elif self._chooser[ch_idx] > 0:
-                self._chooser[ch_idx] -= 1
+                if choice < 3:
+                    chooser[ch_idx] = choice + 1
+            elif choice > 0:
+                chooser[ch_idx] = choice - 1
         # Train both components.
         if outcome:
-            if self._bimodal[bi_idx] < 3:
-                self._bimodal[bi_idx] += 1
-            if self._global[gl_idx] < 3:
-                self._global[gl_idx] += 1
+            if bi_counter < 3:
+                bimodal[bi_idx] = bi_counter + 1
+            if gl_counter < 3:
+                glob[gl_idx] = gl_counter + 1
         else:
-            if self._bimodal[bi_idx] > 0:
-                self._bimodal[bi_idx] -= 1
-            if self._global[gl_idx] > 0:
-                self._global[gl_idx] -= 1
+            if bi_counter > 0:
+                bimodal[bi_idx] = bi_counter - 1
+            if gl_counter > 0:
+                glob[gl_idx] = gl_counter - 1
         self._history = ((self._history << 1) | outcome) & ((1 << self.history_bits) - 1)
         return prediction == outcome
 
     def scan(self, addresses: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        bimodal = np.array(self._bimodal, dtype=np.int8)
-        glob = np.array(self._global, dtype=np.int8)
-        chooser = np.array(self._chooser, dtype=np.int8)
         bi_mask = self.bimodal_entries - 1
         gl_mask = self.global_entries - 1
         ch_mask = self.chooser_entries - 1
@@ -111,33 +111,26 @@ class HybridPredictor(BranchPredictor):
                 self.history_bits, outc, history
             )
             delta = (2 * outc - 1).astype(np.int8)
-            bi_idx = pcs & bi_mask
-            bi_groups = vector.IndexGroups(bi_idx, self.bimodal_entries)
-            bi_pre = vector.counter_scan(bi_idx, delta, bimodal, 0, 3, bi_groups)
-            gl_pre = vector.counter_scan(
-                (pcs ^ hist) & gl_mask, delta, glob, 0, 3
+            bi_pred = vector.counter_scan(pcs & bi_mask, delta, self._bimodal, 0, 3) >= 2
+            gl_pred = (
+                vector.counter_scan((pcs ^ hist) & gl_mask, delta, self._global, 0, 3)
+                >= 2
             )
-            bi_pred = bi_pre >= 2
-            gl_pred = gl_pre >= 2
-            # The chooser trains only when the components disagree; its
-            # pc index equals the bimodal one whenever the geometries
-            # match, so the sorted grouping is reused.
-            ch_delta = np.where(
-                bi_pred != gl_pred,
-                np.where(gl_pred == taken, 1, -1),
-                0,
-            ).astype(np.int8)
-            if ch_mask == bi_mask:
-                ch_idx, ch_groups = bi_idx, bi_groups
-            else:
-                ch_idx, ch_groups = pcs & ch_mask, None
+            # The chooser is read and trained only where the components
+            # disagree; elsewhere the prediction is the bimodal one.
+            # Where they disagree, exactly one component is right, so
+            # the choice misses iff it picks the other one.
+            split = np.flatnonzero(bi_pred != gl_pred)
+            global_right = gl_pred[split] == taken[split]
             ch_pre = vector.counter_scan(
-                ch_idx, ch_delta, chooser, 0, 3, ch_groups
+                pcs[split] & ch_mask,
+                np.where(global_right, np.int8(1), np.int8(-1)),
+                self._chooser,
+                0,
+                3,
             )
-            prediction = np.where(ch_pre >= 2, gl_pred, bi_pred)
-            np.not_equal(prediction, taken, out=mis[start:stop])
-        self._bimodal = bimodal.tolist()
-        self._global = glob.tolist()
-        self._chooser = chooser.tolist()
+            chunk_mis = mis[start:stop]
+            np.not_equal(bi_pred, taken, out=chunk_mis)
+            chunk_mis[split] = global_right != (ch_pre >= 2)
         self._history = history
         return mis

@@ -32,17 +32,17 @@ class LastTargetPredictor(vector.Structure):
     def __init__(self, entries: int = 512, name: str | None = None) -> None:
         self.entries = require_power_of_two(entries, "target-table entries")
         self.name = name if name is not None else f"last-target-{entries}"
-        self._table: list[int] = []
+        self._table = np.empty(self.entries, dtype=np.int64)
         self.reset()
 
     def reset(self) -> None:
         """Empty the target table."""
-        self._table = [-1] * self.entries
+        self._table.fill(-1)
 
     def predict_and_update(self, pc: int, target: int) -> bool:
         """Predict/update for one indirect branch; True when correct."""
         idx = (pc >> 2) & (self.entries - 1)
-        predicted = self._table[idx]
+        predicted = self._table.item(idx)
         self._table[idx] = target
         return predicted == target
 
@@ -54,7 +54,7 @@ class LastTargetPredictor(vector.Structure):
         return target >= 0 and not self.predict_and_update(pc, target)
 
     def scan(self, addresses: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        table = np.array(self._table, dtype=np.int64)
+        table = self._table
         events = np.nonzero(targets >= 0)[0]
         idx = (addresses[events] >> 2) & (self.entries - 1)
         tgt = targets[events]
@@ -62,7 +62,6 @@ class LastTargetPredictor(vector.Structure):
         for start, stop in vector.iter_chunks(int(events.size)):
             prev = vector.last_value_scan(idx[start:stop], tgt[start:stop], table)
             misses[events[start:stop]] = prev != tgt[start:stop]
-        self._table = table.tolist()
         return misses
 
 
@@ -80,15 +79,15 @@ class IttageLitePredictor(vector.Structure):
         self.entries = require_power_of_two(entries, "ittage history entries")
         self.base_entries = require_power_of_two(base_entries, "ittage base entries")
         self.name = name if name is not None else f"ittage-lite-{entries}"
-        self._history_table: list[int] = []
-        self._base_table: list[int] = []
+        self._history_table = np.empty(self.entries, dtype=np.int64)
+        self._base_table = np.empty(self.base_entries, dtype=np.int64)
         self._target_history = 0
         self.reset()
 
     def reset(self) -> None:
         """Empty both tables and the target history."""
-        self._history_table = [-1] * self.entries
-        self._base_table = [-1] * self.base_entries
+        self._history_table.fill(-1)
+        self._base_table.fill(-1)
         self._target_history = 0
 
     def predict_and_update(self, pc: int, target: int) -> bool:
@@ -96,9 +95,9 @@ class IttageLitePredictor(vector.Structure):
         pc2 = pc >> 2
         hist_idx = (pc2 ^ self._target_history) & (self.entries - 1)
         base_idx = pc2 & (self.base_entries - 1)
-        predicted = self._history_table[hist_idx]
+        predicted = self._history_table.item(hist_idx)
         if predicted < 0:
-            predicted = self._base_table[base_idx]
+            predicted = self._base_table.item(base_idx)
         correct = predicted == target
         self._history_table[hist_idx] = target
         self._base_table[base_idx] = target
@@ -108,8 +107,8 @@ class IttageLitePredictor(vector.Structure):
     step = LastTargetPredictor.step
 
     def scan(self, addresses: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        history_table = np.array(self._history_table, dtype=np.int64)
-        base_table = np.array(self._base_table, dtype=np.int64)
+        history_table = self._history_table
+        base_table = self._base_table
         events = np.nonzero(targets >= 0)[0]
         pcs = addresses[events] >> 2
         tgt = targets[events]
@@ -137,7 +136,5 @@ class IttageLitePredictor(vector.Structure):
             )
             predicted = np.where(hist_prev >= 0, hist_prev, base_prev)
             misses[events[start:stop]] = predicted != chunk_tgt
-        self._history_table = history_table.tolist()
-        self._base_table = base_table.tolist()
         self._target_history = target_history
         return misses

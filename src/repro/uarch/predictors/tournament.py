@@ -137,23 +137,23 @@ class TournamentPredictor(BranchPredictor):
             hist, history = vector.shifted_histories(
                 self.history_bits, outc, history
             )
-            # Global PHT and chooser share the history index stream, so
-            # the sorted grouping is computed once.
             gl_idx = hist & gl_mask
-            groups = vector.IndexGroups(gl_idx, self.global_entries)
-            gl_pre = vector.counter_scan(gl_idx, delta, global_pht, 0, 3, groups)
             local_pred = local_pre >= 4
-            global_pred = gl_pre >= 2
-            ch_delta = np.where(
-                local_pred != global_pred,
-                np.where(global_pred == taken, 1, -1),
-                0,
-            ).astype(np.int8)
+            global_pred = vector.counter_scan(gl_idx, delta, global_pht, 0, 3) >= 2
+            # The chooser is read and trained only where the components
+            # disagree (see HybridPredictor.scan).
+            split = np.flatnonzero(local_pred != global_pred)
+            global_right = global_pred[split] == taken[split]
             ch_pre = vector.counter_scan(
-                gl_idx, ch_delta, chooser_table, 0, 3, groups
+                gl_idx[split],
+                np.where(global_right, np.int8(1), np.int8(-1)),
+                chooser_table,
+                0,
+                3,
             )
-            prediction = np.where(ch_pre >= 2, global_pred, local_pred)
-            np.not_equal(prediction, taken, out=mis[start:stop])
+            chunk_mis = mis[start:stop]
+            np.not_equal(local_pred, taken, out=chunk_mis)
+            chunk_mis[split] = global_right != (ch_pre >= 2)
         self._local_history = local_history_table.tolist()
         self._local_pht = local_pht.tolist()
         self._global_pht = global_pht.tolist()

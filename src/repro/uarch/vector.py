@@ -15,12 +15,19 @@ up front.  What remains per table entry is an independent sequential
 recurrence, handled by one of four segmented scans:
 
 * :func:`counter_scan` — saturating-counter tables.  Counter updates
-  are clamped additions ``x -> min(max(x + d, lo), hi)``; that function
-  family is closed under composition, so per-event pre-update states
-  come from a segmented Hillis–Steele scan over (delta, lo, hi)
-  triples.  Runs of equal deltas within a segment collapse to a single
-  clamp step first (exact for same-sign deltas), which shortens the
-  scan on the taken-biased streams real traces produce.
+  are clamped additions ``x -> min(max(x + d, lo), hi)``.  A stream
+  whose deepest entry chain is short against its length is walked one
+  rank per round (every entry's r-th event at once, on slices of the
+  entries ordered longest chain first).  Otherwise runs of equal deltas
+  within an entry collapse to single clamp steps (exact for same-sign
+  deltas), which are walked in rounds the same way or, when one entry
+  still dominates, composed by a segmented Hillis–Steele scan over
+  (delta, lo, hi) triples — the clamp family is closed under
+  composition.  A run's events past the counter range all see its
+  bound, so only each run's head is expanded event by event.
+  Structures with a chooser (hybrid, tournament) scan it only over the
+  events where their components disagree, the only events that read
+  or train it.
 * :func:`shifted_histories` — per-event shift-register values (global
   branch history, ITTAGE target history) in ``ceil(bits/shift)``
   passes.
@@ -249,9 +256,7 @@ class IndexGroups:
     """Sorted grouping of one table-index stream.
 
     Precomputes the stable sort and segment boundaries every scan
-    needs; scans over *different* tables indexed by the *same* stream
-    (e.g. a hybrid's bimodal and chooser tables) share one instance
-    and pay for the sort once.
+    needs.
     """
 
     __slots__ = ("order", "entry", "seg_first", "seg_last", "_position")
@@ -299,14 +304,60 @@ class IndexGroups:
         return by_rank, bounds.tolist()
 
 
-#: Longest per-entry run chain handled by the round-based strategy in
-#: :func:`counter_scan`; longer chains (one entry dominating the
-#: stream) switch to the segmented doubling scan.  Tuned on the
-#: campaign branch streams: pc-indexed tables (bimodal, bi-mode
-#: choice) are skewed enough that round counts near 100 lose to the
-#: log-depth doubling scan, while history-hashed streams (depth ~40)
-#: must stay on the cheaper direct path.
-SCAN_ROUNDS_LIMIT = 64
+#: Deepest per-entry chain (of events, or of equal-delta runs once
+#: those are collapsed) that :func:`counter_scan` always walks one rank
+#: per round; beyond it a walk must also be short against the stream.
+SCAN_ROUNDS_LIMIT = 32
+
+#: Elements whose vector passes cost about as much as one round's fixed
+#: overhead: a chain may grow one round past :data:`SCAN_ROUNDS_LIMIT`
+#: per this many elements before the alternative (collapsing runs, or
+#: the log-depth doubling scan) is cheaper.  Tuned on the campaign and
+#: MASE branch streams: the history-hashed global PHT of a campaign
+#: (20 000 events, chains of 80-115) is cheapest walked directly, the
+#: pc-indexed bimodal table (chains of ~580 events, ~220 runs) collapsed
+#: and doubled.
+ROUND_EVENTS = 100
+
+
+def _walk_rounds(lengths: np.ndarray, total: int) -> bool:
+    """Whether segments of these *lengths* (*total* elements) take rounds."""
+    return int(lengths.max()) <= SCAN_ROUNDS_LIMIT + total // ROUND_EVENTS
+
+
+def _rounds_scan(
+    amount: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    entries: np.ndarray,
+    table: np.ndarray,
+    low: int,
+    high: int,
+) -> np.ndarray:
+    """Pre-update values of clamped additions, one rank per round.
+
+    *amount* is cut into contiguous segments (*starts*, *lengths*);
+    segment ``s`` applies its elements in order to ``table[entries[s]]``
+    and entries are distinct.  Round ``r`` applies the ``r``-th element
+    of every segment longer than ``r``: with the segments ordered
+    longest first those are a prefix, so a round works on slices of
+    per-segment arrays, with no per-element rank pass or sort.
+    """
+    by_length = np.argsort(-lengths)
+    at = starts[by_length]
+    live = np.searchsorted(-lengths[by_length], -np.arange(int(lengths.max())))
+    state = table[entries[by_length]]
+    pre = np.empty(amount.size, dtype=table.dtype)
+    for count in live:
+        x = state[:count]
+        rank = at[:count]
+        pre[rank] = x
+        x += amount[rank]
+        np.maximum(x, low, out=x)
+        np.minimum(x, high, out=x)
+        rank += 1
+    table[entries[by_length]] = state
+    return pre
 
 
 def _clamp_doubling(
@@ -378,7 +429,6 @@ def counter_scan(
     table: np.ndarray,
     low: int,
     high: int,
-    groups: IndexGroups | None = None,
 ) -> np.ndarray:
     """Pre-update states of saturating counters under a delta stream.
 
@@ -387,34 +437,24 @@ def counter_scan(
     observed (pre-update) values in stream order and leaves *table*
     holding every entry's final state.  Deltas must not change sign
     within one event (i.e. each delta is applied once); -1, 0 and +1
-    are the only values the predictors use.  Pass *groups* to reuse a
-    sort computed for another scan over the same index stream.
+    are the only values the predictors use, on signed integer tables.
     """
     n = int(indices.size)
     if n == 0:
         return np.zeros(0, dtype=table.dtype)
-    if groups is None:
-        groups = IndexGroups(indices, int(table.size))
+    groups = IndexGroups(indices, int(table.size))
     order = groups.order
     entry = groups.entry
     seg_first = groups.seg_first
     delta = deltas[order].astype(np.int8)
     out = np.empty(n, dtype=table.dtype)
 
-    event_depth = int(groups.position.max())
-    if event_depth < SCAN_ROUNDS_LIMIT:
-        # Round-based recurrence straight over events: round r applies
-        # the r-th event of every segment at once; entries are distinct
-        # within a round, so the table gather/scatter has no conflicts.
-        pre = np.empty(n, dtype=table.dtype)
-        by_pos, bounds = groups.rounds()
-        for r in range(event_depth + 1):
-            sl = by_pos[bounds[r] : bounds[r + 1]]
-            g = entry[sl]
-            x = table[g]
-            pre[sl] = x
-            table[g] = np.minimum(np.maximum(x + delta[sl], low), high)
-        out[order] = pre
+    seg_start = np.flatnonzero(seg_first)
+    seg_len = np.diff(seg_start, append=n)
+    if _walk_rounds(seg_len, n):
+        out[order] = _rounds_scan(
+            delta, seg_start, seg_len, entry[seg_start], table, low, high
+        )
         return out
 
     # Collapse runs of equal deltas on one entry into single clamp
@@ -426,30 +466,18 @@ def counter_scan(
     run_first[1:] |= delta[1:] != delta[:-1]
     run_start = np.flatnonzero(run_first)
     runs = run_start.size
-    run_len = np.empty(runs, dtype=np.int64)
-    run_len[:-1] = np.diff(run_start)
-    run_len[-1] = n - run_start[-1]
-
-    amount = delta[run_start] * np.minimum(run_len, span).astype(np.int8)
+    run_len = np.diff(run_start, append=n)
+    run_delta = delta[run_start]
+    amount = run_delta * np.minimum(run_len, span).astype(np.int8)
     run_entry = entry[run_start]
     rseg_first = seg_first[run_start]
+    rseg_start = np.flatnonzero(rseg_first)
+    rseg_len = np.diff(rseg_start, append=runs)
 
-    arange_r = np.arange(runs, dtype=np.int32)
-    position = arange_r - np.maximum.accumulate(
-        np.where(rseg_first, arange_r, 0)
-    )
-    depth = int(position.max())
-
-    if depth < SCAN_ROUNDS_LIMIT:
-        run_pre = np.empty(runs, dtype=table.dtype)
-        by_pos = _stable_order(position, depth + 1)
-        bounds = np.searchsorted(position[by_pos], np.arange(depth + 2))
-        for r in range(depth + 1):
-            sl = by_pos[int(bounds[r]) : int(bounds[r + 1])]
-            g = run_entry[sl]
-            x = table[g]
-            run_pre[sl] = x
-            table[g] = np.minimum(np.maximum(x + amount[sl], low), high)
+    if _walk_rounds(rseg_len, runs):
+        run_pre = _rounds_scan(
+            amount, rseg_start, rseg_len, run_entry[rseg_start], table, low, high
+        )
     else:
         amount = amount.astype(np.int64)
         lo_run = np.full(runs, low, dtype=np.int64)
@@ -471,13 +499,21 @@ def counter_scan(
             np.maximum(start[rseg_last] + amount[rseg_last], lo_run[rseg_last]),
             hi_run[rseg_last],
         )
+        run_pre = run_pre.astype(table.dtype)
 
-    run_id = np.cumsum(run_first, dtype=np.int32) - 1
-    offset = np.arange(n, dtype=np.int64) - run_start[run_id]
-    offset = np.minimum(offset, span).astype(np.int8)
-    out[order] = np.minimum(
-        np.maximum(run_pre[run_id] + delta * offset, low), high
-    )
+    # A run's k-th event sees clamp(run_pre + k*d), which sits at the
+    # run's bound from k = span on: fill every event with its bound
+    # (zero-delta runs keep run_pre), then patch each run's head.
+    bound = np.where(run_delta > 0, high, np.where(run_delta < 0, low, run_pre))
+    ranked = np.repeat(bound.astype(table.dtype), run_len)
+    ranked[run_start] = run_pre
+    head = np.flatnonzero((run_len > 1) & (run_delta != 0))
+    for k in range(1, span):
+        head = head[run_len[head] > k]
+        ranked[run_start[head] + k] = np.minimum(
+            np.maximum(run_pre[head] + k * run_delta[head], low), high
+        )
+    out[order] = ranked
     return out
 
 
@@ -485,7 +521,6 @@ def last_value_scan(
     indices: np.ndarray,
     values: np.ndarray,
     table: np.ndarray,
-    groups: IndexGroups | None = None,
 ) -> np.ndarray:
     """Pre-update contents of a last-value table.
 
@@ -495,8 +530,7 @@ def last_value_scan(
     n = int(indices.size)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if groups is None:
-        groups = IndexGroups(indices, int(table.size))
+    groups = IndexGroups(indices, int(table.size))
     order, entry = groups.order, groups.entry
     seg_first, seg_last = groups.seg_first, groups.seg_last
     value = values[order].astype(np.int64)
@@ -514,7 +548,6 @@ def sticky_install_scan(
     indices: np.ndarray,
     values: np.ndarray,
     table: np.ndarray,
-    groups: IndexGroups | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Set-once table reads (agree-predictor bias bits).
 
@@ -526,8 +559,7 @@ def sticky_install_scan(
     n = int(indices.size)
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    if groups is None:
-        groups = IndexGroups(indices, int(table.size))
+    groups = IndexGroups(indices, int(table.size))
     order, entry, seg_first = groups.order, groups.entry, groups.seg_first
     value = values[order].astype(np.int64)
     seg_id = np.cumsum(seg_first) - 1
@@ -550,7 +582,6 @@ def local_history_scan(
     outcomes: np.ndarray,
     table: np.ndarray,
     history_bits: int,
-    groups: IndexGroups | None = None,
 ) -> np.ndarray:
     """Pre-update values of per-entry outcome shift registers.
 
@@ -567,8 +598,7 @@ def local_history_scan(
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     mask = (1 << history_bits) - 1
-    if groups is None:
-        groups = IndexGroups(indices, int(table.size))
+    groups = IndexGroups(indices, int(table.size))
     order, entry = groups.order, groups.entry
     seg_first, seg_last = groups.seg_first, groups.seg_last
     outcome = outcomes[order].astype(np.int64)
@@ -597,6 +627,14 @@ class LruState:
 
     def __init__(self, n_sets: int, associativity: int) -> None:
         self.tags = np.full((n_sets, associativity), -1, dtype=np.int64)
+
+    @classmethod
+    def from_ways_lists(cls, sets: list[list[int]], associativity: int) -> LruState:
+        """The bank holding the scalar representation's MRU-first way lists."""
+        state = cls(len(sets), associativity)
+        for row, ways in zip(state.tags, sets):
+            row[: len(ways)] = ways
+        return state
 
     def to_ways_lists(self) -> list[list[int]]:
         """MRU-first way lists, matching the scalar representation."""

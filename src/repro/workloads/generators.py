@@ -7,6 +7,9 @@ vary).  All randomness comes from a stream keyed by the benchmark name.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 from repro.program.behavior import (
     BiasedBehavior,
     BranchBehavior,
@@ -92,6 +95,9 @@ def build_spec(personality: BenchmarkPersonality) -> ProgramSpec:
         size = (size + 63) & ~63  # whole cache blocks
         heap_objects.append(HeapObjectSpec(name=f"obj{i:03d}", size_bytes=size))
     object_weights = _zipf_weights(p.n_heap_objects, 1.0, obj_stream)
+    object_total = sum(object_weights)
+    # Running sums in list order, as the sequential scan they replace.
+    object_edges = list(accumulate(object_weights))
 
     # ---- behaviour-kind sampling --------------------------------------
     kinds = list(p.mix.keys())
@@ -129,15 +135,9 @@ def build_spec(personality: BenchmarkPersonality) -> ProgramSpec:
             n_refs = int(expected) + (1 if proc_stream.uniform() < (expected % 1.0) else 0)
             for _ in range(n_refs):
                 # Zipf-weighted object choice keeps a hot working set.
-                pick = proc_stream.uniform() * sum(object_weights)
-                obj_idx = 0
-                acc_w = 0.0
-                for j, w in enumerate(object_weights):
-                    acc_w += w
-                    if pick < acc_w:
-                        obj_idx = j
-                        break
-                obj = heap_objects[obj_idx]
+                pick = proc_stream.uniform() * object_total
+                obj_idx = bisect_right(object_edges, pick)
+                obj = heap_objects[obj_idx if obj_idx < len(object_edges) else 0]
                 # Each site walks a bounded window of its object, so the
                 # hot data working set has strong temporal reuse; the
                 # window size is a personality knob (memory-bound

@@ -97,6 +97,8 @@ _WARMUP_KINDS = ("zero", "third", "all", "past-end")
 
 def _plain(value):
     """*value* as plain lists and ints, slotted helper objects unpacked."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
     if hasattr(value, "__slots__"):
@@ -247,7 +249,7 @@ def test_indirect_engines_bit_identical(factory, seed, n, warmup_kind):
     count_s = scalar.simulate(addresses, targets, warmup=warmup, engine="scalar")
     count_v = vectored.simulate(addresses, targets, warmup=warmup, engine="vector")
     assert count_s == count_v
-    assert vars(scalar) == vars(vectored)
+    assert _comparable_state(scalar) == _comparable_state(vectored)
     if (targets >= 0).sum() == 0:
         assert count_v == 0
 
@@ -451,6 +453,261 @@ class TestLruScan:
             # About 24 int64 words per access; a table kept per level
             # (17 here) or per id word (16) would pass 32.
             assert peak < 32 * 8 * n
+
+
+def _counter_oracle(
+    indices: np.ndarray, deltas: np.ndarray, table: np.ndarray, low: int, high: int
+) -> tuple[list[int], list[int]]:
+    """Pre-update values and final table of a plain saturating-counter loop."""
+    state = table.tolist()
+    pre = []
+    for i, d in zip(indices.tolist(), deltas.tolist()):
+        pre.append(state[i])
+        state[i] = min(max(state[i] + d, low), high)
+    return pre, state
+
+
+def _assert_counter_matches_oracle(
+    indices: np.ndarray,
+    deltas: np.ndarray,
+    table: np.ndarray,
+    low: int,
+    high: int,
+    cuts=(),
+) -> None:
+    """``counter_scan`` over slices sharing *table* equals the loop."""
+    expected_pre, expected_table = _counter_oracle(indices, deltas, table, low, high)
+    bounds = [0, *cuts, int(indices.size)]
+    pre = [
+        vector.counter_scan(indices[lo:hi], deltas[lo:hi], table, low, high)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    assert np.concatenate(pre).tolist() == expected_pre
+    assert table.tolist() == expected_table
+
+
+def _switch(elements: int) -> int:
+    """The deepest chain ``counter_scan`` walks in rounds over *elements*."""
+    return vector.SCAN_ROUNDS_LIMIT + elements // vector.ROUND_EVENTS
+
+
+def _hot_entry_stream(
+    n: int, hot: int, run: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """*n* events; entry 0 takes *hot* of them, in sign runs of *run*.
+
+    Every other entry takes two events of one delta, so the stream's
+    deepest chain is entry 0's, of *hot* events and ``ceil(hot / run)``
+    runs.  Returns indices, deltas and the table size.
+    """
+    rng = np.random.default_rng(seed)
+    cold = n - hot
+    indices = np.empty(n, dtype=np.int64)
+    deltas = np.empty(n, dtype=np.int8)
+    at_hot = np.sort(rng.choice(n, size=hot, replace=False))
+    at_cold = np.setdiff1d(np.arange(n), at_hot)
+    indices[at_hot] = 0
+    deltas[at_hot] = np.where((np.arange(hot) // run) % 2 == 0, 1, -1)
+    indices[at_cold] = 1 + np.arange(cold) // 2
+    deltas[at_cold] = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=cold)[
+        np.arange(cold) // 2
+    ]
+    return indices, deltas, 2 + cold // 2
+
+
+@pytest.fixture
+def scan_paths(monkeypatch):
+    """Record which strategy each ``counter_scan`` phase took."""
+    taken: list[tuple[str, int]] = []
+    rounds, doubling = vector._rounds_scan, vector._clamp_doubling
+
+    def spy_rounds(amount, *args):
+        taken.append(("rounds", int(amount.size)))
+        return rounds(amount, *args)
+
+    def spy_doubling(amount, *args):
+        taken.append(("doubling", int(amount.size)))
+        return doubling(amount, *args)
+
+    monkeypatch.setattr(vector, "_rounds_scan", spy_rounds)
+    monkeypatch.setattr(vector, "_clamp_doubling", spy_doubling)
+    return taken
+
+
+class TestCounterScan:
+    """``counter_scan`` against a plain saturating-counter loop."""
+
+    @pytest.mark.parametrize("low, high", [(0, 3), (0, 7)])
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=1500),
+        entries=st.sampled_from([1, 4, 64, 1024]),
+        pieces=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_deltas(self, low, high, seed, n, entries, pieces):
+        """-1/0/+1 streams in runs of any length, whole and in slices."""
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(0, entries, size=n, dtype=np.int64)
+        # Repeat each drawn delta a geometric number of times: runs.
+        draws = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=n)
+        deltas = draws[np.minimum(np.cumsum(rng.random(n) < 0.3), n - 1)]
+        table = rng.integers(low, high + 1, size=entries).astype(np.int8)
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(pieces - 1, n - 1), replace=False).tolist()) if n > 1 else []
+        _assert_counter_matches_oracle(indices, deltas, table, low, high, cuts)
+
+    @pytest.mark.parametrize("low, high", [(0, 3), (0, 7)])
+    def test_long_saturating_runs(self, low, high):
+        """Runs far longer than the counter range sit at the bound."""
+        rng = np.random.default_rng(high)
+        pattern = [(1, 900), (0, 50), (-1, 700), (1, 2), (-1, 3), (0, 400), (1, 5)]
+        deltas = np.concatenate(
+            [np.full(length, d, dtype=np.int8) for d, length in pattern]
+        )
+        # One hot entry plus a sprinkle of others between its events.
+        indices = np.where(rng.random(deltas.size) < 0.9, 0, rng.integers(1, 8, deltas.size))
+        table = np.full(8, (low + high) // 2, dtype=np.int8)
+        _assert_counter_matches_oracle(indices, deltas, table, low, high)
+        _assert_counter_matches_oracle(indices, deltas, table, low, high, [1000, 1001])
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_event_rounds_switch(self, scan_paths, extra):
+        """A chain at the switch walks events in rounds; one more collapses."""
+        n = 3000
+        hot = _switch(n) + extra
+        indices, deltas, size = _hot_entry_stream(n, hot, run=1, seed=extra)
+        table = np.full(size, 1, dtype=np.int8)
+        _assert_counter_matches_oracle(indices, deltas, table, 0, 3)
+        assert (scan_paths[0] == ("rounds", n)) == (extra == 0)
+
+    def test_run_rounds_and_doubling_switch(self, scan_paths):
+        """Collapsed chains at the run switch take rounds; beyond, doubling."""
+        n, run = 3000, 4
+        seen = set()
+        for hot_runs in range(_switch(n) // run, n // run):
+            hot = hot_runs * run
+            runs = hot_runs + (n - hot) // 2
+            if hot <= _switch(n) or abs(hot_runs - _switch(runs)) > 1:
+                continue
+            indices, deltas, size = _hot_entry_stream(n, hot, run, seed=hot_runs)
+            table = np.full(size, 2, dtype=np.int8)
+            scan_paths.clear()
+            _assert_counter_matches_oracle(indices, deltas, table, 0, 3)
+            path = scan_paths[0][0]
+            assert path == ("rounds" if hot_runs <= _switch(runs) else "doubling")
+            assert scan_paths[0][1] < n
+            seen.add(path)
+        assert seen == {"rounds", "doubling"}
+
+    def test_empty_stream_leaves_table(self):
+        table = np.array([0, 3, 1], dtype=np.int8)
+        out = vector.counter_scan(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8), table, 0, 3
+        )
+        assert out.shape == (0,) and table.tolist() == [0, 3, 1]
+
+
+def _chooser_events(monkeypatch, predictor, addresses, outcomes) -> int:
+    """Events the chooser's counter scan saw (the predictor's third scan)."""
+    sizes: list[int] = []
+    scan = vector.counter_scan
+
+    def spy(indices, *args, **kwargs):
+        sizes.append(int(indices.size))
+        return scan(indices, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vector, "counter_scan", spy)
+        predictor.scan(addresses, outcomes)
+    return sizes[-1]
+
+
+def _hybrid_disagreeing(predictor: HybridPredictor) -> None:
+    """Bimodal strongly taken, global strongly not-taken."""
+    predictor._bimodal[:] = 3
+    predictor._global[:] = 0
+
+
+def _tournament_disagreeing(predictor: TournamentPredictor) -> None:
+    """Every branch reads its own strongly-taken local counter; global says not-taken."""
+    predictor._local_history = list(range(predictor.local_history_entries))
+    predictor._local_pht = [7] * predictor.local_pht_entries
+    predictor._global_pht = [0] * predictor.global_entries
+
+
+@pytest.mark.parametrize(
+    "factory, disagree",
+    [
+        (PREDICTOR_FACTORIES["hybrid"], _hybrid_disagreeing),
+        (PREDICTOR_FACTORIES["hybrid-uneven-chooser"], _hybrid_disagreeing),
+        (PREDICTOR_FACTORIES["tournament"], _tournament_disagreeing),
+    ],
+    ids=["hybrid", "hybrid-uneven-chooser", "tournament"],
+)
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 18])
+class TestChooserSplit:
+    """The chooser scans only where the components disagree."""
+
+    def _engines(self, factory, setup, addresses, outcomes, chunk, monkeypatch):
+        scalar, vectored = factory(), factory()
+        setup(scalar)
+        setup(vectored)
+        mask_s = np.array(
+            [scalar.step(pc, o) for pc, o in zip(addresses.tolist(), outcomes.tolist())],
+            dtype=bool,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(vector, "CHUNK_EVENTS", chunk)
+            mask_v = vectored.scan(addresses, outcomes)
+        assert np.array_equal(mask_s, mask_v)
+        assert _comparable_state(scalar) == _comparable_state(vectored)
+
+    def test_components_always_agree(self, factory, disagree, chunk, monkeypatch):
+        """From power-on, an all-taken trace never splits the components."""
+        addresses = (np.arange(300, dtype=np.int64) % 37) * 4
+        outcomes = np.ones(300, dtype=np.int64)
+        self._engines(factory, lambda p: None, addresses, outcomes, chunk, monkeypatch)
+        assert _chooser_events(monkeypatch, factory(), addresses, outcomes) == 0
+
+    def test_components_always_disagree(self, factory, disagree, chunk, monkeypatch):
+        """Preset tables that split on every event: the chooser sees all."""
+        addresses = np.arange(64, dtype=np.int64) * 4
+        outcomes = np.zeros(64, dtype=np.int64)
+        self._engines(factory, disagree, addresses, outcomes, chunk, monkeypatch)
+        predictor = factory()
+        disagree(predictor)
+        assert _chooser_events(monkeypatch, predictor, addresses, outcomes) == 64
+
+
+class TestLruEngineHandover:
+    """LRU structures keep one state form and convert on handover."""
+
+    def test_scan_continues_from_oracle_state(self):
+        """Oracle accesses, then the vector scan, equal the oracle alone."""
+        addresses = _cache_addresses(7, 600)
+        config = CACHE_CONFIGS["two-way"]
+        oracle, mixed = SetAssociativeCache(config), SetAssociativeCache(config)
+        expected = [oracle.access(a) for a in addresses.tolist()]
+        head = [mixed.access(a) for a in addresses[:250].tolist()]
+        tail = mixed.scan(addresses[250:])
+        assert head + tail.tolist() == expected
+        assert mixed._sets == oracle._sets
+
+    def test_oracle_continues_from_scan_state(self):
+        """The vector scan, then oracle steps, equal the oracle alone."""
+        addresses, outcomes = _make_trace(11, 500)
+        oracle = BranchTargetBuffer(entries=16, associativity=2)
+        mixed = BranchTargetBuffer(entries=16, associativity=2)
+        expected = [
+            oracle.step(pc, o) for pc, o in zip(addresses.tolist(), outcomes.tolist())
+        ]
+        head = mixed.scan(addresses[:200], outcomes[:200]).tolist()
+        tail = [
+            mixed.step(pc, o)
+            for pc, o in zip(addresses[200:].tolist(), outcomes[200:].tolist())
+        ]
+        assert head + tail == expected
+        assert mixed._sets == oracle._sets
 
 
 def _empty_trace(structure) -> list[np.ndarray]:
