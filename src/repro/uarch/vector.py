@@ -320,6 +320,14 @@ SCAN_ROUNDS_LIMIT = 32
 ROUND_EVENTS = 100
 
 
+def _lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the segments of ``range(total)`` beginning at *starts*."""
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = total - starts[-1]
+    return lengths
+
+
 def _walk_rounds(lengths: np.ndarray, total: int) -> bool:
     """Whether segments of these *lengths* (*total* elements) take rounds."""
     return int(lengths.max()) <= SCAN_ROUNDS_LIMIT + total // ROUND_EVENTS
@@ -450,7 +458,7 @@ def counter_scan(
     out = np.empty(n, dtype=table.dtype)
 
     seg_start = np.flatnonzero(seg_first)
-    seg_len = np.diff(seg_start, append=n)
+    seg_len = _lengths(seg_start, n)
     if _walk_rounds(seg_len, n):
         out[order] = _rounds_scan(
             delta, seg_start, seg_len, entry[seg_start], table, low, high
@@ -466,13 +474,13 @@ def counter_scan(
     run_first[1:] |= delta[1:] != delta[:-1]
     run_start = np.flatnonzero(run_first)
     runs = run_start.size
-    run_len = np.diff(run_start, append=n)
+    run_len = _lengths(run_start, n)
     run_delta = delta[run_start]
     amount = run_delta * np.minimum(run_len, span).astype(np.int8)
     run_entry = entry[run_start]
     rseg_first = seg_first[run_start]
     rseg_start = np.flatnonzero(rseg_first)
-    rseg_len = np.diff(rseg_start, append=runs)
+    rseg_len = _lengths(rseg_start, runs)
 
     if _walk_rounds(rseg_len, runs):
         run_pre = _rounds_scan(

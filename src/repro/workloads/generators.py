@@ -96,7 +96,8 @@ def build_spec(personality: BenchmarkPersonality) -> ProgramSpec:
         heap_objects.append(HeapObjectSpec(name=f"obj{i:03d}", size_bytes=size))
     object_weights = _zipf_weights(p.n_heap_objects, 1.0, obj_stream)
     object_total = sum(object_weights)
-    # Running sums in list order, as the sequential scan they replace.
+    # Running sums in list order: a draw picks the first object whose
+    # sum exceeds it, or object 0 when rounding leaves none.
     object_edges = list(accumulate(object_weights))
 
     # ---- behaviour-kind sampling --------------------------------------
