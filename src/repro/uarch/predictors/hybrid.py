@@ -111,11 +111,12 @@ class HybridPredictor(BranchPredictor):
                 self.history_bits, outc, history
             )
             delta = (2 * outc - 1).astype(np.int8)
-            bi_pred = vector.counter_scan(pcs & bi_mask, delta, self._bimodal, 0, 3) >= 2
-            gl_pred = (
-                vector.counter_scan((pcs ^ hist) & gl_mask, delta, self._global, 0, 3)
-                >= 2
+            bi_pre = vector.counter_scan(pcs & bi_mask, delta, self._bimodal, 0, 3)
+            gl_pre = vector.counter_scan(
+                (pcs ^ hist) & gl_mask, delta, self._global, 0, 3
             )
+            bi_pred = bi_pre >= 2
+            gl_pred = gl_pre >= 2
             # The chooser is read and trained only where the components
             # disagree; elsewhere the prediction is the bimodal one.
             # Where they disagree, exactly one component is right, so

@@ -553,7 +553,7 @@ class TestCounterScan:
         draws = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=n)
         deltas = draws[np.minimum(np.cumsum(rng.random(n) < 0.3), n - 1)]
         table = rng.integers(low, high + 1, size=entries).astype(np.int8)
-        cuts = sorted(rng.choice(np.arange(1, n), size=min(pieces - 1, n - 1), replace=False).tolist()) if n > 1 else []
+        cuts = sorted(rng.choice(np.arange(n + 1), size=pieces - 1).tolist())
         _assert_counter_matches_oracle(indices, deltas, table, low, high, cuts)
 
     @pytest.mark.parametrize("low, high", [(0, 3), (0, 7)])
@@ -565,7 +565,8 @@ class TestCounterScan:
             [np.full(length, d, dtype=np.int8) for d, length in pattern]
         )
         # One hot entry plus a sprinkle of others between its events.
-        indices = np.where(rng.random(deltas.size) < 0.9, 0, rng.integers(1, 8, deltas.size))
+        others = rng.integers(1, 8, deltas.size)
+        indices = np.where(rng.random(deltas.size) < 0.9, 0, others)
         table = np.full(8, (low + high) // 2, dtype=np.int8)
         _assert_counter_matches_oracle(indices, deltas, table, low, high)
         _assert_counter_matches_oracle(indices, deltas, table, low, high, [1000, 1001])
@@ -608,7 +609,7 @@ class TestCounterScan:
 
 
 def _chooser_events(monkeypatch, predictor, addresses, outcomes) -> int:
-    """Events the chooser's counter scan saw (the predictor's third scan)."""
+    """Events the chooser saw: the size of the scan's last counter scan."""
     sizes: list[int] = []
     scan = vector.counter_scan
 
@@ -629,7 +630,7 @@ def _hybrid_disagreeing(predictor: HybridPredictor) -> None:
 
 
 def _tournament_disagreeing(predictor: TournamentPredictor) -> None:
-    """Every branch reads its own strongly-taken local counter; global says not-taken."""
+    """Each branch reads its own strongly-taken local counter; global not-taken."""
     predictor._local_history = list(range(predictor.local_history_entries))
     predictor._local_pht = [7] * predictor.local_pht_entries
     predictor._global_pht = [0] * predictor.global_entries
@@ -652,10 +653,8 @@ class TestChooserSplit:
         scalar, vectored = factory(), factory()
         setup(scalar)
         setup(vectored)
-        mask_s = np.array(
-            [scalar.step(pc, o) for pc, o in zip(addresses.tolist(), outcomes.tolist())],
-            dtype=bool,
-        )
+        events = zip(addresses.tolist(), outcomes.tolist())
+        mask_s = np.array([scalar.step(pc, o) for pc, o in events], dtype=bool)
         with monkeypatch.context() as patch:
             patch.setattr(vector, "CHUNK_EVENTS", chunk)
             mask_v = vectored.scan(addresses, outcomes)
