@@ -259,7 +259,7 @@ class IndexGroups:
     needs.
     """
 
-    __slots__ = ("order", "entry", "seg_first", "seg_last", "_position")
+    __slots__ = ("order", "entry", "seg_first", "seg_last")
 
     def __init__(self, indices: np.ndarray, table_size: int) -> None:
         n = int(indices.size)
@@ -277,18 +277,6 @@ class IndexGroups:
         self.entry = entry
         self.seg_first = seg_first
         self.seg_last = seg_last
-        self._position = None
-
-    @property
-    def position(self) -> np.ndarray:
-        """Each event's rank within its entry's segment (sorted order)."""
-        if self._position is None:
-            n = int(self.entry.size)
-            arange = np.arange(n, dtype=np.int32)
-            self._position = arange - np.maximum.accumulate(
-                np.where(self.seg_first, arange, 0)
-            )
-        return self._position
 
     def rounds(self) -> tuple[np.ndarray, list[int]]:
         """Sorted positions grouped by rank within their segment.
@@ -297,7 +285,9 @@ class IndexGroups:
         ``r``-th event of every segment.  Entries are distinct within a
         round, so one gather/scatter per round has no conflicts.
         """
-        position = self.position
+        arange = np.arange(int(self.entry.size), dtype=np.int32)
+        # Each event's rank within its entry's segment (sorted order).
+        position = arange - np.maximum.accumulate(np.where(self.seg_first, arange, 0))
         depth = int(position.max())
         by_rank = _stable_order(position, depth + 1)
         bounds = np.searchsorted(position[by_rank], np.arange(depth + 2))
