@@ -6,9 +6,10 @@ would: a store is pre-seeded with a few campaigns (the measure-once
 economics), the server is started over it as a subprocess, a burst of
 concurrent identical queries lands on a *cold* benchmark (provoking
 request coalescing around the single in-flight measurement), and then
-closed-loop client threads hammer the warm keys.  The run ends with
-SIGTERM and asserts the graceful-drain contract: exit code 0 and a
-``drained:`` summary.
+closed-loop client threads hammer the warm keys for a fixed duration
+(``--seconds``), so the percentiles rest on thousands of samples.  The
+run ends with SIGTERM and asserts the graceful-drain contract: exit
+code 0 and a ``drained:`` summary.
 
 Results land in ``BENCH_serve.json``:
 
@@ -22,7 +23,8 @@ Every response is checked for bit-identity against its first sibling:
 a served campaign is a pure function of the request key, so any two
 responses for the same key must match byte-for-byte.
 
-Run:  REPRO_SCALE=small python benchmarks/bench_serve.py [--output PATH]
+Run:  REPRO_SCALE=small python benchmarks/bench_serve.py [--seconds S]
+      [--output PATH]
 """
 
 from __future__ import annotations
@@ -125,10 +127,8 @@ def coalescing_burst(port: int, fanout: int) -> dict:
     return {"fanout": fanout, "wall_seconds": elapsed}
 
 
-def load_phase(
-    port: int, scale, clients: int, requests_per_client: int
-) -> dict:
-    """Closed-loop clients over mixed warm keys; client-side latency."""
+def load_phase(port: int, scale, clients: int, seconds: float) -> dict:
+    """Closed-loop clients over mixed warm keys for *seconds*; latency."""
     layout_counts = (4, 8, scale.n_layouts)
     targets = [
         f"/campaign?benchmark={name}&layouts={n}"
@@ -141,8 +141,10 @@ def load_phase(
     failures: list[str] = []
 
     def worker(client: int) -> None:
-        for i in range(requests_per_client):
+        i = 0
+        while time.perf_counter() < deadline:
             target = targets[(client + i) % len(targets)]
+            i += 1
             started = time.perf_counter()
             status, payload = fetch(port, target)
             latencies[client].append(time.perf_counter() - started)
@@ -155,10 +157,11 @@ def load_phase(
                 failures.append(f"{target}: response bytes diverged")
                 return
 
+    started = time.perf_counter()
+    deadline = started + seconds
     threads = [
         threading.Thread(target=worker, args=(c,)) for c in range(clients)
     ]
-    started = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -186,7 +189,9 @@ def main() -> int:
         "--output", type=Path, default=REPO_ROOT / "BENCH_serve.json"
     )
     parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--requests-per-client", type=int, default=25)
+    parser.add_argument(
+        "--seconds", type=float, default=10.0, help="load phase duration"
+    )
     parser.add_argument("--burst-fanout", type=int, default=6)
     parser.add_argument("--backlog", type=int, default=32)
     parser.add_argument(
@@ -217,13 +222,8 @@ def main() -> int:
         burst = coalescing_burst(port, args.burst_fanout)
         print(f"  {burst['fanout']} duplicates in {burst['wall_seconds']:.2f}s")
 
-        print(
-            f"load phase: {args.clients} clients x "
-            f"{args.requests_per_client} requests ..."
-        )
-        load = load_phase(
-            port, scale, args.clients, args.requests_per_client
-        )
+        print(f"load phase: {args.clients} clients for {args.seconds:g}s ...")
+        load = load_phase(port, scale, args.clients, args.seconds)
         print(
             f"  p50 {load['latency_ms']['p50']:.1f}ms  "
             f"p99 {load['latency_ms']['p99']:.1f}ms  "

@@ -203,6 +203,10 @@ class ShutdownHandler:
             self.signal_name = name
         self._requested.set()
 
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until a drain is requested; False if *timeout* passed."""
+        return self._requested.wait(timeout)
+
     def check(self) -> None:
         """Raise :class:`~repro.errors.ShutdownRequested` if draining."""
         if self._requested.is_set():

@@ -88,11 +88,11 @@ class BackpressureError(ReproError):
     """The campaign service's admission queue is full.
 
     Raised by :class:`repro.serve.CampaignService` when a request
-    arrives while the bounded work queue is at capacity (or while the
-    server is draining).  Deliberately *not* transient: the client is
-    being pushed back and should retry with its own backoff — the
-    server retrying internally would defeat the backpressure contract
-    (ASYNC004).
+    arrives while its bounded backlog of campaigns waiting for the
+    laboratory is full (or while the server is draining).  Deliberately
+    *not* transient: the client is being pushed back and should retry
+    with its own backoff — the server retrying internally would defeat
+    the backpressure contract.
     """
 
 

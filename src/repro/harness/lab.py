@@ -9,7 +9,6 @@ test runs.  Select with the ``REPRO_SCALE`` environment variable.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -184,11 +183,6 @@ class Laboratory:
         self.on_campaign: Callable[[CampaignRecord], None] | None = None
         self._observations: dict[str, ObservationSet] = {}
         self._heap_observations: dict[str, ObservationSet] = {}
-        # The campaign serving layer (repro.serve) calls observations()
-        # from executor threads while the owning process may touch the
-        # same memoization dicts from its main thread; the lock keeps
-        # the dict updates race-free (ASYNC003's discipline).
-        self._memory_lock = threading.Lock()
         self._evaluations: dict[str, PredictorEvaluation] = {}
         self._significant: list[str] | None = None
         #: Experiment results by name, stored by
@@ -238,8 +232,7 @@ class Laboratory:
     ) -> ObservationSet | None:
         """The first *n_layouts* layouts of a campaign in memory, if held."""
         memory = self._heap_observations if heap else self._observations
-        with self._memory_lock:
-            held = memory.get(name)
+        held = memory.get(name)
         if held is None or len(held) < n_layouts:
             return None
         if len(held) == n_layouts:
@@ -275,8 +268,7 @@ class Laboratory:
         uncached; its incidents are in ``failure_report``.
         """
         memory = self._heap_observations if heap else self._observations
-        with self._memory_lock:
-            held = {name: memory.get(name) for name in dict.fromkeys(names)}
+        held = {name: memory.get(name) for name in dict.fromkeys(names)}
         prefixes: dict[CampaignKey, ObservationSet] = {}
         # Layouts of each prefix read from the store (the rest: memory).
         loaded: dict[CampaignKey, int] = {}
@@ -294,8 +286,7 @@ class Laboratory:
             if len(prefix) < n_layouts:
                 prefixes[key] = prefix
                 continue
-            with self._memory_lock:
-                memory[name] = prefix
+            memory[name] = prefix
             self._record(name, heap, n_layouts, 0, telemetry.tick_seconds() - start)
         if not prefixes:
             return
@@ -312,8 +303,7 @@ class Laboratory:
                 self.store.stats.record_miss(
                     loaded=loaded[key], measured=len(suffix)
                 )
-            with self._memory_lock:
-                memory[key.benchmark] = result
+            memory[key.benchmark] = result
             now = telemetry.tick_seconds()
             self._record(key.benchmark, heap, n_layouts, len(suffix), now - last)
             last = now

@@ -4,9 +4,12 @@ The campaign engine runs code in four kinds of context besides the
 main thread: the deadline watchdog's work threads and thread-pool
 callables (``thread``), POSIX signal handlers installed by
 :class:`~repro.core.supervise.ShutdownHandler` (``signal``), coroutines
-and callbacks on the serving layer's event loop (``loop``), and the
-blocking work :mod:`repro.serve` offloads to an executor
-(``executor``).  Code reachable from one of those entry points runs
+and callbacks on an event loop (``loop``), and the blocking work a
+loop offloads to an executor (``executor``).  No shipped module runs
+an event loop any more (:mod:`repro.serve` serves on stdlib threads),
+and ``http.server`` handler threads are deliberately not an entry:
+the per-class shared-state analysis would flag every object a request
+builds for itself.  Code reachable from one of those entry points runs
 interleaved with the main context, so the shared-state, lock,
 signal-safety and blocking rules need to know, per function, *which
 contexts can execute it*.  This module is the one model that answers:
@@ -450,8 +453,8 @@ class ContextModel:
                     scope, nested, expr.args[0], coroutine_call
                 )
             if coroutine_call:
-                # ``asyncio.run(server.serve_until_shutdown())``: the
-                # local-instance fallback sees ``server``'s construction.
+                # ``asyncio.run(server.run())``: the local-instance
+                # fallback sees ``server``'s construction.
                 return self._targets(scope, expr), None
             return [], None
         if isinstance(expr, ast.Name):

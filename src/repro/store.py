@@ -278,10 +278,10 @@ class StoreStats:
     """Hit/miss and layout counters for one store instance.
 
     Counters are mutated through the ``record_*`` methods only, each a
-    single critical section under an internal lock: the serving layer
-    (:mod:`repro.serve`) drives one store from several executor threads
-    at once, and unguarded ``+=`` read-modify-writes would lose counts
-    (the draft defect ASYNC003 was built to catch).  The plain integer
+    single critical section under an internal lock: in the campaign
+    server (:mod:`repro.serve`) the metrics handler thread reads them
+    while the thread holding the laboratory writes them, and unguarded
+    ``+=`` read-modify-writes would lose counts.  The plain integer
     attributes remain readable for tests and summaries; readers wanting
     a consistent multi-counter view take :meth:`snapshot`.
     """

@@ -5,21 +5,25 @@ socket: every observation is a pure function of (config, machine seed,
 benchmark, layout index), so a served campaign must be byte-identical
 to the store's :func:`~repro.store.dump_campaign` of the same slice —
 and a full-length one to its store file — including when a fault plan
-tears the store write it is later served from.  The scheduling tests pin the loop-side invariants: identical
-in-flight requests coalesce onto one measurement, a full admission
-queue rejects instead of buffering, and a drain finishes in-flight
-work before the worker stops.
+tears the store write it is later served from.  The scheduling tests
+pin the thread discipline: identical in-flight requests coalesce onto
+one measurement, distinct concurrent campaigns are each measured once,
+a full admission backlog rejects instead of buffering, the metrics
+count every request, and a drain finishes in-flight work.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -52,14 +56,45 @@ def direct_payload(lab: Laboratory, benchmark: str, n_layouts: int) -> str:
     return dump_campaign(key, subset)
 
 
-async def with_service(lab: Laboratory, body, **kwargs):
-    """Run *body(service)* between start() and drain()."""
-    service = CampaignService(lab, **kwargs)
-    service.start()
+def wait_until(predicate, polls: int = 6000) -> None:
+    """Poll *predicate* every 5 ms until it holds (fail after ~30 s)."""
+    for _ in range(polls):
+        if predicate():
+            return
+        time.sleep(0.005)
+    raise AssertionError("condition never held")
+
+
+def gate_measurements(monkeypatch, lab: Laboratory) -> threading.Event:
+    """Hold every code-campaign lookup of *lab* until the event is set."""
+    release = threading.Event()
+    observations = lab.observations
+
+    def gated(name):
+        release.wait(timeout=30)
+        return observations(name)
+
+    monkeypatch.setattr(lab, "observations", gated)
+    return release
+
+
+@contextmanager
+def serving(lab: Laboratory, **service_kwargs):
+    """A started campaign server on a free port, drained on exit.
+
+    Concurrent requests in these tests come from HTTP client threads,
+    as they do in production: each one is served on a handler thread.
+    """
+    server = CampaignServer(CampaignService(lab, **service_kwargs), port=0)
+    server.start()
     try:
-        return await body(service)
+        yield server
     finally:
-        await service.drain()
+        server.drain()
+
+
+def campaign_target(benchmark: str, n_layouts: int) -> str:
+    return f"/campaign?benchmark={benchmark}&layouts={n_layouts}"
 
 
 class TestPercentile:
@@ -99,53 +134,36 @@ class TestServiceValidation:
         with pytest.raises(ConfigurationError):
             service.validate(CampaignRequest(benchmark=BENCH, n_layouts=0))
 
-    def test_lookup_before_start_rejected(self, lab):
-        service = CampaignService(lab)
-
-        async def scenario():
-            await service.lookup(CampaignRequest(benchmark=BENCH, n_layouts=2))
-
-        with pytest.raises(ConfigurationError):
-            asyncio.run(scenario())
-
 
 class TestServedBitIdentity:
     def test_served_equals_direct_export(self, lab):
         reference = direct_payload(lab, BENCH, 4)
-
-        async def body(service):
-            return await service.lookup(
-                CampaignRequest(benchmark=BENCH, n_layouts=4)
-            )
-
-        served = asyncio.run(with_service(lab, body))
+        served = CampaignService(lab).lookup(
+            CampaignRequest(benchmark=BENCH, n_layouts=4)
+        )
         assert served == reference
 
     def test_served_equals_direct_export_under_flaky_faults(self, tmp_path):
         # A torn store write is quarantined on the next load and the
         # campaign re-measured, reproducing the exact bits a fault-free
-        # run would have produced; serving through the executor must
-        # preserve that across the tear.
+        # run would have produced; serving must preserve that across the
+        # tear.
         clean_lab = Laboratory(scale=TEST_SCALE, machine_seed=7)
         reference = direct_payload(clean_lab, BENCH, 3)
-
-        async def body(service):
-            return await service.lookup(
-                CampaignRequest(benchmark=BENCH, n_layouts=3)
-            )
+        request = CampaignRequest(benchmark=BENCH, n_layouts=3)
 
         flaky_lab = Laboratory(
             scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
         )
         with faults.injected(FaultPlan(seed=0xF1A7, torn_write=1.0)):
-            served = asyncio.run(with_service(flaky_lab, body))
+            served = CampaignService(flaky_lab).lookup(request)
         assert served == reference
 
         restarted_lab = Laboratory(
             scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
         )
         with faults.injected(None):
-            reserved = asyncio.run(with_service(restarted_lab, body))
+            reserved = CampaignService(restarted_lab).lookup(request)
         assert reserved == reference
         assert restarted_lab.store.stats.quarantined == 1
 
@@ -154,14 +172,10 @@ class TestServedBitIdentity:
         lab = Laboratory(
             scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
         )
-
-        async def body(service):
-            return await service.lookup(
+        with faults.injected(None):
+            served = CampaignService(lab).lookup(
                 CampaignRequest(benchmark=BENCH, n_layouts=TEST_SCALE.n_layouts)
             )
-
-        with faults.injected(None):
-            served = asyncio.run(with_service(lab, body))
         key = lab.campaign_key(BENCH, heap=False)
         assert served == lab.store.path_for(key).read_text()
 
@@ -170,59 +184,110 @@ class TestServedBitIdentity:
         # restart) serves the identical bytes without re-measuring.
         request = CampaignRequest(benchmark=BENCH, n_layouts=3)
 
-        async def body(service):
-            return await service.lookup(request)
-
         first_lab = Laboratory(
             scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
         )
-        first = asyncio.run(with_service(first_lab, body))
+        first = CampaignService(first_lab).lookup(request)
         assert first_lab.store.stats.misses == 1
 
         second_lab = Laboratory(
             scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
         )
-        second = asyncio.run(with_service(second_lab, body))
+        second = CampaignService(second_lab).lookup(request)
         assert second == first
         assert second_lab.store.stats.hits == 1
         assert second_lab.store.stats.layouts_measured == 0
 
 
 class TestCoalescing:
-    def test_concurrent_duplicates_share_one_measurement(self, tmp_path):
+    def test_concurrent_duplicates_share_one_measurement(
+        self, tmp_path, monkeypatch
+    ):
         lab = Laboratory(
             scale=TEST_SCALE, machine_seed=11, cache_dir=tmp_path / "store"
         )
-        request = CampaignRequest(benchmark=BENCH, n_layouts=3)
+        target = campaign_target(BENCH, 3)
+        release = gate_measurements(monkeypatch, lab)
 
-        async def body(service):
-            payloads = await asyncio.gather(
-                service.lookup(request),
-                service.lookup(request),
-                service.lookup(request),
-                service.lookup(request),
-            )
-            return payloads, service.metrics.snapshot()
-
-        payloads, view = asyncio.run(with_service(lab, body))
+        with serving(lab) as server, ThreadPoolExecutor(max_workers=4) as pool:
+            service = server.service
+            try:
+                first = pool.submit(http_get, server.port, target)
+                # The first request is in flight (it holds the lab lock),
+                # so the other three coalesce deterministically.
+                wait_until(lambda: service.saturation()["busy"] == 1)
+                rest = [pool.submit(http_get, server.port, target) for _ in range(3)]
+                wait_until(lambda: service.metrics.snapshot()["coalesced"] == 3)
+            finally:
+                release.set()
+            payloads = [f.result(timeout=60)[2] for f in [first, *rest]]
+            view = service.metrics.snapshot()
         assert len(set(payloads)) == 1
-        # The first request registers in-flight before yielding, so
-        # the other three coalesce deterministically.
         assert view["coalesced"] == 3
         assert view["served"] == 4
         # One measurement, not four: the store saw a single miss.
         assert lab.store.stats.misses == 1
 
-    def test_distinct_requests_do_not_coalesce(self, lab):
-        async def body(service):
-            await asyncio.gather(
-                service.lookup(CampaignRequest(benchmark=BENCH, n_layouts=2)),
-                service.lookup(CampaignRequest(benchmark=BENCH, n_layouts=3)),
-            )
-            return service.metrics.snapshot()
-
-        view = asyncio.run(with_service(lab, body))
+    def test_distinct_requests_do_not_coalesce(self, lab, monkeypatch):
+        release = gate_measurements(monkeypatch, lab)
+        with serving(lab) as server, ThreadPoolExecutor(max_workers=2) as pool:
+            service = server.service
+            try:
+                futures = [
+                    pool.submit(http_get, server.port, campaign_target(BENCH, n))
+                    for n in (2, 3)
+                ]
+                # Both are in flight at once before either is measured.
+                wait_until(lambda: service.saturation()["inflight"] == 2)
+            finally:
+                release.set()
+            for future in futures:
+                future.result(timeout=60)
+            view = service.metrics.snapshot()
         assert view["coalesced"] == 0
+
+
+class TestThreadDiscipline:
+    def test_distinct_cold_campaigns_are_each_measured_once(self, tmp_path):
+        lab = Laboratory(
+            scale=TEST_SCALE, machine_seed=13, cache_dir=tmp_path / "store"
+        )
+        names = ("429.mcf", "456.hmmer", "403.gcc", "401.bzip2") * 2
+        targets = [campaign_target(name, TEST_SCALE.n_layouts) for name in names]
+        with faults.injected(None), serving(lab) as server:
+            with ThreadPoolExecutor(max_workers=len(targets)) as pool:
+                futures = [pool.submit(http_get, server.port, t) for t in targets]
+                responses = [future.result(timeout=120) for future in futures]
+        measured = [record.benchmark for record in lab.campaign_log if record.measured]
+        assert sorted(measured) == sorted(set(names))
+        for name, (status, _, payload) in zip(names, responses):
+            assert status == "200 OK"
+            key = lab.campaign_key(name, heap=False)
+            assert payload == lab.store.path_for(key).read_bytes()
+
+    def test_metrics_count_every_concurrent_request(self, lab):
+        n_requests = 200
+        # Every fourth request is malformed: an error, not a serve.
+        targets = [
+            campaign_target(BENCH, 0 if i % 4 == 0 else 1 + i % TEST_SCALE.n_layouts)
+            for i in range(n_requests)
+        ]
+        interval = sys.getswitchinterval()
+        # Switch threads every 10 us while handler threads record their
+        # requests: an update lost between them would miscount.
+        sys.setswitchinterval(1e-5)
+        try:
+            with serving(lab) as server, ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(http_get, server.port, t) for t in targets]
+                statuses = [future.result(timeout=60)[0] for future in futures]
+                view = server.service.metrics.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses.count("200 OK") == n_requests - n_requests // 4
+        assert view["requests"] == n_requests
+        assert view["served"] + view["rejected"] + view["errors"] == n_requests
+        assert view["errors"] == n_requests // 4
+        assert view["latency_ms"]["samples"] == n_requests
 
 
 class TestBackpressure:
@@ -233,63 +298,49 @@ class TestBackpressure:
             release.wait(timeout=30)
             return "{}"
 
-        async def scenario():
-            service = CampaignService(lab, backlog=1)
+        with serving(lab, backlog=1) as server, ThreadPoolExecutor(2) as pool:
+            service = server.service
             monkeypatch.setattr(service, "_measure_payload", slow_measure)
-            service.start()
             try:
-                first = asyncio.ensure_future(
-                    service.lookup(CampaignRequest(benchmark=BENCH, n_layouts=2))
-                )
-                # Let the single worker dequeue the first job and park
-                # in the executor, so the queue is empty again...
-                await asyncio.sleep(0.05)
-                second = asyncio.ensure_future(
-                    service.lookup(CampaignRequest(benchmark=BENCH, n_layouts=3))
-                )
-                await asyncio.sleep(0.05)
+                first = pool.submit(http_get, server.port, campaign_target(BENCH, 2))
+                # Let the first request take the lab lock, so nothing
+                # waits for it yet...
+                wait_until(lambda: service.saturation()["busy"] == 1)
+                second = pool.submit(http_get, server.port, campaign_target(BENCH, 3))
+                wait_until(lambda: service.saturation()["queue_depth"] == 1)
                 # ...now the backlog slot is occupied: a third distinct
                 # request must be rejected, not buffered.
                 with pytest.raises(BackpressureError):
-                    await service.lookup(
-                        CampaignRequest(benchmark=BENCH, n_layouts=4)
-                    )
+                    service.lookup(CampaignRequest(benchmark=BENCH, n_layouts=4))
                 view = service.metrics.snapshot()
                 assert view["rejected"] == 1
                 saturation = service.saturation()
                 assert saturation["busy"] == 1
                 assert saturation["queue_depth"] == 1
-                release.set()
-                await asyncio.gather(first, second)
             finally:
                 release.set()
-                await service.drain()
-
-        asyncio.run(scenario())
+            assert first.result(timeout=30)[0] == "200 OK"
+            assert second.result(timeout=30)[0] == "200 OK"
 
     def test_draining_service_rejects_new_requests(self, lab):
-        async def scenario():
-            service = CampaignService(lab)
-            service.start()
-            await service.drain()
-            with pytest.raises(BackpressureError):
-                await service.lookup(
-                    CampaignRequest(benchmark=BENCH, n_layouts=2)
-                )
-
-        asyncio.run(scenario())
+        service = CampaignService(lab)
+        service.drain()
+        with pytest.raises(BackpressureError):
+            service.lookup(CampaignRequest(benchmark=BENCH, n_layouts=2))
 
 
-async def http_get(port: int, target: str) -> tuple[str, dict, bytes]:
+def raw_request(port: int, data: bytes) -> bytes:
+    """Send *data* to the local server; the whole answer, read to EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as conn:
+        conn.sendall(data)
+        return b"".join(iter(lambda: conn.recv(65536), b""))
+
+
+def http_get(port: int, target: str) -> tuple[str, dict, bytes]:
     """Minimal HTTP/1.1 GET against the local server."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(
-        f"GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n".encode()
+    raw = raw_request(
+        port, f"GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n".encode()
     )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
     head, _, body = raw.partition(b"\r\n\r\n")
     lines = head.decode().split("\r\n")
     status = lines[0].split(" ", 1)[1]
@@ -300,51 +351,37 @@ async def http_get(port: int, target: str) -> tuple[str, dict, bytes]:
 
 
 class TestHttpServer:
-    def run_with_server(self, lab, body, **service_kwargs):
-        async def scenario():
-            service = CampaignService(lab, **service_kwargs)
-            server = CampaignServer(service, port=0)
-            await server.start()
-            try:
-                return await body(server)
-            finally:
-                await server.drain()
-
-        return asyncio.run(scenario())
-
     def test_healthz(self, lab):
-        async def body(server):
-            return await http_get(server.port, "/healthz")
-
-        status, headers, payload = self.run_with_server(lab, body)
+        with serving(lab) as server:
+            status, headers, payload = http_get(server.port, "/healthz")
         assert status == "200 OK"
         assert payload == b"ok\n"
         assert headers["Content-Length"] == str(len(payload))
 
     def test_campaign_payload_is_bit_identical(self, lab):
         reference = direct_payload(lab, BENCH, 4)
-
-        async def body(server):
-            return await http_get(
-                server.port, f"/campaign?benchmark={BENCH}&layouts=4"
+        with serving(lab) as server:
+            status, headers, payload = http_get(
+                server.port, campaign_target(BENCH, 4)
             )
-
-        status, headers, payload = self.run_with_server(lab, body)
         assert status == "200 OK"
         assert headers["Content-Type"] == "application/json"
         assert payload.decode() == reference
 
-    def test_concurrent_duplicate_queries_coalesce(self, lab):
-        target = f"/campaign?benchmark={BENCH}&layouts=5"
-
-        async def body(server):
-            results = await asyncio.gather(
-                *(http_get(server.port, target) for _ in range(4))
-            )
-            metrics = await http_get(server.port, "/metrics")
-            return results, metrics
-
-        results, (status, _, metrics_body) = self.run_with_server(lab, body)
+    def test_concurrent_duplicate_queries_coalesce(self, lab, monkeypatch):
+        target = campaign_target(BENCH, 5)
+        release = gate_measurements(monkeypatch, lab)
+        with serving(lab) as server, ThreadPoolExecutor(max_workers=4) as pool:
+            metrics = server.service.metrics
+            try:
+                futures = [
+                    pool.submit(http_get, server.port, target) for _ in range(4)
+                ]
+                wait_until(lambda: metrics.snapshot()["coalesced"] == 3)
+            finally:
+                release.set()
+            results = [future.result(timeout=60) for future in futures]
+            status, _, metrics_body = http_get(server.port, "/metrics")
         payloads = {payload for _, _, payload in results}
         assert len(payloads) == 1
         assert status == "200 OK"
@@ -355,14 +392,9 @@ class TestHttpServer:
         lab = Laboratory(
             scale=TEST_SCALE, machine_seed=7, cache_dir=tmp_path / "store"
         )
-
-        async def body(server):
-            await http_get(
-                server.port, f"/campaign?benchmark={BENCH}&layouts=2"
-            )
-            return await http_get(server.port, "/metrics")
-
-        status, _, payload = self.run_with_server(lab, body)
+        with serving(lab) as server:
+            http_get(server.port, campaign_target(BENCH, 2))
+            status, _, payload = http_get(server.port, "/metrics")
         assert status == "200 OK"
         view = json.loads(payload)
         assert view["requests"] == 1
@@ -378,22 +410,17 @@ class TestHttpServer:
         ) + "\n"
 
     def test_error_routes(self, lab):
-        async def body(server):
-            return (
-                await http_get(server.port, "/nope"),
-                await http_get(server.port, "/campaign"),
-                await http_get(server.port, "/campaign?benchmark=900.none"),
-                await http_get(
-                    server.port, f"/campaign?benchmark={BENCH}&layouts=zero"
-                ),
-                await http_get(
-                    server.port, f"/campaign?benchmark={BENCH}&layouts=999"
-                ),
-            )
-
-        missing, no_bench, unknown, bad_int, oob = self.run_with_server(
-            lab, body
-        )
+        with serving(lab) as server:
+            missing, no_bench, unknown, bad_int, oob = [
+                http_get(server.port, target)
+                for target in (
+                    "/nope",
+                    "/campaign",
+                    "/campaign?benchmark=900.none",
+                    f"/campaign?benchmark={BENCH}&layouts=zero",
+                    campaign_target(BENCH, 999),
+                )
+            ]
         assert missing[0].startswith("404")
         assert no_bench[0].startswith("400")
         assert unknown[0].startswith("404")
@@ -401,50 +428,33 @@ class TestHttpServer:
         assert oob[0].startswith("400")
 
     def test_non_get_and_malformed_request_line(self, lab):
-        async def body(server):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            writer.write(b"POST /healthz HTTP/1.1\r\n\r\n")
-            await writer.drain()
-            post_raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            writer.write(b"garbage\r\n\r\n")
-            await writer.drain()
-            bad_raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return post_raw, bad_raw
-
-        post_raw, bad_raw = self.run_with_server(lab, body)
+        with serving(lab) as server:
+            post_raw = raw_request(server.port, b"POST /healthz HTTP/1.1\r\n\r\n")
+            bad_raw = raw_request(server.port, b"garbage\r\n\r\n")
         assert b"405" in post_raw.split(b"\r\n", 1)[0]
         assert b"400" in bad_raw.split(b"\r\n", 1)[0]
 
     def test_drain_request_stops_the_server(self, lab):
         from repro.core.supervise import ShutdownHandler
 
-        async def scenario():
-            shutdown = ShutdownHandler()
-            service = CampaignService(lab)
-            server = CampaignServer(
-                service, port=0, shutdown=shutdown, poll_seconds=0.01
-            )
-            runner = asyncio.ensure_future(server.serve_until_shutdown())
-            while server.port is None:
-                await asyncio.sleep(0.01)
-            status, _, _ = await http_get(server.port, "/healthz")
+        shutdown = ShutdownHandler()
+        service = CampaignService(lab)
+        server = CampaignServer(service, port=0, shutdown=shutdown)
+        runner = threading.Thread(target=server.serve_until_shutdown)
+        runner.start()
+        try:
+            status, _, _ = http_get(server.port, "/healthz")
             assert status == "200 OK"
+        finally:
             shutdown.request()
-            await asyncio.wait_for(runner, timeout=10)
-            with pytest.raises(OSError):
-                await asyncio.open_connection("127.0.0.1", server.port)
+            runner.join(timeout=10)
+        assert not runner.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", server.port), timeout=5)
 
-        asyncio.run(scenario())
+
+def serve_metrics(port: int) -> dict:
+    return json.loads(http_get(port, "/metrics")[2])
 
 
 class TestServeProcessDrain:
@@ -452,6 +462,10 @@ class TestServeProcessDrain:
         env = dict(os.environ)
         env["REPRO_SCALE"] = "ci"
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        # The campaign hangs once for 2 s before it is measured, so the
+        # signal lands while it is in flight.
+        env["REPRO_FAULT_PLAN"] = f"seed=1,hang_benchmarks={BENCH},hang_seconds=2"
+        store = tmp_path / "store"
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -460,21 +474,38 @@ class TestServeProcessDrain:
                 "--port",
                 "0",
                 "--cache-dir",
-                str(tmp_path / "store"),
+                str(store),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             env=env,
             text=True,
         )
+        responses: list = []
         try:
             banner = proc.stdout.readline()
             assert "serving campaigns on http://" in banner
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=30)
+            port = int(banner.rsplit(":", 1)[1].split()[0])
+            client = threading.Thread(
+                target=lambda: responses.append(
+                    http_get(port, f"/campaign?benchmark={BENCH}&layouts=10")
+                )
+            )
+            client.start()
+            try:
+                wait_until(lambda: serve_metrics(port)["pool"]["busy"] == 1)
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=60)
+            finally:
+                client.join(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 0, out
         assert "drained:" in out
+        # The in-flight campaign finished: its answer is the store file.
+        [(status, _, payload)] = responses
+        assert status == "200 OK"
+        [store_file] = sorted(store.glob("429_mcf-*.json"))
+        assert payload == store_file.read_bytes()
