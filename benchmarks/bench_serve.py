@@ -6,18 +6,27 @@ would: a store is pre-seeded with a few campaigns (the measure-once
 economics), the server is started over it as a subprocess, a burst of
 concurrent identical queries lands on a *cold* benchmark (provoking
 request coalescing around the single in-flight measurement), and then
-closed-loop client threads hammer the warm keys for a fixed duration
-(``--seconds``), so the percentiles rest on thousands of samples.  The
-run ends with SIGTERM and asserts the graceful-drain contract: exit
+closed-loop client threads load warm keys in two phases of ``--seconds``
+each, so the percentiles rest on thousands of samples:
+
+* ``load`` — every client cycles the same six keys (two benchmarks at
+  4, 8 and all layouts), each client one key ahead of the next, so
+  closed-loop clients can fall into step and coalesce;
+* ``load_distinct`` — each client cycles its own share of every layout
+  count of seven benchmarks.  At ``small`` (40 layouts) with the
+  default four clients, a key comes round again only after its client
+  has asked for 69 other keys, so no key repeats within 64 requests.
+
+The run ends with SIGTERM and asserts the graceful-drain contract: exit
 code 0 and a ``drained:`` summary.
 
 Results land in ``BENCH_serve.json``:
 
-* client-side p50/p99 latency (ms) of the warm-key load phase,
+* client-side p50/p99 latency (ms) of each load phase,
 * server-side latency percentiles from ``/metrics``,
 * store hit rate (warm keys are served from disk, not re-measured),
 * coalescing ratio (coalesced / total requests) — must be > 0,
-* sustained throughput of the load phase.
+* sustained throughput of each load phase.
 
 Every response is checked for bit-identity against its first sibling:
 a served campaign is a pure function of the request key, so any two
@@ -51,6 +60,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: the key the coalescing burst lands on (cold: measured by the server).
 WARM_BENCHMARKS = ("429.mcf", "456.hmmer")
 COLD_BENCHMARK = "403.gcc"
+#: Also warm: the benchmarks whose every layout count the distinct-key
+#: phase cycles.
+DISTINCT_BENCHMARKS = WARM_BENCHMARKS + (
+    "400.perlbench",
+    "401.bzip2",
+    "445.gobmk",
+    "462.libquantum",
+    "473.astar",
+)
 
 MACHINE_SEED = 1
 
@@ -71,7 +89,7 @@ def seed_store(cache_dir: Path, scale) -> float:
         scale=scale, machine_seed=MACHINE_SEED, cache_dir=cache_dir
     )
     started = time.perf_counter()
-    for name in WARM_BENCHMARKS:
+    for name in DISTINCT_BENCHMARKS:
         lab.observations(name)
     return time.perf_counter() - started
 
@@ -127,23 +145,27 @@ def coalescing_burst(port: int, fanout: int) -> dict:
     return {"fanout": fanout, "wall_seconds": elapsed}
 
 
-def load_phase(port: int, scale, clients: int, seconds: float) -> dict:
-    """Closed-loop clients over mixed warm keys for *seconds*; latency."""
-    layout_counts = (4, 8, scale.n_layouts)
-    targets = [
+def campaign_targets(benchmarks, layout_counts) -> list[str]:
+    return [
         f"/campaign?benchmark={name}&layouts={n}"
-        for name in WARM_BENCHMARKS
+        for name in benchmarks
         for n in layout_counts
     ]
+
+
+def load_phase(port: int, cycles: list[list[str]], seconds: float) -> dict:
+    """Closed-loop clients, client c cycling ``cycles[c]`` for *seconds*."""
+    clients = len(cycles)
     latencies: list[list[float]] = [[] for _ in range(clients)]
     references: dict[str, bytes] = {}
     reference_lock = threading.Lock()
     failures: list[str] = []
 
     def worker(client: int) -> None:
+        cycle = cycles[client]
         i = 0
         while time.perf_counter() < deadline:
-            target = targets[(client + i) % len(targets)]
+            target = cycle[i % len(cycle)]
             i += 1
             started = time.perf_counter()
             status, payload = fetch(port, target)
@@ -172,6 +194,7 @@ def load_phase(port: int, scale, clients: int, seconds: float) -> dict:
     samples = sorted(s for per_client in latencies for s in per_client)
     return {
         "clients": clients,
+        "keys_per_client": len(cycles[0]),
         "requests": len(samples),
         "wall_seconds": elapsed,
         "throughput_rps": len(samples) / elapsed if elapsed else 0.0,
@@ -190,7 +213,7 @@ def main() -> int:
     )
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument(
-        "--seconds", type=float, default=10.0, help="load phase duration"
+        "--seconds", type=float, default=10.0, help="duration of each load phase"
     )
     parser.add_argument("--burst-fanout", type=int, default=6)
     parser.add_argument("--backlog", type=int, default=32)
@@ -212,7 +235,10 @@ def main() -> int:
         tmp = tempfile.TemporaryDirectory(prefix="bench-serve-")
         cache_dir = Path(tmp.name)
 
-    print(f"seeding store with {WARM_BENCHMARKS} at scale {scale.name} ...")
+    print(
+        f"seeding store with {len(DISTINCT_BENCHMARKS)} campaigns "
+        f"at scale {scale.name} ..."
+    )
     seed_seconds = seed_store(cache_dir, scale)
     print(f"  seeded in {seed_seconds:.1f}s")
 
@@ -222,13 +248,27 @@ def main() -> int:
         burst = coalescing_burst(port, args.burst_fanout)
         print(f"  {burst['fanout']} duplicates in {burst['wall_seconds']:.2f}s")
 
-        print(f"load phase: {args.clients} clients for {args.seconds:g}s ...")
-        load = load_phase(port, scale, args.clients, args.seconds)
-        print(
-            f"  p50 {load['latency_ms']['p50']:.1f}ms  "
-            f"p99 {load['latency_ms']['p99']:.1f}ms  "
-            f"{load['throughput_rps']:.0f} req/s"
+        shared = campaign_targets(WARM_BENCHMARKS, (4, 8, scale.n_layouts))
+        distinct = campaign_targets(
+            DISTINCT_BENCHMARKS, range(1, scale.n_layouts + 1)
         )
+        phases = {
+            "load": [
+                shared[c % len(shared) :] + shared[: c % len(shared)]
+                for c in range(args.clients)
+            ],
+            "load_distinct": [
+                distinct[c :: args.clients] for c in range(args.clients)
+            ],
+        }
+        for phase, cycles in phases.items():
+            print(f"{phase}: {args.clients} clients for {args.seconds:g}s ...")
+            phases[phase] = result = load_phase(port, cycles, args.seconds)
+            print(
+                f"  p50 {result['latency_ms']['p50']:.1f}ms  "
+                f"p99 {result['latency_ms']['p99']:.1f}ms  "
+                f"{result['throughput_rps']:.0f} req/s"
+            )
 
         status, metrics_body = fetch(port, "/metrics")
         assert status == 200
@@ -253,7 +293,7 @@ def main() -> int:
         "backlog": args.backlog,
         "seed_seconds": round(seed_seconds, 3),
         "coalescing_burst": burst,
-        "load": load,
+        **phases,
         "server_metrics": metrics,
         "coalescing_ratio": coalescing_ratio,
         "store_hit_rate": metrics.get("store", {}).get("hit_rate", 0.0),

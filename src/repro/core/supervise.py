@@ -203,9 +203,13 @@ class ShutdownHandler:
             self.signal_name = name
         self._requested.set()
 
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until a drain is requested; False if *timeout* passed."""
-        return self._requested.wait(timeout)
+    def wait(self) -> None:
+        """Block until a drain is requested (on a helper thread: a signal
+        handled while ``Event.wait`` briefly holds the event's lock would
+        deadlock in :meth:`request` on that lock)."""
+        waiter = threading.Thread(target=self._requested.wait, daemon=True)
+        waiter.start()
+        waiter.join()
 
     def check(self) -> None:
         """Raise :class:`~repro.errors.ShutdownRequested` if draining."""

@@ -28,13 +28,11 @@ Run via ``repro-cli serve`` or ``python -m repro.serve``.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -124,6 +122,8 @@ class CampaignService:
             raise ConfigurationError(f"backlog must be positive, got {backlog}")
         self._lab = lab
         self._backlog = backlog
+        #: The largest layout count this service can serve.
+        self.scale_layouts = lab.scale.n_layouts
         self.metrics = ServiceMetrics()
         # The one guard on the laboratory: its memory, store and failure
         # report see one campaign at a time.
@@ -133,14 +133,6 @@ class CampaignService:
         self._inflight: set[str] = set()
         self._waiting = 0
         self._draining = False
-        # A payload is a pure function of its request, so repeats reuse
-        # its rendering (the 64 most recent are kept).
-        self._measure_payload = functools.lru_cache(maxsize=64)(self._render)
-
-    @property
-    def scale_layouts(self) -> int:
-        """The largest layout count this service can serve."""
-        return self._lab.scale.n_layouts
 
     def validate(self, request: CampaignRequest) -> None:
         """Reject malformed layout counts before admission."""
@@ -180,8 +172,8 @@ class CampaignService:
                 self._inflight.add(digest)
                 self._waiting += 1
         if not owner:
-            # Whichever identical request gets the lab lock first renders
-            # the payload; the others find it rendered.
+            # It waits on the lab lock, then finds the campaign in the
+            # lab's memory: one measurement serves every duplicate.
             self.metrics.record_coalesced()
         try:
             with self._lab_lock:
@@ -194,7 +186,7 @@ class CampaignService:
                 with self._admission_lock:
                     self._inflight.discard(digest)
 
-    def _render(self, request: CampaignRequest) -> str:
+    def _measure_payload(self, request: CampaignRequest) -> str:
         """The first ``n_layouts`` of the campaign, rendered (lab lock held)."""
         lab = self._lab
         campaign = lab.heap_observations if request.heap else lab.observations
@@ -237,16 +229,23 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     timeout = 30  # seconds: an idle client cannot hold the drain open
 
-    def send_error(self, code, message=None, explain=None) -> None:
-        # Protocol errors answer in plain text.  Only GET is defined, so
-        # the stdlib's "unsupported method" (501) is a 405 here.
-        if code == HTTPStatus.NOT_IMPLEMENTED:
-            code, message = HTTPStatus.METHOD_NOT_ALLOWED, "GET only"
-        status = HTTPStatus(code)
-        self._reply(f"{status.value} {status.phrase}", f"{message or status.phrase}\n")
-
     def log_message(self, format, *args) -> None:
         pass  # no per-request stderr lines; /metrics counts requests
+
+    def parse_request(self) -> bool:
+        # The request line is "GET TARGET VERSION"; the headers are read
+        # and ignored, since every answer closes the connection.
+        while self.rfile.readline(65537) not in (b"\r\n", b"\n", b""):
+            pass
+        words = self.raw_requestline.decode("latin-1").split()
+        if len(words) != 3:
+            self._reply("400 Bad Request", "malformed request line\n")
+        elif words[0] != "GET":
+            self._reply("405 Method Not Allowed", "GET only\n")
+        else:
+            self.command, self.path, self.request_version = words
+            return True
+        return False
 
     def do_GET(self) -> None:
         parts = urlsplit(self.path)

@@ -134,6 +134,12 @@ def _records_checksum(records: list[dict]) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: A record's two levels in the ``indent=1`` envelope, each one C-encoder
+#: call with its indentation as item separator (``indent=`` is pure Python).
+_COUNTERS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+_FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
+
+
 def dump_campaign(key: CampaignKey, observations: ObservationSet) -> str:
     """The campaign file of *observations* measured under *key*.
 
@@ -163,11 +169,22 @@ def dump_campaign(key: CampaignKey, observations: ObservationSet) -> str:
         "benchmark": key.benchmark,
         "provenance": key.provenance,
         "checksum": _records_checksum(records),
-        "observations": records,
+        "observations": [],
     }
     # sort_keys keeps the envelope byte-stable regardless of the order
     # this dict (or a future caller's) was constructed in (DET006).
-    return json.dumps(payload, indent=1, sort_keys=True)
+    envelope = json.dumps(payload, indent=1, sort_keys=True)
+    if not records:
+        return envelope
+    # The records as json.dumps(indent=1) nests them: "counters" sorts
+    # first among a record's keys and is its only (never empty) container.
+    counters = _COUNTERS_ENCODER.encode([r.pop("counters") for r in records])
+    fields = _FIELDS_ENCODER.encode(records)
+    pairs = zip(counters[2:-2].split("},\n    {"), fields[2:-2].split("},\n   {"))
+    body = ",\n".join(
+        f'  {{\n   "counters": {{\n    {c}\n   }},\n   {f}\n  }}' for c, f in pairs
+    )
+    return envelope.replace('"observations": []', f'"observations": [\n{body}\n ]', 1)
 
 
 def _read_campaign(path: Path) -> tuple[ObservationSet, dict]:

@@ -431,8 +431,14 @@ class TestHttpServer:
         with serving(lab) as server:
             post_raw = raw_request(server.port, b"POST /healthz HTTP/1.1\r\n\r\n")
             bad_raw = raw_request(server.port, b"garbage\r\n\r\n")
+            # Neither the HTTP/0.9 two-token form nor an empty line is a
+            # request line.
+            short_raw = raw_request(server.port, b"GET /healthz\r\n\r\n")
+            empty_raw = raw_request(server.port, b"\r\n\r\n")
         assert b"405" in post_raw.split(b"\r\n", 1)[0]
-        assert b"400" in bad_raw.split(b"\r\n", 1)[0]
+        for raw in (bad_raw, short_raw, empty_raw):
+            assert b"400" in raw.split(b"\r\n", 1)[0]
+            assert raw.endswith(b"\r\n\r\nmalformed request line\n")
 
     def test_drain_request_stops_the_server(self, lab):
         from repro.core.supervise import ShutdownHandler

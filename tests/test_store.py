@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -94,6 +95,17 @@ class TestCampaignKey:
                 "3f655dc428946c22e4638bb9695d3e92dff481516185b3fc45c5485b44737e5c"
             ),
         }
+
+    def test_file_is_sorted_indented_json(self):
+        """A campaign file is ``json.dumps(..., indent=1, sort_keys=True)``
+        of its own content, whatever the number of records."""
+        for n in (0, 1, 5):
+            envelope = dump_campaign(
+                _key(), _synthetic_observations(n=n, benchmark="456.hmmer")
+            )
+            content = json.loads(envelope)
+            assert len(content["observations"]) == n
+            assert envelope == json.dumps(content, indent=1, sort_keys=True)
 
     def test_campaign_key_fields(self):
         lab = Laboratory(scale=TINY, machine_seed=7)
